@@ -27,7 +27,7 @@ from .graphs import (
     parse_edgelist,
     parse_graph6,
 )
-from .subdivision import Internal, Original, SubdivisionMap, subdivide, superedge_vertex
+from .subdivision import Internal, Original, SubdivisionMap, subdivide
 from .solver import (
     DEFAULT_BUDGET,
     SolveResult,

@@ -1,23 +1,10 @@
 """Empirical checking of claimed bounds on secure domination of subdivisions.
 
 Every claim in the catalog relates the exact secure domination number of a
-k-subdivision to closed-form quantities of the base graph. ``check_theorem``
-builds the required subdivision, solves it exactly, and grades the claim:
-
-==========  =========================================================
-theorem id  claim on gamma_s
-==========  =========================================================
-prop1       gamma(G) <= gamma_s(G)                        (k = 1)
-g12         G^{1/2} <= min(m, n)      for non-star G
-star2       G^{1/2} == n              for star G
-g13         n <= G^{1/3} <= 2m
-g14         G^{1/4} == 2m
-g15         2m + 1 <= G^{1/5} <= 3m - max_degree + 1
-g16         G^{1/n} == pathval(n+1) * m   for n = 7k + r, r in {-1,1,3,5}
-r024        n_G + pathval(n-3) * m <= G^{1/n} <= pathval(n+1) * m
-            for n mod 7 in {0, 2, 4}
-conj        G^{1/2} > (4/5) * n_G     (strict)
-==========  =========================================================
+k-subdivision to closed-form quantities of the base graph. The catalog is
+the ``CLAIMS`` table, one row per claim. ``check_theorem`` looks a row up,
+builds the required subdivision, solves it exactly, and grades the row's
+bound terms against the exact value.
 
 A violated claim is a result, not an error: several equality claims fail on
 degenerate bases (single edges, disconnected graphs) and surfacing that
@@ -30,13 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 import json
+from typing import Callable
 
 from . import _pool
+from .certificates import decompose
 from .graphs import Graph, emit_graph6, is_star, max_degree
 from .solver import DEFAULT_BUDGET, SolverBudget, gamma_exact, gamma_s_exact, path_secure_formula
 from .subdivision import subdivide
-
-THEOREM_IDS = ("prop1", "g12", "star2", "g13", "g14", "g15", "g16", "r024", "conj")
 
 _STATUSES = ("holds", "tight", "violated", "skipped")
 
@@ -51,6 +38,96 @@ class BoundCheck:
     exact: int | None
     status: str
     detail: str
+
+
+@dataclass(frozen=True)
+class Claim:
+    """One cataloged claim on gamma_s(G^{1/k}).
+
+    ``k`` is the subdivision parameter, or a function that takes the ``-n``
+    parameter, rejects values the claim is not stated for, and returns k.
+    ``lower``, ``upper`` and ``equality`` are the bound terms, each absent or
+    a function of (G, n, solve); ``solve(solver, graph)`` is the exact value
+    of a solver under the run's budget, for a term that is itself an
+    invariant. ``precondition`` returns the reason G is out of scope, or
+    None. ``strict`` makes the lower bound strict. ``text`` is the catalog
+    entry, as the README lists it.
+
+    ``note`` gives the start of a graded row's detail from (G, lower,
+    exact). ``skip``, when set, is the whole detail of a budget skip, which
+    then shows no bound terms.
+    """
+
+    id: str
+    k: int | Callable[[int | None], int]
+    lower: Callable | None = None
+    upper: Callable | None = None
+    equality: Callable | None = None
+    precondition: Callable[[Graph], str | None] | None = None
+    strict: bool = False
+    text: str = ""
+    note: Callable[[Graph, Fraction | int, int], str] | None = None
+    skip: str | None = None
+
+
+def _seventh(claim_id: str, covered: bool, needs: str):
+    """k of a claim on G^{1/n}: n itself, which must be at least 6 and fall
+    in the residues mod 7 the claim is stated for (``covered`` as in
+    ``decompose``, worded by ``needs``)."""
+
+    def k(n: int | None) -> int:
+        if n is None:
+            raise ValueError(f"{claim_id} needs a subdivision parameter n")
+        dec = decompose(n)  # raises for n < 6
+        if dec.covered != covered:
+            raise ValueError(f"{claim_id} needs {needs}; n={n} is {dec.marker}")
+        return n
+
+    return k
+
+
+CLAIMS = (
+    Claim("prop1", 1,
+          lower=lambda g, n, solve: solve(gamma_exact, g),
+          note=lambda g, lower, exact: f"gamma={lower} gamma_s={exact}",
+          skip="budget: exhausted",
+          text="γ(G) ≤ γ_s(G)"),
+    Claim("g12", 2,
+          upper=lambda g, n, _: min(g.m, g.n),
+          precondition=lambda g: "precondition: star" if is_star(g) else None,
+          text="γ_s(G^{1/2}) ≤ min(m, n_G) for non-star G"),
+    Claim("star2", 2,
+          equality=lambda g, n, _: g.n,
+          precondition=lambda g: None if is_star(g) else "precondition: not a star",
+          text="γ_s(G^{1/2}) = n_G for stars"),
+    Claim("g13", 3,
+          lower=lambda g, n, _: g.n,
+          upper=lambda g, n, _: 2 * g.m,
+          text="n_G ≤ γ_s(G^{1/3}) ≤ 2m"),
+    Claim("g14", 4,
+          equality=lambda g, n, _: 2 * g.m,
+          text="γ_s(G^{1/4}) = 2m"),
+    Claim("g15", 5,
+          lower=lambda g, n, _: 2 * g.m + 1,
+          upper=lambda g, n, _: 3 * g.m - max_degree(g) + 1,
+          text="2m+1 ≤ γ_s(G^{1/5}) ≤ 3m − Δ + 1"),
+    Claim("g16", _seventh("g16", True, "n = 7k + r with r in (-1, 1, 3, 5)"),
+          equality=lambda g, n, _: path_secure_formula(n + 1) * g.m,
+          text="γ_s(G^{1/n}) = pathval(n+1)·m for n = 7k+r, r ∈ {−1,1,3,5} (`-n`)"),
+    Claim("r024", _seventh("r024", False, "n mod 7 in (0, 2, 4)"),
+          lower=lambda g, n, _: g.n + path_secure_formula(n - 3) * g.m,
+          upper=lambda g, n, _: path_secure_formula(n + 1) * g.m,
+          text="n_G + pathval(n−3)·m ≤ γ_s(G^{1/n}) ≤ pathval(n+1)·m (`-n`)"),
+    Claim("conj", 2,
+          lower=lambda g, n, _: Fraction(4 * g.n, 5),
+          strict=True,
+          note=lambda g, lower, exact: f"ratio {Fraction(exact, g.n) if g.n else None}",
+          text="γ_s(G^{1/2}) > (4/5)·n_G (strict)"),
+)
+
+_CLAIMS_BY_ID = {claim.id: claim for claim in CLAIMS}
+
+THEOREM_IDS = tuple(_CLAIMS_BY_ID)
 
 
 def _grade(exact: int, lower=None, upper=None, equality=None, strict_lower=False):
@@ -81,16 +158,8 @@ def _skip(graph_id: str, theorem_id: str, detail: str, lower=None, upper=None, e
     return BoundCheck(graph_id, theorem_id, lower, upper, equality, None, "skipped", detail)
 
 
-def _solve_subdivision(g: Graph, k: int, budget: SolverBudget, naive: bool):
-    derived = subdivide(g, k).derived
-    result = gamma_s_exact(derived, budget, naive=naive)
-    if result.status == "exact":
-        return result.value, None
-    if derived.n > budget.max_vertices:
-        reason = f"budget: derived graph has {derived.n} vertices, cap {budget.max_vertices}"
-    else:
-        reason = f"budget: exhausted after {result.nodes} nodes"
-    return None, reason
+class _Unsolved(Exception):
+    """A solve ran out of budget; the message is the skip detail."""
 
 
 def check_theorem(
@@ -108,97 +177,36 @@ def check_theorem(
     expressed as a BoundCheck status (preconditions, budgets, violations)
     is returned, never raised.
     """
-    if theorem_id not in THEOREM_IDS:
+    claim = _CLAIMS_BY_ID.get(theorem_id)
+    if claim is None:
         raise ValueError(f"unknown theorem id {theorem_id!r}")
     gid = graph_id if graph_id is not None else emit_graph6(g)
+    reason = claim.precondition(g) if claim.precondition else None
+    if reason:
+        return _skip(gid, claim.id, reason)
+    k = claim.k if isinstance(claim.k, int) else claim.k(n)
 
-    if theorem_id == "prop1":
-        res_g = gamma_exact(g, budget, naive=naive)
-        res_s = gamma_s_exact(g, budget, naive=naive)
-        if res_g.status != "exact" or res_s.status != "exact":
-            return _skip(gid, theorem_id, "budget: exhausted")
-        status, detail = _grade(res_s.value, lower=res_g.value)
-        detail = f"gamma={res_g.value} gamma_s={res_s.value}" + (f"; {detail}" if detail else "")
-        return BoundCheck(gid, theorem_id, res_g.value, None, None, res_s.value, status, detail)
+    def solve(solver, graph: Graph) -> int:
+        result = solver(graph, budget, naive=naive)
+        if result.status == "exact":
+            return result.value
+        if graph.n > budget.max_vertices:
+            raise _Unsolved(f"budget: derived graph has {graph.n} vertices, cap {budget.max_vertices}")
+        raise _Unsolved(f"budget: exhausted after {result.nodes} nodes")
 
-    if theorem_id == "g12":
-        if is_star(g):
-            return _skip(gid, theorem_id, "precondition: star")
-        upper = min(g.m, g.n)
-        exact, reason = _solve_subdivision(g, 2, budget, naive)
-        if exact is None:
-            return _skip(gid, theorem_id, reason, upper=upper)
-        status, detail = _grade(exact, upper=upper)
-        return BoundCheck(gid, theorem_id, None, upper, None, exact, status, detail)
-
-    if theorem_id == "star2":
-        if not is_star(g):
-            return _skip(gid, theorem_id, "precondition: not a star")
-        exact, reason = _solve_subdivision(g, 2, budget, naive)
-        if exact is None:
-            return _skip(gid, theorem_id, reason, equality=g.n)
-        status, detail = _grade(exact, equality=g.n)
-        return BoundCheck(gid, theorem_id, None, None, g.n, exact, status, detail)
-
-    if theorem_id == "g13":
-        lower, upper = g.n, 2 * g.m
-        exact, reason = _solve_subdivision(g, 3, budget, naive)
-        if exact is None:
-            return _skip(gid, theorem_id, reason, lower=lower, upper=upper)
-        status, detail = _grade(exact, lower=lower, upper=upper)
-        return BoundCheck(gid, theorem_id, lower, upper, None, exact, status, detail)
-
-    if theorem_id == "g14":
-        equality = 2 * g.m
-        exact, reason = _solve_subdivision(g, 4, budget, naive)
-        if exact is None:
-            return _skip(gid, theorem_id, reason, equality=equality)
-        status, detail = _grade(exact, equality=equality)
-        return BoundCheck(gid, theorem_id, None, None, equality, exact, status, detail)
-
-    if theorem_id == "g15":
-        lower = 2 * g.m + 1
-        upper = 3 * g.m - max_degree(g) + 1
-        exact, reason = _solve_subdivision(g, 5, budget, naive)
-        if exact is None:
-            return _skip(gid, theorem_id, reason, lower=lower, upper=upper)
-        status, detail = _grade(exact, lower=lower, upper=upper)
-        return BoundCheck(gid, theorem_id, lower, upper, None, exact, status, detail)
-
-    if theorem_id in ("g16", "r024"):
-        from .certificates import decompose
-
-        if n is None:
-            raise ValueError(f"{theorem_id} needs a subdivision parameter n")
-        dec = decompose(n)  # raises for n < 6
-        if theorem_id == "g16":
-            if not dec.covered:
-                raise ValueError(f"g16 needs n = 7k + r with r in (-1, 1, 3, 5); n={n} is {dec.marker}")
-            equality = path_secure_formula(n + 1) * g.m
-            exact, reason = _solve_subdivision(g, n, budget, naive)
-            if exact is None:
-                return _skip(gid, theorem_id, reason, equality=equality)
-            status, detail = _grade(exact, equality=equality)
-            return BoundCheck(gid, theorem_id, None, None, equality, exact, status, detail)
-        if dec.covered:
-            raise ValueError(f"r024 needs n mod 7 in (0, 2, 4); n={n} has {dec.marker}")
-        lower = g.n + path_secure_formula(n - 3) * g.m
-        upper = path_secure_formula(n + 1) * g.m
-        exact, reason = _solve_subdivision(g, n, budget, naive)
-        if exact is None:
-            return _skip(gid, theorem_id, reason, lower=lower, upper=upper)
-        status, detail = _grade(exact, lower=lower, upper=upper)
-        return BoundCheck(gid, theorem_id, lower, upper, None, exact, status, detail)
-
-    # conj: strict lower bound gamma_s(G^{1/2}) > 4n/5
-    lower = Fraction(4 * g.n, 5)
-    exact, reason = _solve_subdivision(g, 2, budget, naive)
-    if exact is None:
-        return _skip(gid, theorem_id, reason, lower=lower)
-    status, detail = _grade(exact, lower=lower, strict_lower=True)
-    ratio = Fraction(exact, g.n) if g.n else None
-    detail = f"ratio {ratio}" + (f"; {detail}" if detail else "")
-    return BoundCheck(gid, theorem_id, lower, None, None, exact, status, detail)
+    terms = [None, None, None]  # kept when a term's own solve runs out of budget
+    try:
+        terms = [term(g, n, solve) if term else None for term in (claim.lower, claim.upper, claim.equality)]
+        exact = solve(gamma_s_exact, g if k == 1 else subdivide(g, k).derived)
+    except _Unsolved as exc:
+        if claim.skip:
+            return _skip(gid, claim.id, claim.skip)
+        return _skip(gid, claim.id, str(exc), *terms)
+    lower, upper, equality = terms
+    status, detail = _grade(exact, lower, upper, equality, strict_lower=claim.strict)
+    if claim.note:
+        detail = claim.note(g, lower, exact) + (f"; {detail}" if detail else "")
+    return BoundCheck(gid, claim.id, lower, upper, equality, exact, status, detail)
 
 
 # ---------------------------------------------------------------------------
@@ -278,18 +286,7 @@ class ConjectureReport:
     skipped: tuple[str, ...]
 
 
-_CONJ_THRESHOLD = Fraction(4, 5)
-
-
-def _conjecture_task(args):
-    gid, g, budget, naive = args
-    derived = subdivide(g, 2).derived
-    result = gamma_s_exact(derived, budget, naive=naive)
-    if result.status != "exact":
-        return ConjectureRow(gid, g.n, None, None, "skipped")
-    ratio = Fraction(result.value, g.n) if g.n else None
-    status = "counterexample" if 5 * result.value <= 4 * g.n else "ok"
-    return ConjectureRow(gid, g.n, result.value, ratio, status)
+_CONJ_STATUS = {"violated": "counterexample", "skipped": "skipped"}
 
 
 def conjecture_scan(
@@ -302,11 +299,17 @@ def conjecture_scan(
 
     Reports every graph's exact ratio, the minimum ratio with its attaining
     graphs, all counterexamples (ratio <= 4/5), and the graphs skipped for
-    budget reasons.
+    budget reasons. Each graph's row comes from grading the ``conj`` claim:
+    a violation is a counterexample.
     """
     pairs = _normalize(entries)
-    tasks = [(gid, g, budget, naive) for gid, g in pairs]
-    rows = tuple(_pool.ordered_map(_conjecture_task, tasks, workers))
+    checks = run_corpus(pairs, ("conj",), budget=budget, naive=naive, workers=workers)
+    rows = tuple(
+        ConjectureRow(check.graph_id, g.n, check.exact,
+                      Fraction(check.exact, g.n) if check.exact is not None and g.n else None,
+                      _CONJ_STATUS.get(check.status, "ok"))
+        for (_, g), check in zip(pairs, checks)
+    )
     ratios = [row.ratio for row in rows if row.ratio is not None]
     min_ratio = min(ratios) if ratios else None
     witnesses = tuple(row.graph_id for row in rows if row.ratio == min_ratio and min_ratio is not None)
@@ -323,6 +326,8 @@ CHECK_COLUMNS = ("graph_id", "theorem", "lower", "upper", "equality", "exact", "
 
 
 def _fmt(value) -> str:
+    if isinstance(value, str):
+        return value or "-"
     if value is None:
         return "-"
     if isinstance(value, Fraction):
@@ -330,93 +335,82 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _json_value(value):
-    if isinstance(value, Fraction):
-        return _fmt(value)
-    return value
+def _json(record) -> str:
+    """One JSON line; a Fraction is written as its _fmt string."""
+    return json.dumps(record, default=_fmt)
+
+
+def _report(fmt: str, columns, records, text, summary: dict[str, list[str]]) -> list[str]:
+    """Records (tuples in ``columns`` order) as TSV under a header row, as
+    JSON lines, or as ``text(*record)`` lines; then ``summary[fmt]``."""
+    if fmt == "tsv":
+        lines = ["\t".join(columns)]
+        lines.extend("\t".join(_fmt(x) for x in record) for record in records)
+    elif fmt == "jsonl":
+        lines = [_json(dict(zip(columns, record))) for record in records]
+    elif fmt == "text":
+        lines = [text(*record) for record in records]
+    else:
+        raise ValueError(f"unknown report format {fmt!r}")
+    return lines + summary[fmt]
+
+
+def _check_record(c: BoundCheck) -> tuple:
+    return (c.graph_id, c.theorem_id, c.lower, c.upper, c.equality, c.exact, c.status, c.detail)
+
+
+def _check_text(graph_id, theorem_id, lower, upper, equality, exact, status, detail) -> str:
+    terms = []
+    if lower is not None:
+        terms.append(f"lower={_fmt(lower)}")
+    if upper is not None:
+        terms.append(f"upper={_fmt(upper)}")
+    if equality is not None:
+        terms.append(f"equality={_fmt(equality)}")
+    terms.append(f"exact={_fmt(exact)}")
+    extra = f" ({detail})" if detail else ""
+    return f"{graph_id} {theorem_id}: {' '.join(terms)} -> {status}{extra}"
 
 
 def render_checks(checks, fmt: str = "tsv") -> list[str]:
     checks = list(checks)
     counts = summarize(checks)
     summary = " ".join(f"{status}={counts[status]}" for status in _STATUSES)
-    if fmt == "tsv":
-        lines = ["\t".join(CHECK_COLUMNS)]
-        for c in checks:
-            lines.append("\t".join(_fmt(x) for x in (
-                c.graph_id, c.theorem_id, c.lower, c.upper, c.equality, c.exact, c.status, c.detail or "-",
-            )))
-        lines.append(f"# summary: {summary}")
-        return lines
-    if fmt == "jsonl":
-        lines = []
-        for c in checks:
-            record = {
-                "graph_id": c.graph_id,
-                "theorem": c.theorem_id,
-                "lower": _json_value(c.lower),
-                "upper": c.upper,
-                "equality": c.equality,
-                "exact": c.exact,
-                "status": c.status,
-                "detail": c.detail,
-            }
-            lines.append(json.dumps(record))
-        lines.append(json.dumps({"summary": counts}))
-        return lines
-    if fmt == "text":
-        lines = []
-        for c in checks:
-            terms = []
-            if c.lower is not None:
-                terms.append(f"lower={_fmt(c.lower)}")
-            if c.upper is not None:
-                terms.append(f"upper={_fmt(c.upper)}")
-            if c.equality is not None:
-                terms.append(f"equality={_fmt(c.equality)}")
-            terms.append(f"exact={_fmt(c.exact)}")
-            extra = f" ({c.detail})" if c.detail else ""
-            lines.append(f"{c.graph_id} {c.theorem_id}: {' '.join(terms)} -> {c.status}{extra}")
-        lines.append(f"summary: {summary}")
-        return lines
-    raise ValueError(f"unknown report format {fmt!r}")
+    return _report(fmt, CHECK_COLUMNS, map(_check_record, checks), _check_text, {
+        "tsv": [f"# summary: {summary}"],
+        "jsonl": [_json({"summary": counts})],
+        "text": [f"summary: {summary}"],
+    })
+
+
+CONJECTURE_COLUMNS = ("graph_id", "n", "gamma_s_half", "ratio", "status")
+
+
+def _conjecture_record(row: ConjectureRow) -> tuple:
+    return (row.graph_id, row.n, row.value, row.ratio, row.status)
+
+
+def _conjecture_text(graph_id, n, value, ratio, status) -> str:
+    return f"{graph_id} n={n} gamma_s_half={_fmt(value)} ratio={_fmt(ratio)} -> {status}"
 
 
 def render_conjecture(report: ConjectureReport, fmt: str = "tsv") -> list[str]:
-    if fmt == "tsv":
-        lines = ["\t".join(("graph_id", "n", "gamma_s_half", "ratio", "status"))]
-        for row in report.rows:
-            lines.append("\t".join(_fmt(x) for x in (row.graph_id, row.n, row.value, row.ratio, row.status)))
-        lines.append(f"# min_ratio: {_fmt(report.min_ratio)} witnesses: {','.join(report.witnesses) or '-'}")
-        lines.append(f"# counterexamples: {len(report.counterexamples)} skipped: {len(report.skipped)}")
-        return lines
-    if fmt == "jsonl":
-        lines = []
-        for row in report.rows:
-            lines.append(json.dumps({
-                "graph_id": row.graph_id,
-                "n": row.n,
-                "gamma_s_half": row.value,
-                "ratio": _json_value(row.ratio),
-                "status": row.status,
-            }))
-        lines.append(json.dumps({
+    witnesses = report.witnesses
+    return _report(fmt, CONJECTURE_COLUMNS, map(_conjecture_record, report.rows), _conjecture_text, {
+        "tsv": [
+            f"# min_ratio: {_fmt(report.min_ratio)} witnesses: {','.join(witnesses) or '-'}",
+            f"# counterexamples: {len(report.counterexamples)} skipped: {len(report.skipped)}",
+        ],
+        "jsonl": [_json({
             "summary": {
-                "min_ratio": _json_value(report.min_ratio),
-                "witnesses": list(report.witnesses),
+                "min_ratio": report.min_ratio,
+                "witnesses": list(witnesses),
                 "counterexamples": list(report.counterexamples),
                 "skipped": list(report.skipped),
             }
-        }))
-        return lines
-    if fmt == "text":
-        lines = []
-        for row in report.rows:
-            lines.append(
-                f"{row.graph_id} n={row.n} gamma_s_half={_fmt(row.value)} "
-                f"ratio={_fmt(row.ratio)} -> {row.status}"
-            )
-        lines.append(f"minimum ratio {_fmt(report.min_ratio)} attained by: {', '.join(report.witnesses) or '-'}")
-        lines.append(f"counterexamples: {len(report.counterexamples)}, skipped: {len(report.skipped)}")
-        return lines
-    raise ValueError(f"unknown report format {fmt!r}")
+        })],
+        "text": [
+            f"minimum ratio {_fmt(report.min_ratio)} attained by: {', '.join(witnesses) or '-'}",
+            f"counterexamples: {len(report.counterexamples)}, skipped: {len(report.skipped)}",
+        ],
+    })

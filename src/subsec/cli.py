@@ -5,12 +5,14 @@ single graph. All subcommands are deterministic for fixed inputs and flags;
 corpus work fans out to SUBSEC_THREADS workers without changing the output.
 
 Exit codes: 0 done, 2 violations found under --fail-on-violation, 64 usage
-error, 65 parse error (reported with its line number).
+error, 65 parse error (reported with its line number), 141 stdout closed by
+its reader (as by ``| head``; nothing is printed).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import bounds
@@ -40,6 +42,7 @@ from .subdivision import subdivide
 
 EX_USAGE = 64
 EX_DATAERR = 65
+EX_PIPE = 128 + 13  # as if killed by SIGPIPE
 
 
 class _UsageError(Exception):
@@ -99,7 +102,8 @@ def build_parser() -> _Parser:
     verify.add_argument("--corpus", default="-", help="file path, or - for stdin")
     verify.add_argument("--format", choices=("g6", "edges"), default="g6")
     verify.add_argument("--theorem", action="append", required=True,
-                        help="theorem id (repeatable or comma-separated)")
+                        help="theorem id, repeatable or comma-separated: "
+                             + ", ".join(bounds.THEOREM_IDS))
     verify.add_argument("-n", type=int, dest="n", help="subdivision parameter for g16/r024")
     verify.add_argument("--output", choices=("tsv", "jsonl", "text"), default="tsv")
     verify.add_argument("--naive", action="store_true")
@@ -125,25 +129,15 @@ def _read_stream(path: str) -> str:
 
 def _read_graphs(path: str, fmt: str) -> list[tuple[str, Graph]]:
     """(graph_id, Graph) pairs: one per nonblank line for g6, one per file
-    for edge lists. graph_id is the input g6 line, or the emitted g6 of a
-    parsed edge list."""
+    for edge lists. graph_id is the input g6 line without its ``>>graph6<<``
+    header, or the emitted g6 of a parsed edge list."""
     text = _read_stream(path)
     if fmt == "edges":
         g = parse_edgelist(text)
         return [(emit_graph6(g), g)]
-    pairs = []
     lines = text.splitlines()
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            g = next(iter_graph6([line]))
-        except ParseError as exc:
-            raise ParseError(str(exc), line_number=lineno) from None
-        gid = line[len(">>graph6<<"):] if line.startswith(">>graph6<<") else line
-        pairs.append((gid, g))
-    return pairs
+    ids = [line.strip().removeprefix(">>graph6<<") for line in lines if line.strip()]
+    return list(zip(ids, iter_graph6(lines)))
 
 
 def _emit_graph(g: Graph, fmt: str, out) -> None:
@@ -263,27 +257,31 @@ def _cmd_conjecture(args, out) -> int:
     return 0
 
 
+_COMMANDS = {
+    "gen": _cmd_gen,
+    "enum": _cmd_enum,
+    "subdivide": _cmd_subdivide,
+    "gamma": lambda args, out: _cmd_solve(args, out, secure=False),
+    "gamma-s": lambda args, out: _cmd_solve(args, out, secure=True),
+    "cert": _cmd_cert,
+    "verify": _cmd_verify,
+    "conjecture": _cmd_conjecture,
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "gen":
-            return _cmd_gen(args, sys.stdout)
-        if args.command == "enum":
-            return _cmd_enum(args, sys.stdout)
-        if args.command == "subdivide":
-            return _cmd_subdivide(args, sys.stdout)
-        if args.command == "gamma":
-            return _cmd_solve(args, sys.stdout, secure=False)
-        if args.command == "gamma-s":
-            return _cmd_solve(args, sys.stdout, secure=True)
-        if args.command == "cert":
-            return _cmd_cert(args, sys.stdout)
-        if args.command == "verify":
-            return _cmd_verify(args, sys.stdout)
-        if args.command == "conjecture":
-            return _cmd_conjecture(args, sys.stdout)
-        raise AssertionError(args.command)
+        code = _COMMANDS[args.command](args, sys.stdout)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Stdout is the only pipe written. Its reader is gone, so stop like
+        # a process killed by SIGPIPE, and send what is still buffered to
+        # devnull so the interpreter's final flush does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EX_PIPE
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EX_USAGE

@@ -113,7 +113,3 @@ def subdivide(g: Graph, k: int) -> SubdivisionMap:
         labels.extend(Internal(u, v, l) for l in range(1, k))
     derived = Graph(total, tuple(masks))
     return SubdivisionMap(base=g, k=k, derived=derived, labels=tuple(labels))
-
-
-def superedge_vertex(sm: SubdivisionMap, u: int, v: int, l: int) -> int:
-    return sm.superedge_vertex(u, v, l)

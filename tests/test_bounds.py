@@ -1,5 +1,7 @@
 import json
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -9,11 +11,13 @@ from subsec import (
     check_theorem,
     conjecture_scan,
     enumerate_connected,
+    path_secure_formula,
     render_checks,
     render_conjecture,
     run_corpus,
     summarize,
 )
+from subsec.bounds import CLAIMS
 from conftest import cycle, path, star, wheel_rim6
 
 
@@ -61,6 +65,13 @@ class TestCheckTheorem:
         assert check.exact == 3
         assert check.status == "violated"
         assert_invariants(check)
+
+    def test_g14_c4_violated(self):
+        # C4^{1/4} is C16, and gamma_s(C_n) = ceil(3n/7) like the path.
+        check = check_theorem(cycle(4), "g14")
+        assert check.exact == path_secure_formula(16) == 7
+        assert check.equality == 2 * 4
+        assert check.status == "violated" and check.detail == "exact 7 < claimed 8"
 
     def test_g14_path3_tight(self):
         check = check_theorem(path(3), "g14")
@@ -231,3 +242,11 @@ class TestRendering:
         assert set(THEOREM_IDS) == {
             "prop1", "g12", "star2", "g13", "g14", "g15", "g16", "r024", "conj",
         }
+
+
+class TestCatalog:
+    def test_readme_catalog_matches_claims(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Bound catalog", 1)[1].split("\n## ", 1)[0]
+        rows = re.findall(r"^\| `([^`]+)` +\| (.*?) *\|$", section, flags=re.MULTILINE)
+        assert rows == [(c.id, c.text) for c in CLAIMS]

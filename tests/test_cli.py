@@ -209,6 +209,19 @@ class TestErrorsAndExitCodes:
                                capsys=capsys)
         assert code == 65
 
+    def test_closed_stdout_is_141_and_quiet(self):
+        # The read end is closed before the child starts, so its first write
+        # to stdout fails with EPIPE, as under `subsec enum --n 5 | head -0`.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "subsec", "enum", "--n", "5"],
+                                  stdout=write_end, stderr=subprocess.PIPE)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 141
+        assert proc.stderr == b""
+
 
 class TestSubprocessPipeline:
     def test_shell_pipe_equivalence(self):

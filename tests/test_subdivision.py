@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subsec import GraphError, Internal, Original, generate, make_graph, subdivide, superedge_vertex
+from subsec import GraphError, Internal, Original, generate, make_graph, subdivide
 from conftest import graphs, path, wheel_rim6
 
 
@@ -84,25 +84,25 @@ class TestStructure:
 class TestSuperedgeVertex:
     def test_forward(self):
         sm = subdivide(path(2), 4)
-        assert superedge_vertex(sm, 0, 1, 1) in sm.derived.neighbors(0)
+        assert sm.superedge_vertex(0, 1, 1) in sm.derived.neighbors(0)
 
     def test_reversed_orientation(self):
         sm = subdivide(path(2), 4)
-        assert superedge_vertex(sm, 1, 0, 1) in sm.derived.neighbors(1)
-        assert superedge_vertex(sm, 1, 0, 1) == superedge_vertex(sm, 0, 1, 3)
+        assert sm.superedge_vertex(1, 0, 1) in sm.derived.neighbors(1)
+        assert sm.superedge_vertex(1, 0, 1) == sm.superedge_vertex(0, 1, 3)
 
     def test_half_common_neighbor(self):
         sm = subdivide(wheel_rim6(), 2)
         for u, v in sm.base.edges():
-            x = superedge_vertex(sm, u, v, 1)
+            x = sm.superedge_vertex(u, v, 1)
             common = set(sm.derived.neighbors(u)) & set(sm.derived.neighbors(v))
             assert common == {x}
 
     def test_errors(self):
         sm = subdivide(path(3), 4)
         with pytest.raises(GraphError):
-            superedge_vertex(sm, 0, 2, 1)  # not an edge
+            sm.superedge_vertex(0, 2, 1)  # not an edge
         with pytest.raises(GraphError):
-            superedge_vertex(sm, 0, 1, 4)  # l out of range
+            sm.superedge_vertex(0, 1, 4)  # l out of range
         with pytest.raises(GraphError):
-            superedge_vertex(subdivide(path(3), 1), 0, 1, 1)  # k=1 has no interior
+            subdivide(path(3), 1).superedge_vertex(0, 1, 1)  # k=1 has no interior
