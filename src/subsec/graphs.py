@@ -141,14 +141,6 @@ def _iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    masks = [0] * n
-    for u, v in edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    return Graph(n, tuple(masks))
-
-
 def make_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from an edge list; duplicate edges collapse.
 
@@ -185,23 +177,23 @@ def generate(family: str, n: int, p: float | None = None, seed: int | None = Non
     if n < 1:
         raise GraphError("n must be >= 1")
     if family == "path":
-        return _graph_from_edges(n, [(i, i + 1) for i in range(n - 1)])
+        return make_graph(n, [(i, i + 1) for i in range(n - 1)])
     if family == "cycle":
         if n < 3:
             raise GraphError("cycle needs n >= 3")
-        return _graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+        return make_graph(n, [(i, (i + 1) % n) for i in range(n)])
     if family == "star":
         if n < 2:
             raise GraphError("star needs n >= 2")
-        return _graph_from_edges(n, [(0, i) for i in range(1, n)])
+        return make_graph(n, [(0, i) for i in range(1, n)])
     if family == "complete":
-        return _graph_from_edges(n, combinations(range(n), 2))
+        return make_graph(n, combinations(range(n), 2))
     if family == "wheel":
         if n < 3:
             raise GraphError("wheel needs rim size n >= 3")
         rim = [(i, (i + 1) % n) for i in range(n)]
         spokes = [(i, n) for i in range(n)]
-        return _graph_from_edges(n + 1, rim + spokes)
+        return make_graph(n + 1, rim + spokes)
     # random
     if p is None or not 0.0 <= p <= 1.0:
         raise GraphError("random family needs p in [0,1]")
@@ -209,7 +201,7 @@ def generate(family: str, n: int, p: float | None = None, seed: int | None = Non
         raise GraphError("random family needs an explicit seed")
     rng = random.Random(seed)
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
-    return _graph_from_edges(n, edges)
+    return make_graph(n, edges)
 
 
 def max_degree(g: Graph) -> int:
@@ -366,7 +358,7 @@ def emit_edgelist(g: Graph) -> str:
 
 
 def parse_edgelist(text: str) -> Graph:
-    n = None
+    n = size_line = None
     edges = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -382,6 +374,7 @@ def parse_edgelist(text: str) -> Graph:
                 raise ParseError(f"bad vertex count {fields[1]!r}", line_number=lineno) from None
             if n < 0:
                 raise ParseError("vertex count must be nonnegative", line_number=lineno)
+            size_line = lineno
             continue
         if fields[0] != "e" or len(fields) != 3:
             raise ParseError(f"expected 'e <u> <v>' line, got {line!r}", line_number=lineno)
@@ -394,7 +387,10 @@ def parse_edgelist(text: str) -> Graph:
         edges.append((u, v))
     if n is None:
         raise ParseError("no 'p <n>' line found")
-    return make_graph(n, edges)
+    try:
+        return make_graph(n, edges)
+    except (OverflowError, MemoryError):
+        raise ParseError(f"vertex count {n} is too large to build", line_number=size_line) from None
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +469,11 @@ def canonical_key(g: Graph) -> tuple[int, ...]:
 
 def canonical_form(g: Graph) -> Graph:
     """The canonically relabeled copy of g (identical for isomorphic inputs)."""
-    _, perm = canonical_labeling(g)
+    return _relabel(g, canonical_labeling(g)[1])
+
+
+def _relabel(g: Graph, perm: tuple[int, ...]) -> Graph:
+    """The copy of g that puts original vertex perm[i] at position i."""
     masks = [0] * g.n
     position = {orig: pos for pos, orig in enumerate(perm)}
     for pos, orig in enumerate(perm):
@@ -511,9 +511,9 @@ def enumerate_connected(n: int) -> list[Graph]:
                     masks[low.bit_length() - 1] |= 1 << new
                     rest ^= low
                 child = Graph(size, tuple(masks))
-                key = canonical_key(child)
+                key, perm = canonical_labeling(child)
                 if key not in grown:
-                    grown[key] = canonical_form(child)
+                    grown[key] = _relabel(child, perm)
         classes = grown
     return [classes[key] for key in sorted(classes)]
 

@@ -4,15 +4,16 @@ A set D dominates when every vertex outside it has a neighbor inside. D is
 secure dominating when, additionally, every outside vertex u has a "defender"
 v: a neighbor of u inside D whose swap (D - v + u) still dominates.
 
-Both optimum solvers search size-increasing, so the first feasible
-cardinality is the optimum and the first feasible set found at that size (the
-search runs in lexicographic subset order) is the reported witness. The
-default mode enumerates only dominating candidate sets: a branch is cut as
-soon as some still-uncovered vertex has no potential coverer among the
-remaining (larger-id) choices. A naive mode that scans every subset of each
-size with the definitional checks is kept as an independent cross-check, and
-results carry an explicit "skipped" status whenever a budget cap fires, so an
-inexact answer is never presented as exact.
+Both optimum solvers run one size-increasing loop that asks each engine for
+the first feasible set of a size in lexicographic subset order, so the first
+size that has one is the optimum and that set is the reported witness. The
+default engine enumerates only dominating candidate sets, from the bound
+ceil(n/(Delta+1)) up: a branch is cut as soon as some still-uncovered vertex
+has no potential coverer among the remaining (larger-id) choices. A naive
+engine that scans every subset of each size with the definitional checks is
+kept as an independent cross-check, and results carry an explicit "skipped"
+status whenever a budget cap fires, so an inexact answer is never presented
+as exact.
 
 The swap test inside the fast secure check is incremental: removing v from D
 can only uncover vertices that v privately dominates (coverage count exactly
@@ -32,14 +33,16 @@ from .graphs import Graph, GraphError, VertexSet, max_degree
 
 @dataclass(frozen=True)
 class SolverBudget:
-    """Caps on exact solving; any cap being exceeded yields status "skipped"."""
+    """Caps on exact solving; any cap being exceeded gives status "skipped".
+    The wall-clock cap ``time_ms`` is off by default: it makes output depend on machine speed."""
 
     max_vertices: int = 26
     max_nodes: int = 500_000_000
-    time_ms: int = 120_000
+    time_ms: int | None = None
 
     def __post_init__(self):
-        if self.max_vertices <= 0 or self.max_nodes <= 0 or self.time_ms <= 0:
+        if self.max_vertices <= 0 or self.max_nodes <= 0 or (
+                self.time_ms is not None and self.time_ms <= 0):
             raise ValueError("budget caps must be positive")
 
 
@@ -50,8 +53,8 @@ DEFAULT_BUDGET = SolverBudget()
 class SolveResult:
     """Outcome of an exact solve: the optimum and a witness, or "skipped".
 
-    ``nodes`` counts search effort (subsets/branch nodes examined), including
-    the domination-number seeding pass inside the secure solver.
+    ``nodes`` counts search effort: branch nodes of the default engine, or
+    subsets of the naive one, over every size the solve walked.
     """
 
     value: int | None
@@ -65,20 +68,20 @@ class _BudgetExceeded(Exception):
 
 
 class _Effort:
-    """Node counter with node and wall-clock caps."""
+    """Node counter with a node cap and an optional wall-clock cap."""
 
     __slots__ = ("nodes", "max_nodes", "deadline")
 
     def __init__(self, budget: SolverBudget):
         self.nodes = 0
         self.max_nodes = budget.max_nodes
-        self.deadline = time.monotonic() + budget.time_ms / 1000.0
+        self.deadline = None if budget.time_ms is None else time.monotonic() + budget.time_ms / 1000
 
-    def spend(self, amount: int = 1):
-        self.nodes += amount
+    def spend(self):
+        self.nodes += 1
         if self.nodes > self.max_nodes:
             raise _BudgetExceeded
-        if self.nodes % 4096 == 0 and time.monotonic() > self.deadline:
+        if self.deadline is not None and self.nodes % 4096 == 0 and time.monotonic() > self.deadline:
             raise _BudgetExceeded
 
 
@@ -191,9 +194,9 @@ def path_secure_formula(n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _dominating_sets(g: Graph, size: int, effort: _Effort):
-    """Yield every dominating set of exactly ``size`` vertices as a bitmask,
-    in lexicographic order of the sorted member tuple.
+def _first_pruned(g: Graph, size: int, effort: _Effort, accept) -> int | None:
+    """The lexicographically first dominating set of exactly ``size``
+    vertices that ``accept(g, mask)`` admits, as a bitmask, or None.
 
     Branches extend by ascending vertex id. A branch dies when some vertex
     not yet covered has its whole closed neighborhood below the next
@@ -203,76 +206,61 @@ def _dominating_sets(g: Graph, size: int, effort: _Effort):
     closed = g.closed_masks
     full = g.full_mask
 
-    def extend(chosen: int, covered: int, next_min: int, remaining: int):
+    def extend(chosen: int, covered: int, next_min: int, remaining: int) -> int | None:
         effort.spend()
         if remaining == 0:
-            if covered == full:
-                yield chosen
-            return
+            return chosen if covered == full and accept(g, chosen) else None
         uncovered = full & ~covered
         rest = uncovered
         while rest:
             low = rest & -rest
             if closed[low.bit_length() - 1] >> next_min == 0:
-                return
+                return None
             rest ^= low
         for v in range(next_min, n - remaining + 1):
-            yield from extend(chosen | 1 << v, covered | closed[v], v + 1, remaining - 1)
+            found = extend(chosen | 1 << v, covered | closed[v], v + 1, remaining - 1)
+            if found is not None:
+                return found
+        return None
 
-    yield from extend(0, 0, 0, size)
+    return extend(0, 0, 0, size)
 
 
 def _domination_lower_bound(g: Graph) -> int:
-    if g.n == 0:
-        return 0
-    return max(1, -(-g.n // (max_degree(g) + 1)))
+    """ceil(n/(Delta+1)): each vertex dominates at most Delta+1 vertices."""
+    return -(-g.n // (max_degree(g) + 1))
 
 
 def _exact(g: Graph, budget: SolverBudget, naive: bool, secure: bool) -> SolveResult:
     if g.n > budget.max_vertices:
         return SolveResult(None, None, "skipped", 0)
     effort = _Effort(budget)
+    accept = _secure_mask if secure else lambda g, dmask: True
     try:
-        if naive:
-            value_mask = _naive_search(g, effort, secure)
-        else:
-            value_mask = _pruned_search(g, effort, secure)
+        for size in range(0 if naive else _domination_lower_bound(g), g.n + 1):
+            if naive:
+                mask = _first_naive(g, size, effort, secure)
+            else:
+                mask = _first_pruned(g, size, effort, accept)
+            if mask is not None:
+                return SolveResult(size, VertexSet.from_mask(g.n, mask), "exact", effort.nodes)
     except _BudgetExceeded:
         return SolveResult(None, None, "skipped", effort.nodes)
-    value, mask = value_mask
-    return SolveResult(value, VertexSet.from_mask(g.n, mask), "exact", effort.nodes)
-
-
-def _naive_search(g: Graph, effort: _Effort, secure: bool) -> tuple[int, int]:
-    for size in range(g.n + 1):
-        for combo in combinations(range(g.n), size):
-            effort.spend()
-            d = VertexSet.of(g.n, combo)
-            if secure:
-                if is_secure_dominating(g, d, full_recompute=True):
-                    return size, d.mask
-            elif is_dominating(g, d):
-                return size, d.mask
     raise AssertionError("the full vertex set always qualifies")
 
 
-def _pruned_search(g: Graph, effort: _Effort, secure: bool) -> tuple[int, int]:
-    start = _domination_lower_bound(g)
-    if secure:
-        gamma, _ = _first_dominating(g, start, effort)
-        start = gamma
-    for size in range(start, g.n + 1):
-        for dmask in _dominating_sets(g, size, effort):
-            if not secure or _secure_mask(g, dmask):
-                return size, dmask
-    raise AssertionError("the full vertex set always qualifies")
-
-
-def _first_dominating(g: Graph, start: int, effort: _Effort) -> tuple[int, int]:
-    for size in range(start, g.n + 1):
-        for dmask in _dominating_sets(g, size, effort):
-            return size, dmask
-    return g.n, g.full_mask
+def _first_naive(g: Graph, size: int, effort: _Effort, secure: bool) -> int | None:
+    """The first subset of exactly ``size`` vertices, in lexicographic order,
+    that passes the definitional (secure) domination check, or None."""
+    for combo in combinations(range(g.n), size):
+        effort.spend()
+        d = VertexSet.of(g.n, combo)
+        if secure:
+            if is_secure_dominating(g, d, full_recompute=True):
+                return d.mask
+        elif is_dominating(g, d):
+            return d.mask
+    return None
 
 
 def gamma_exact(g: Graph, budget: SolverBudget = DEFAULT_BUDGET, naive: bool = False) -> SolveResult:
@@ -282,8 +270,8 @@ def gamma_exact(g: Graph, budget: SolverBudget = DEFAULT_BUDGET, naive: bool = F
 
 def gamma_s_exact(g: Graph, budget: SolverBudget = DEFAULT_BUDGET, naive: bool = False) -> SolveResult:
     """Minimum secure dominating set size with a lexicographically smallest
-    witness. The default mode seeds the size scan at the domination number
-    and filters dominating candidates through the incremental secure check;
-    ``naive=True`` scans every subset with the definitional checks instead.
+    witness. The default engine passes each dominating set it completes, size
+    by size, through the incremental secure check; ``naive=True`` scans every
+    subset with the definitional checks instead.
     """
     return _exact(g, budget, naive, secure=True)

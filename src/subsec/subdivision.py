@@ -50,17 +50,30 @@ class SubdivisionMap:
     base: Graph
     k: int
     derived: Graph
-    labels: tuple[SubdividedVertex, ...]
 
     def label(self, derived_id: int) -> SubdividedVertex:
-        return self.labels[derived_id]
+        """The base vertex or edge interior that derived_id stands for."""
+        if not 0 <= derived_id < self.derived.n:
+            raise GraphError(f"vertex {derived_id} outside 0..{self.derived.n - 1}")
+        if derived_id < self.base.n:
+            return Original(derived_id)
+        rank, offset = divmod(derived_id - self.base.n, self.k - 1)
+        return Internal(*self._edges[rank], offset + 1)
+
+    @cached_property
+    def labels(self) -> tuple[SubdividedVertex, ...]:
+        return tuple(map(self.label, range(self.derived.n)))
 
     def internal_ids(self) -> tuple[int, ...]:
         return tuple(range(self.base.n, self.derived.n))
 
     @cached_property
+    def _edges(self) -> tuple[tuple[int, int], ...]:
+        return tuple(self.base.edges())
+
+    @cached_property
     def _edge_ranks(self) -> dict[tuple[int, int], int]:
-        return {edge: rank for rank, edge in enumerate(self.base.edges())}
+        return {edge: rank for rank, edge in enumerate(self._edges)}
 
     def _edge_rank(self, u: int, v: int) -> int:
         if u > v:
@@ -97,9 +110,8 @@ def subdivide(g: Graph, k: int) -> SubdivisionMap:
     """
     if k < 1:
         raise GraphError("subdivision parameter k must be >= 1")
-    labels: list[SubdividedVertex] = [Original(u) for u in range(g.n)]
     if k == 1:
-        return SubdivisionMap(base=g, k=1, derived=g, labels=tuple(labels))
+        return SubdivisionMap(base=g, k=1, derived=g)
     edges = g.edges()
     total = g.n + (k - 1) * len(edges)
     masks = [0] * total
@@ -110,6 +122,5 @@ def subdivide(g: Graph, k: int) -> SubdivisionMap:
         for a, b in zip(chain, chain[1:]):
             masks[a] |= 1 << b
             masks[b] |= 1 << a
-        labels.extend(Internal(u, v, l) for l in range(1, k))
     derived = Graph(total, tuple(masks))
-    return SubdivisionMap(base=g, k=k, derived=derived, labels=tuple(labels))
+    return SubdivisionMap(base=g, k=k, derived=derived)

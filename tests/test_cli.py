@@ -204,6 +204,13 @@ class TestErrorsAndExitCodes:
                                monkeypatch=monkeypatch, capsys=capsys)
         assert code == 65 and "line 2" in err
 
+    def test_huge_edge_list_order_is_65_with_line(self, capsys, monkeypatch):
+        code, out, err = run_cli(["gamma-s", "--format", "edges"],
+                                 stdin_text="# comment\np 99999999999999999999\n",
+                                 monkeypatch=monkeypatch, capsys=capsys)
+        assert code == 65 and out == ""
+        assert err == "parse error: line 2: vertex count 99999999999999999999 is too large to build\n"
+
     def test_missing_file_is_65(self, capsys, monkeypatch):
         code, _, err = run_cli(["verify", "--theorem", "g13", "--corpus", "/no/such/file"],
                                capsys=capsys)

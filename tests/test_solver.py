@@ -202,6 +202,23 @@ class TestBudgets:
     def test_caps_must_be_positive(self):
         with pytest.raises(ValueError):
             SolverBudget(max_nodes=0)
+        with pytest.raises(ValueError):
+            SolverBudget(time_ms=0)
+
+    def test_default_solve_never_reads_the_clock(self, monkeypatch):
+        def no_clock():
+            raise AssertionError("the clock was read")
+
+        monkeypatch.setattr("subsec.solver.time.monotonic", no_clock)
+        res = gamma_s_exact(cycle(20))
+        assert res.status == "exact" and res.value == path_secure_formula(20)
+        assert res.nodes > 4096  # past the first point where a deadline would be tested
+
+    def test_time_cap_skips_once_the_clock_passes_the_deadline(self, monkeypatch):
+        readings = iter([0.0, 1000.0])
+        monkeypatch.setattr("subsec.solver.time.monotonic", lambda: next(readings))
+        res = gamma_s_exact(cycle(20), SolverBudget(time_ms=1))
+        assert res == res.__class__(None, None, "skipped", 4096)
 
     def test_witness_iff_exact(self):
         for g in [path(4), make_graph(3, [])]:
@@ -212,3 +229,10 @@ class TestBudgets:
         a = gamma_s_exact(path(9))
         b = gamma_s_exact(path(9))
         assert a == b
+
+    def test_node_counts_pinned(self):
+        # The default engine walks each size once, from ceil(n/(Delta+1)) up;
+        # the naive engine scans every subset of each size from 0.
+        assert gamma_s_exact(path(26)).nodes == 793_723
+        assert gamma_s_exact(cycle(26)).nodes == 995_862
+        assert gamma_s_exact(path(10), naive=True).nodes == 428

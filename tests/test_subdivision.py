@@ -70,6 +70,22 @@ class TestStructure:
         assert sm.label(5) == Internal(0, 2, 1)
         assert sm.label(6) == Internal(0, 2, 2)
 
+    def test_label_out_of_range(self):
+        sm = subdivide(path(3), 2)
+        for vid in (-1, sm.derived.n):
+            with pytest.raises(GraphError):
+                sm.label(vid)
+
+    @given(graphs(max_n=6), st.integers(1, 5))
+    @settings(max_examples=60, deadline=None)
+    def test_labels_follow_superedges(self, g, k):
+        sm = subdivide(g, k)
+        assert sm.labels == tuple(map(sm.label, range(sm.derived.n)))
+        for u, v in g.edges():
+            walk = sm.superedge(u, v)
+            assert sm.label(walk[0]) == Original(u) and sm.label(walk[-1]) == Original(v)
+            assert [sm.label(x) for x in walk[1:-1]] == [Internal(u, v, l) for l in range(1, k)]
+
     def test_superedge_is_induced_path(self):
         sm = subdivide(wheel_rim6(), 3)
         for u, v in sm.base.edges():
