@@ -3,8 +3,8 @@
 Every claim in the catalog relates the exact secure domination number of a
 k-subdivision to closed-form quantities of the base graph. The catalog is
 the ``CLAIMS`` table, one row per claim. ``check_theorem`` looks a row up,
-builds the required subdivision, solves it exactly, and grades the row's
-bound terms against the exact value.
+solves the required subdivision exactly, and grades the row's bound terms
+against the exact value. The claims graded on one graph share each solve.
 
 A violated claim is a result, not an error: several equality claims fail on
 degenerate bases (single edges, disconnected graphs) and surfacing that
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 import json
 from typing import Callable
 
@@ -47,8 +48,8 @@ class Claim:
     ``k`` is the subdivision parameter, or a function that takes the ``-n``
     parameter, rejects values the claim is not stated for, and returns k.
     ``lower``, ``upper`` and ``equality`` are the bound terms, each absent or
-    a function of (G, n, solve); ``solve(solver, graph)`` is the exact value
-    of a solver under the run's budget, for a term that is itself an
+    a function of (G, n, solve); ``solve(solver, k)`` is the exact value of
+    a solver on G^{1/k} under the run's budget, for a term that is itself an
     invariant. ``precondition`` returns the reason G is out of scope, or
     None. ``strict`` makes the lower bound strict. ``text`` is the catalog
     entry, as the README lists it.
@@ -77,7 +78,7 @@ def _seventh(claim_id: str, covered: bool, needs: str):
 
     def k(n: int | None) -> int:
         if n is None:
-            raise ValueError(f"{claim_id} needs a subdivision parameter n")
+            raise ValueError(f"{claim_id} needs the subdivision parameter -n")
         dec = decompose(n)  # raises for n < 6
         if dec.covered != covered:
             raise ValueError(f"{claim_id} needs {needs}; n={n} is {dec.marker}")
@@ -88,7 +89,7 @@ def _seventh(claim_id: str, covered: bool, needs: str):
 
 CLAIMS = (
     Claim("prop1", 1,
-          lower=lambda g, n, solve: solve(gamma_exact, g),
+          lower=lambda g, n, solve: solve(gamma_exact, 1),
           note=lambda g, lower, exact: f"gamma={lower} gamma_s={exact}",
           skip="budget: exhausted",
           text="γ(G) ≤ γ_s(G)"),
@@ -130,6 +131,18 @@ _CLAIMS_BY_ID = {claim.id: claim for claim in CLAIMS}
 THEOREM_IDS = tuple(_CLAIMS_BY_ID)
 
 
+def resolve_claims(theorem_ids, n: int | None = None) -> list[tuple[Claim, int]]:
+    """(claim, k) for each theorem id, in order. An unknown id, or an ``n``
+    that a requested claim is not stated for, raises ValueError."""
+    resolved = []
+    for tid in theorem_ids:
+        claim = _CLAIMS_BY_ID.get(tid)
+        if claim is None:
+            raise ValueError(f"unknown theorem id {tid!r} (choose from {', '.join(THEOREM_IDS)})")
+        resolved.append((claim, claim.k if isinstance(claim.k, int) else claim.k(n)))
+    return resolved
+
+
 def _grade(exact: int, lower=None, upper=None, equality=None, strict_lower=False):
     """Status + detail for an exact value against the present claim terms."""
     if equality is not None:
@@ -162,6 +175,18 @@ class _Unsolved(Exception):
     """A solve ran out of budget; the message is the skip detail."""
 
 
+@lru_cache(maxsize=16)
+def _solve(solver, g: Graph, k: int, budget: SolverBudget, naive: bool) -> int | str:
+    """The exact value of ``solver`` on G^{1/k}, or the detail of its skip (cached too)."""
+    derived = subdivide(g, k).derived
+    result = solver(derived, budget, naive=naive)
+    if result.status == "exact":
+        return result.value
+    if derived.n > budget.max_vertices:
+        return f"budget: derived graph has {derived.n} vertices, cap {budget.max_vertices}"
+    return f"budget: exhausted after {result.nodes} nodes"
+
+
 def check_theorem(
     g: Graph,
     theorem_id: str,
@@ -177,27 +202,22 @@ def check_theorem(
     expressed as a BoundCheck status (preconditions, budgets, violations)
     is returned, never raised.
     """
-    claim = _CLAIMS_BY_ID.get(theorem_id)
-    if claim is None:
-        raise ValueError(f"unknown theorem id {theorem_id!r}")
+    [(claim, k)] = resolve_claims((theorem_id,), n)
     gid = graph_id if graph_id is not None else emit_graph6(g)
     reason = claim.precondition(g) if claim.precondition else None
     if reason:
         return _skip(gid, claim.id, reason)
-    k = claim.k if isinstance(claim.k, int) else claim.k(n)
 
-    def solve(solver, graph: Graph) -> int:
-        result = solver(graph, budget, naive=naive)
-        if result.status == "exact":
-            return result.value
-        if graph.n > budget.max_vertices:
-            raise _Unsolved(f"budget: derived graph has {graph.n} vertices, cap {budget.max_vertices}")
-        raise _Unsolved(f"budget: exhausted after {result.nodes} nodes")
+    def solve(solver, k: int) -> int:
+        value = _solve(solver, g, k, budget, naive)
+        if isinstance(value, str):
+            raise _Unsolved(value)
+        return value
 
     terms = [None, None, None]  # kept when a term's own solve runs out of budget
     try:
         terms = [term(g, n, solve) if term else None for term in (claim.lower, claim.upper, claim.equality)]
-        exact = solve(gamma_s_exact, g if k == 1 else subdivide(g, k).derived)
+        exact = solve(gamma_s_exact, k)
     except _Unsolved as exc:
         if claim.skip:
             return _skip(gid, claim.id, claim.skip)
@@ -223,13 +243,7 @@ def _corpus_task(args):
 
 
 def _normalize(entries):
-    out = []
-    for entry in entries:
-        if isinstance(entry, Graph):
-            out.append((emit_graph6(entry), entry))
-        else:
-            out.append(entry)
-    return out
+    return [(emit_graph6(e), e) if isinstance(e, Graph) else e for e in entries]
 
 
 def run_corpus(
@@ -248,9 +262,7 @@ def run_corpus(
     """
     pairs = _normalize(entries)
     tids = tuple(theorem_ids)
-    for tid in tids:
-        if tid not in THEOREM_IDS:
-            raise ValueError(f"unknown theorem id {tid!r}")
+    resolve_claims(tids, n)  # raise before any work is dispatched
     tasks = [(gid, g, tids, n, budget, naive) for gid, g in pairs]
     grouped = _pool.ordered_map(_corpus_task, tasks, workers)
     return [check for group in grouped for check in group]

@@ -1,7 +1,8 @@
 """Command-line entry point.
 
-One graph per line throughout: graph6 corpora stream, edge-list files hold a
-single graph. All subcommands are deterministic for fixed inputs and flags;
+One graph per line throughout: a graph6 corpus holds one graph per line, an
+edge-list file holds a single graph. Each command reads all its input before
+it prints. All subcommands are deterministic for fixed inputs and flags;
 corpus work fans out to SUBSEC_THREADS workers without changing the output.
 
 Exit codes: 0 done, 2 violations found under --fail-on-violation, 64 usage
@@ -99,8 +100,7 @@ def build_parser() -> _Parser:
     cert.add_argument("-n", type=int, dest="n", help="subdivision parameter for --theorem general")
 
     verify = commands.add_parser("verify", help="grade claimed bounds over a corpus")
-    verify.add_argument("--corpus", default="-", help="file path, or - for stdin")
-    verify.add_argument("--format", choices=("g6", "edges"), default="g6")
+    _add_input_flags(verify, "--corpus")
     verify.add_argument("--theorem", action="append", required=True,
                         help="theorem id, repeatable or comma-separated: "
                              + ", ".join(bounds.THEOREM_IDS))
@@ -111,8 +111,7 @@ def build_parser() -> _Parser:
     _add_budget_flags(verify)
 
     conj = commands.add_parser("conjecture", help="scan a corpus for ratio gamma_s(G^{1/2})/|V|")
-    conj.add_argument("--corpus", default="-")
-    conj.add_argument("--format", choices=("g6", "edges"), default="g6")
+    _add_input_flags(conj, "--corpus")
     conj.add_argument("--output", choices=("tsv", "jsonl", "text"), default="tsv")
     conj.add_argument("--naive", action="store_true")
     _add_budget_flags(conj)
@@ -225,21 +224,9 @@ def _cmd_cert(args, out) -> int:
     return 0
 
 
-def _theorem_list(values) -> list[str]:
-    tids = []
-    for chunk in values:
-        tids.extend(t for t in chunk.split(",") if t)
-    for tid in tids:
-        if tid not in bounds.THEOREM_IDS:
-            raise _UsageError(
-                f"unknown theorem id {tid!r} (choose from {', '.join(bounds.THEOREM_IDS)})")
-    return tids
-
-
 def _cmd_verify(args, out) -> int:
-    tids = _theorem_list(args.theorem)
-    if any(t in ("g16", "r024") for t in tids) and args.n is None:
-        raise _UsageError("g16/r024 need -n")
+    tids = [tid for chunk in args.theorem for tid in chunk.split(",") if tid]
+    bounds.resolve_claims(tids, args.n)  # a usage error ends the run before input is read
     pairs = _read_graphs(args.corpus, args.format)
     checks = bounds.run_corpus(pairs, tids, n=args.n, budget=_budget(args), naive=args.naive)
     for line in bounds.render_checks(checks, args.output):

@@ -114,6 +114,8 @@ def defenders(g: Graph, d: VertexSet, u: int) -> list[int]:
     scratch.
     """
     _check_universe(g, d)
+    if not 0 <= u < g.n:
+        raise GraphError(f"vertex {u} outside 0..{g.n - 1}")
     if u in d:
         raise GraphError(f"vertex {u} is inside the set")
     out = []

@@ -17,6 +17,7 @@ from subsec import (
     run_corpus,
     summarize,
 )
+from subsec import bounds
 from subsec.bounds import CLAIMS
 from conftest import cycle, path, star, wheel_rim6
 
@@ -159,6 +160,37 @@ class TestRunCorpus:
     def test_unknown_id_rejected(self):
         with pytest.raises(ValueError):
             run_corpus([path(3)], ["bogus"], workers=1)
+
+    def test_bad_n_rejected_on_empty_corpus(self):
+        with pytest.raises(ValueError, match="n=8 is r=1"):
+            run_corpus([], ["r024"], n=8, workers=1)
+        with pytest.raises(ValueError):
+            run_corpus([], ["g16"], n=3, workers=1)
+
+    @staticmethod
+    def _count_solves(monkeypatch):
+        calls = []
+        for name in ("gamma_s_exact", "gamma_exact"):
+            def counted(g, *args, _name=name, _orig=getattr(bounds, name), **kwargs):
+                calls.append((_name, g.n))
+                return _orig(g, *args, **kwargs)
+            monkeypatch.setattr(bounds, name, counted)
+        return calls
+
+    def test_one_solve_per_graph_and_k(self, monkeypatch):
+        calls = self._count_solves(monkeypatch)
+        checks = run_corpus([cycle(5)], ["prop1", "g12", "star2", "conj"], workers=1)
+        # gamma_s of C5 (prop1) and of C5^{1/2} = C10 (g12 and conj), gamma of C5 (prop1)
+        assert sorted(calls) == [("gamma_exact", 5), ("gamma_s_exact", 5), ("gamma_s_exact", 10)]
+        assert [c.exact for c in checks] == [3, 5, None, 5]
+
+    def test_skipped_solve_is_shared(self, monkeypatch):
+        calls = self._count_solves(monkeypatch)
+        g12, conj = run_corpus([cycle(5)], ["g12", "conj"], budget=SolverBudget(max_nodes=20),
+                               workers=1)
+        assert calls == [("gamma_s_exact", 10)]
+        assert g12.status == conj.status == "skipped"
+        assert g12.detail == conj.detail == "budget: exhausted after 21 nodes"
 
     def test_certificate_consistency(self):
         # wherever a construction validates, the matching check's exact value

@@ -193,6 +193,17 @@ class TestVerifyCommand:
                                monkeypatch=monkeypatch, capsys=capsys)
         assert code == 64 and "-n" in err
 
+    @pytest.mark.parametrize("theorem, n", [("r024", "8"), ("g16", "3")])
+    def test_bad_n_on_empty_corpus_is_usage_error(self, capsys, monkeypatch, theorem, n):
+        code, out, err = run_cli(["verify", "--theorem", theorem, "-n", n], stdin_text="",
+                                 monkeypatch=monkeypatch, capsys=capsys)
+        assert code == 64 and out == "" and err.startswith("usage error:")
+
+    def test_unknown_theorem_checked_before_input(self, capsys, monkeypatch):
+        code, out, err = run_cli(["verify", "--theorem", "g99"], stdin_text="not graph6 !!\n",
+                                 monkeypatch=monkeypatch, capsys=capsys)
+        assert code == 64 and out == "" and "g99" in err
+
 
 class TestErrorsAndExitCodes:
     def test_usage_error_is_64(self, capsys, monkeypatch):

@@ -60,6 +60,11 @@ class TestDefenders:
         with pytest.raises(GraphError):
             defenders(path(5), vs(5, {1, 3}), 1)
 
+    @pytest.mark.parametrize("u", [-1, 5, 64])
+    def test_u_outside_graph_rejected(self, u):
+        with pytest.raises(GraphError, match=f"vertex {u} outside 0..4"):
+            defenders(path(5), vs(5, {1, 3}), u)
+
     @given(graphs(min_n=2, max_n=8), st.integers(0, 255), st.integers(0, 7))
     @settings(max_examples=150)
     def test_against_oracle_and_soundness(self, g, mask, u):
