@@ -182,7 +182,7 @@ def _solve(solver, g: Graph, k: int, budget: SolverBudget, naive: bool) -> int |
     result = solver(derived, budget, naive=naive)
     if result.status == "exact":
         return result.value
-    if derived.n > budget.max_vertices:
+    if result.cap == "vertices":
         return f"budget: derived graph has {derived.n} vertices, cap {budget.max_vertices}"
     return f"budget: exhausted after {result.nodes} nodes"
 

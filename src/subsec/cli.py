@@ -184,7 +184,7 @@ def _cmd_solve(args, out, secure: bool) -> int:
             witness = ",".join(str(v) for v in res.witness.sorted())
             print(f"value={res.value} status=exact witness={witness}", file=out)
         else:
-            print("value=- status=skipped witness=-", file=out)
+            print(f"value=- status=skipped witness=- cap={res.cap}", file=out)
     return 0
 
 

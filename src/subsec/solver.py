@@ -7,9 +7,13 @@ v: a neighbor of u inside D whose swap (D - v + u) still dominates.
 Both optimum solvers run one size-increasing loop that asks each engine for
 the first feasible set of a size in lexicographic subset order, so the first
 size that has one is the optimum and that set is the reported witness. The
-default engine enumerates only dominating candidate sets, from the bound
-ceil(n/(Delta+1)) up: a branch is cut as soon as some still-uncovered vertex
-has no potential coverer among the remaining (larger-id) choices. A naive
+default engine is a branch search by ascending vertex id, from the bound
+ceil(n/(Delta+1)) up. It cuts a branch only when no completion of it can
+qualify, so it visits the surviving sets in the same lexicographic order and
+finds the same witness: a lex cap (the next pick must still be able to cover
+every uncovered vertex), a count cut (at most Delta+1 newly covered vertices
+per remaining pick) and, for secure domination, an early secure cut (a vertex
+whose distance-3 ball is fully decided must already have a defender). A naive
 engine that scans every subset of each size with the definitional checks is
 kept as an independent cross-check, and results carry an explicit "skipped"
 status whenever a budget cap fires, so an inexact answer is never presented
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 
 from .graphs import Graph, GraphError, VertexSet, max_degree
@@ -54,17 +59,19 @@ class SolveResult:
     """Outcome of an exact solve: the optimum and a witness, or "skipped".
 
     ``nodes`` counts search effort: branch nodes of the default engine, or
-    subsets of the naive one, over every size the solve walked.
+    subsets of the naive one, over every size the solve walked. ``cap`` names
+    the cap that made a solve "skipped": "vertices", "nodes" or "time".
     """
 
     value: int | None
     witness: VertexSet | None
     status: str  # "exact" | "skipped"
     nodes: int
+    cap: str | None = None
 
 
 class _BudgetExceeded(Exception):
-    pass
+    """Raised with the name of the cap that fired: "nodes" or "time"."""
 
 
 class _Effort:
@@ -80,9 +87,9 @@ class _Effort:
     def spend(self):
         self.nodes += 1
         if self.nodes > self.max_nodes:
-            raise _BudgetExceeded
+            raise _BudgetExceeded("nodes")
         if self.deadline is not None and self.nodes % 4096 == 0 and time.monotonic() > self.deadline:
-            raise _BudgetExceeded
+            raise _BudgetExceeded("time")
 
 
 def _check_universe(g: Graph, d: VertexSet):
@@ -145,29 +152,31 @@ def _ones_mask(g: Graph, dmask: int) -> int:
     return ones if covered == g.full_mask else -1
 
 
-def _secure_mask(g: Graph, dmask: int) -> bool:
-    ones = _ones_mask(g, dmask)
-    if ones < 0:
-        return False
+def _all_defended(g: Graph, us: int, dmask: int, ones: int) -> bool:
+    """True iff every vertex of ``us`` has a neighbor v in the set whose
+    private vertices (``ones`` inside N[v]) all lie in N[u], so the swap
+    (D - v + u) leaves nothing uncovered."""
     adj = g.adj_masks
     closed = g.closed_masks
-    outside = g.full_mask & ~dmask
-    while outside:
-        low = outside & -outside
+    while us:
+        low = us & -us
+        us ^= low
         u = low.bit_length() - 1
-        outside ^= low
         not_covered_by_u = ones & ~closed[u]
         cands = adj[u] & dmask
-        ok = False
         while cands:
             cl = cands & -cands
             if closed[cl.bit_length() - 1] & not_covered_by_u == 0:
-                ok = True
                 break
             cands ^= cl
-        if not ok:
+        else:
             return False
     return True
+
+
+def _secure_mask(g: Graph, dmask: int) -> bool:
+    ones = _ones_mask(g, dmask)
+    return ones >= 0 and _all_defended(g, g.full_mask & ~dmask, dmask, ones)
 
 
 def is_secure_dominating(g: Graph, d: VertexSet, full_recompute: bool = False) -> bool:
@@ -196,36 +205,75 @@ def path_secure_formula(n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _first_pruned(g: Graph, size: int, effort: _Effort, accept) -> int | None:
-    """The lexicographically first dominating set of exactly ``size``
-    vertices that ``accept(g, mask)`` admits, as a bitmask, or None.
+def _first_pruned(g: Graph, effort: _Effort, secure: bool):
+    """The branch search, as ``first(size)``: the lexicographically
+    first dominating set of exactly ``size`` vertices, secure dominating if
+    ``secure``, as a bitmask, or None. Its tables are built once per solve.
 
-    Branches extend by ascending vertex id. A branch dies when some vertex
-    not yet covered has its whole closed neighborhood below the next
-    candidate id, i.e. no remaining choice can ever cover it.
+    Branches extend by ascending vertex id, and a branch is cut only when no
+    completion of it can qualify, so the sets that survive are visited in the
+    same lexicographic order and the first one found is the lex-first set:
+
+    - Lex cap: picks only grow, so a vertex u whose closed neighborhood lies
+      wholly below the next pick can never be covered. The next pick is thus
+      at most min over uncovered u of max N[u].
+    - Count cut: each pick covers at most Delta+1 vertices, so a branch with
+      more than remaining * (Delta+1) uncovered vertices is dead.
+    - Early secure cut (``secure`` only): whether u has a defender depends
+      only on D inside N^3[u] (the defender's private vertices and their
+      closed neighborhoods). Once every id up to r3[u], the largest id in
+      N^3[u], is decided and u is outside D, u must already have a defender.
+      The "dominated exactly once" mask is carried along the branch for this
+      test; the full secure check of each completed set stays the final gate.
     """
     n = g.n
     closed = g.closed_masks
     full = g.full_mask
+    reach = max_degree(g) + 1
+    spend = effort.spend
+    # below[v]: vertices with max N[u] < v, which no pick >= v can cover.
+    below = [0] * (n + 1)
+    # settled[v]: vertices u with r3[u] == v, decided once v is.
+    settled = [0] * n
+    for u in range(n):
+        below[closed[u].bit_length()] |= 1 << u
+        if secure:
+            ball = _coverage(g, _coverage(g, closed[u]))
+            settled[ball.bit_length() - 1] |= 1 << u
+    for v in range(n):
+        below[v + 1] |= below[v]
 
-    def extend(chosen: int, covered: int, next_min: int, remaining: int) -> int | None:
-        effort.spend()
+    def extend(chosen: int, covered: int, ones: int, next_min: int, remaining: int) -> int | None:
+        spend()
         if remaining == 0:
-            return chosen if covered == full and accept(g, chosen) else None
+            return chosen if covered == full and (not secure or _secure_mask(g, chosen)) else None
         uncovered = full & ~covered
-        rest = uncovered
-        while rest:
-            low = rest & -rest
-            if closed[low.bit_length() - 1] >> next_min == 0:
-                return None
-            rest ^= low
         for v in range(next_min, n - remaining + 1):
-            found = extend(chosen | 1 << v, covered | closed[v], v + 1, remaining - 1)
+            if uncovered & below[v]:  # lex cap
+                return None
+            # Skipping v - 1 settled its vertices outside D for good.
+            if secure and v > next_min:
+                lost = settled[v - 1] & ~chosen
+                if lost and not _all_defended(g, lost, chosen, ones):
+                    return None
+            # The child's lex cap and count cut, tested before it is entered.
+            nv = closed[v]
+            left = uncovered & ~nv
+            if left & below[v + 1] or left.bit_count() > (remaining - 1) * reach:
+                continue
+            pick = chosen | 1 << v
+            picked_ones = (ones & ~nv) | (nv & uncovered)
+            if secure:
+                # Picking v settles the vertices whose ball ends at v.
+                due = settled[v] & ~pick
+                if due and not _all_defended(g, due, pick, picked_ones):
+                    continue
+            found = extend(pick, covered | nv, picked_ones, v + 1, remaining - 1)
             if found is not None:
                 return found
         return None
 
-    return extend(0, 0, 0, size)
+    return lambda size: extend(0, 0, 0, 0, size)
 
 
 def _domination_lower_bound(g: Graph) -> int:
@@ -235,19 +283,19 @@ def _domination_lower_bound(g: Graph) -> int:
 
 def _exact(g: Graph, budget: SolverBudget, naive: bool, secure: bool) -> SolveResult:
     if g.n > budget.max_vertices:
-        return SolveResult(None, None, "skipped", 0)
+        return SolveResult(None, None, "skipped", 0, "vertices")
     effort = _Effort(budget)
-    accept = _secure_mask if secure else lambda g, dmask: True
+    if naive:
+        first = partial(_first_naive, g, effort=effort, secure=secure)
+    else:
+        first = _first_pruned(g, effort, secure)
     try:
         for size in range(0 if naive else _domination_lower_bound(g), g.n + 1):
-            if naive:
-                mask = _first_naive(g, size, effort, secure)
-            else:
-                mask = _first_pruned(g, size, effort, accept)
+            mask = first(size)
             if mask is not None:
                 return SolveResult(size, VertexSet.from_mask(g.n, mask), "exact", effort.nodes)
-    except _BudgetExceeded:
-        return SolveResult(None, None, "skipped", effort.nodes)
+    except _BudgetExceeded as exceeded:
+        return SolveResult(None, None, "skipped", effort.nodes, exceeded.args[0])
     raise AssertionError("the full vertex set always qualifies")
 
 
@@ -272,8 +320,9 @@ def gamma_exact(g: Graph, budget: SolverBudget = DEFAULT_BUDGET, naive: bool = F
 
 def gamma_s_exact(g: Graph, budget: SolverBudget = DEFAULT_BUDGET, naive: bool = False) -> SolveResult:
     """Minimum secure dominating set size with a lexicographically smallest
-    witness. The default engine passes each dominating set it completes, size
-    by size, through the incremental secure check; ``naive=True`` scans every
-    subset with the definitional checks instead.
+    witness. The default engine cuts a branch once a vertex whose distance-3
+    ball is decided lacks a defender, and passes each dominating set it
+    completes, size by size, through the incremental secure check;
+    ``naive=True`` scans every subset with the definitional checks instead.
     """
     return _exact(g, budget, naive, secure=True)

@@ -73,7 +73,21 @@ class TestSolveCommands:
         code, out, _ = run_cli(["gamma-s", "--max-vertices", "3"],
                                stdin_text=emit_graph6(generate("path", 7)) + "\n",
                                monkeypatch=monkeypatch, capsys=capsys)
-        assert code == 0 and out == "value=- status=skipped witness=-\n"
+        assert code == 0 and out == "value=- status=skipped witness=- cap=vertices\n"
+
+    def test_skipped_row_names_the_node_cap(self, capsys, monkeypatch):
+        code, out, _ = run_cli(["gamma", "--max-nodes", "1"],
+                               stdin_text=emit_graph6(generate("path", 7)) + "\n",
+                               monkeypatch=monkeypatch, capsys=capsys)
+        assert code == 0 and out == "value=- status=skipped witness=- cap=nodes\n"
+
+    def test_skipped_row_names_the_time_cap(self, capsys, monkeypatch):
+        readings = iter([0.0, 1000.0])
+        monkeypatch.setattr("subsec.solver.time.monotonic", lambda: next(readings))
+        code, out, _ = run_cli(["gamma-s", "--time-ms", "1", "--max-vertices", "31"],
+                               stdin_text=emit_graph6(generate("cycle", 31)) + "\n",
+                               monkeypatch=monkeypatch, capsys=capsys)
+        assert code == 0 and out == "value=- status=skipped witness=- cap=time\n"
 
     def test_edges_input(self, capsys, monkeypatch):
         code, out, _ = run_cli(["gamma-s", "--format", "edges"],

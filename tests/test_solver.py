@@ -120,8 +120,15 @@ class TestGammaSecureExact:
         assert gamma_s_exact(subdivide(wheel_rim6(), 2).derived).value == 7
 
     def test_formula_cross_check(self):
-        for n in range(1, 15):
-            assert gamma_s_exact(path(n)).value == path_secure_formula(n)
+        # gamma_s(P_n) = gamma_s(C_n) = ceil(3n/7) (Cockayne et al. 2005) and
+        # gamma(P_n) = gamma(C_n) = ceil(n/3), past the default vertex cap.
+        # C3 = K3 has gamma_s 1, so cycles start at 4.
+        budget = SolverBudget(max_vertices=64)
+        for g in [path(n) for n in range(1, 33)] + [cycle(n) for n in range(4, 33)]:
+            res = gamma_s_exact(g, budget)
+            assert res.value == path_secure_formula(g.n)
+            assert is_secure_dominating(g, res.witness)
+            assert gamma_exact(g, budget).value == -(-g.n // 3)
 
     def test_formula_values(self):
         assert path_secure_formula(7) == 3
@@ -148,17 +155,20 @@ class TestGammaSecureExact:
         assert pruned.witness == naive.witness
 
     def test_naive_and_pruned_agree_on_subdivisions(self):
-        # instances up to 12 vertices built from small bases
-        bases = [path(3), cycle(3), star(4), path(4)]
-        for g in bases:
-            for k in (2, 3):
+        # Small bases in their own labelings, then every bundled G^{1/k},
+        # k = 2..4, small enough for the naive scan (108 of them).
+        from subsec import bundled_corpus
+
+        solved = 0
+        for g in [path(3), cycle(3), star(4), path(4), *bundled_corpus()]:
+            for k in (2, 3, 4):
                 derived = subdivide(g, k).derived
-                if derived.n > 12:
+                if derived.n > 14:
                     continue
                 a, b = gamma_s_exact(derived), gamma_s_exact(derived, naive=True)
-                assert a.value == b.value
-                assert len(a.witness) == len(b.witness)
-                assert a.witness == b.witness
+                assert (a.value, a.witness) == (b.value, b.witness)
+                solved += 1
+        assert solved == 12 + 108
 
     def test_naive_and_pruned_agree_on_bundled_corpus(self):
         from subsec import bundled_corpus
@@ -196,13 +206,14 @@ class TestGammaSecureExact:
 class TestBudgets:
     def test_vertex_cap_skips(self):
         res = gamma_s_exact(path(10), SolverBudget(max_vertices=5))
-        assert res == res.__class__(None, None, "skipped", 0)
+        assert res == res.__class__(None, None, "skipped", 0, "vertices")
 
     def test_node_cap_skips(self):
         res = gamma_s_exact(subdivide(wheel_rim6(), 2).derived, SolverBudget(max_nodes=50))
         assert res.status == "skipped"
         assert res.value is None and res.witness is None
         assert res.nodes > 50
+        assert res.cap == "nodes"
 
     def test_caps_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -215,15 +226,15 @@ class TestBudgets:
             raise AssertionError("the clock was read")
 
         monkeypatch.setattr("subsec.solver.time.monotonic", no_clock)
-        res = gamma_s_exact(cycle(20))
-        assert res.status == "exact" and res.value == path_secure_formula(20)
+        res = gamma_s_exact(cycle(31), SolverBudget(max_vertices=31))
+        assert res.status == "exact" and res.value == path_secure_formula(31)
         assert res.nodes > 4096  # past the first point where a deadline would be tested
 
     def test_time_cap_skips_once_the_clock_passes_the_deadline(self, monkeypatch):
         readings = iter([0.0, 1000.0])
         monkeypatch.setattr("subsec.solver.time.monotonic", lambda: next(readings))
-        res = gamma_s_exact(cycle(20), SolverBudget(time_ms=1))
-        assert res == res.__class__(None, None, "skipped", 4096)
+        res = gamma_s_exact(cycle(31), SolverBudget(max_vertices=31, time_ms=1))
+        assert res == res.__class__(None, None, "skipped", 4096, "time")
 
     def test_witness_iff_exact(self):
         for g in [path(4), make_graph(3, [])]:
@@ -238,6 +249,8 @@ class TestBudgets:
     def test_node_counts_pinned(self):
         # The default engine walks each size once, from ceil(n/(Delta+1)) up;
         # the naive engine scans every subset of each size from 0.
-        assert gamma_s_exact(path(26)).nodes == 793_723
-        assert gamma_s_exact(cycle(26)).nodes == 995_862
+        assert gamma_s_exact(path(26)).nodes == 1_757
+        assert gamma_s_exact(cycle(26)).nodes == 3_571
+        assert gamma_s_exact(subdivide(complete(4), 4).derived).nodes == 5_891
+        assert gamma_s_exact(subdivide(complete(3), 8).derived).nodes == 3_664
         assert gamma_s_exact(path(10), naive=True).nodes == 428
