@@ -79,7 +79,9 @@ def _seventh(claim_id: str, covered: bool, needs: str):
     def k(n: int | None) -> int:
         if n is None:
             raise ValueError(f"{claim_id} needs the subdivision parameter -n")
-        dec = decompose(n)  # raises for n < 6
+        if n < 6:
+            raise ValueError(f"{claim_id} needs -n >= 6, got {n}")
+        dec = decompose(n)
         if dec.covered != covered:
             raise ValueError(f"{claim_id} needs {needs}; n={n} is {dec.marker}")
         return n
@@ -176,15 +178,16 @@ class _Unsolved(Exception):
 
 
 @lru_cache(maxsize=16)
-def _solve(solver, g: Graph, k: int, budget: SolverBudget, naive: bool) -> int | str:
-    """The exact value of ``solver`` on G^{1/k}, or the detail of its skip (cached too)."""
-    derived = subdivide(g, k).derived
-    result = solver(derived, budget, naive=naive)
-    if result.status == "exact":
-        return result.value
-    if result.cap == "vertices":
-        return f"budget: derived graph has {derived.n} vertices, cap {budget.max_vertices}"
-    return f"budget: exhausted after {result.nodes} nodes"
+def _solve(solver, g: Graph, k: int, budget: SolverBudget) -> int | str:
+    """The exact value of ``solver`` on G^{1/k} under ``budget``, or the
+    detail of its skip (cached too). A G^{1/k} of more than
+    ``budget.max_vertices`` vertices is skipped from its order alone and
+    never built; any other skip ran out of search nodes."""
+    order = g.n + (k - 1) * g.m
+    if order > budget.max_vertices:
+        return f"budget: derived graph has {order} vertices, cap {budget.max_vertices}"
+    result = solver(subdivide(g, k).derived, budget)
+    return result.value if result.status == "exact" else f"budget: exhausted after {result.nodes} nodes"
 
 
 def check_theorem(
@@ -192,7 +195,6 @@ def check_theorem(
     theorem_id: str,
     n: int | None = None,
     budget: SolverBudget = DEFAULT_BUDGET,
-    naive: bool = False,
     graph_id: str | None = None,
 ) -> BoundCheck:
     """Evaluate one cataloged claim on one graph.
@@ -209,7 +211,7 @@ def check_theorem(
         return _skip(gid, claim.id, reason)
 
     def solve(solver, k: int) -> int:
-        value = _solve(solver, g, k, budget, naive)
+        value = _solve(solver, g, k, budget)
         if isinstance(value, str):
             raise _Unsolved(value)
         return value
@@ -235,11 +237,8 @@ def check_theorem(
 
 
 def _corpus_task(args):
-    gid, g, theorem_ids, n, budget, naive = args
-    return [
-        check_theorem(g, tid, n=n, budget=budget, naive=naive, graph_id=gid)
-        for tid in theorem_ids
-    ]
+    gid, g, theorem_ids, n, budget = args
+    return [check_theorem(g, tid, n=n, budget=budget, graph_id=gid) for tid in theorem_ids]
 
 
 def _normalize(entries):
@@ -251,7 +250,6 @@ def run_corpus(
     theorem_ids,
     n: int | None = None,
     budget: SolverBudget = DEFAULT_BUDGET,
-    naive: bool = False,
     workers: int | None = None,
 ) -> list[BoundCheck]:
     """One BoundCheck per (graph, theorem), in input order x theorem order.
@@ -263,7 +261,7 @@ def run_corpus(
     pairs = _normalize(entries)
     tids = tuple(theorem_ids)
     resolve_claims(tids, n)  # raise before any work is dispatched
-    tasks = [(gid, g, tids, n, budget, naive) for gid, g in pairs]
+    tasks = [(gid, g, tids, n, budget) for gid, g in pairs]
     grouped = _pool.ordered_map(_corpus_task, tasks, workers)
     return [check for group in grouped for check in group]
 
@@ -304,7 +302,6 @@ _CONJ_STATUS = {"violated": "counterexample", "skipped": "skipped"}
 def conjecture_scan(
     entries,
     budget: SolverBudget = DEFAULT_BUDGET,
-    naive: bool = False,
     workers: int | None = None,
 ) -> ConjectureReport:
     """Hunt for counterexamples to the strict bound gamma_s(G^{1/2}) > 4n/5.
@@ -315,7 +312,7 @@ def conjecture_scan(
     a violation is a counterexample.
     """
     pairs = _normalize(entries)
-    checks = run_corpus(pairs, ("conj",), budget=budget, naive=naive, workers=workers)
+    checks = run_corpus(pairs, ("conj",), budget=budget, workers=workers)
     rows = tuple(
         ConjectureRow(check.graph_id, g.n, check.exact,
                       Fraction(check.exact, g.n) if check.exact is not None and g.n else None,

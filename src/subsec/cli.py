@@ -38,7 +38,7 @@ from .graphs import (
     iter_graph6,
     parse_edgelist,
 )
-from .solver import SolverBudget, gamma_exact, gamma_s_exact
+from .solver import ENGINES, SolverBudget, gamma_exact, gamma_s_exact
 from .subdivision import subdivide
 
 EX_USAGE = 64
@@ -56,9 +56,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_budget_flags(sub):
+    sub.add_argument("--engine", choices=ENGINES, default=SolverBudget.engine)
     sub.add_argument("--max-vertices", type=int, default=SolverBudget.max_vertices)
     sub.add_argument("--max-nodes", type=int, default=SolverBudget.max_nodes)
-    sub.add_argument("--time-ms", type=int, default=SolverBudget.time_ms)
 
 
 def _add_input_flags(sub, name="--input"):
@@ -89,7 +89,6 @@ def build_parser() -> _Parser:
     for name in ("gamma", "gamma-s"):
         solv = commands.add_parser(name, help=f"exact {name.replace('-', '_')} of each input graph")
         _add_input_flags(solv)
-        solv.add_argument("--naive", action="store_true")
         _add_budget_flags(solv)
 
     cert = commands.add_parser("cert", help="build and validate a certificate construction")
@@ -106,14 +105,12 @@ def build_parser() -> _Parser:
                              + ", ".join(bounds.THEOREM_IDS))
     verify.add_argument("-n", type=int, dest="n", help="subdivision parameter for g16/r024")
     verify.add_argument("--output", choices=("tsv", "jsonl", "text"), default="tsv")
-    verify.add_argument("--naive", action="store_true")
     verify.add_argument("--fail-on-violation", action="store_true")
     _add_budget_flags(verify)
 
     conj = commands.add_parser("conjecture", help="scan a corpus for ratio gamma_s(G^{1/2})/|V|")
     _add_input_flags(conj, "--corpus")
     conj.add_argument("--output", choices=("tsv", "jsonl", "text"), default="tsv")
-    conj.add_argument("--naive", action="store_true")
     _add_budget_flags(conj)
 
     return parser
@@ -147,8 +144,7 @@ def _emit_graph(g: Graph, fmt: str, out) -> None:
 
 
 def _budget(args) -> SolverBudget:
-    return SolverBudget(max_vertices=args.max_vertices, max_nodes=args.max_nodes,
-                        time_ms=args.time_ms)
+    return SolverBudget(args.max_vertices, args.max_nodes, args.engine)
 
 
 def _cmd_gen(args, out) -> int:
@@ -179,7 +175,7 @@ def _cmd_solve(args, out, secure: bool) -> int:
     budget = _budget(args)
     solve = gamma_s_exact if secure else gamma_exact
     for _, g in _read_graphs(args.input, args.format):
-        res = solve(g, budget, naive=args.naive)
+        res = solve(g, budget)
         if res.status == "exact":
             witness = ",".join(str(v) for v in res.witness.sorted())
             print(f"value={res.value} status=exact witness={witness}", file=out)
@@ -228,7 +224,7 @@ def _cmd_verify(args, out) -> int:
     tids = [tid for chunk in args.theorem for tid in chunk.split(",") if tid]
     bounds.resolve_claims(tids, args.n)  # a usage error ends the run before input is read
     pairs = _read_graphs(args.corpus, args.format)
-    checks = bounds.run_corpus(pairs, tids, n=args.n, budget=_budget(args), naive=args.naive)
+    checks = bounds.run_corpus(pairs, tids, n=args.n, budget=_budget(args))
     for line in bounds.render_checks(checks, args.output):
         print(line, file=out)
     if args.fail_on_violation and any(c.status == "violated" for c in checks):
@@ -238,7 +234,7 @@ def _cmd_verify(args, out) -> int:
 
 def _cmd_conjecture(args, out) -> int:
     pairs = _read_graphs(args.corpus, args.format)
-    report = bounds.conjecture_scan(pairs, budget=_budget(args), naive=args.naive)
+    report = bounds.conjecture_scan(pairs, budget=_budget(args))
     for line in bounds.render_conjecture(report, args.output):
         print(line, file=out)
     return 0

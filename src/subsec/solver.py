@@ -15,9 +15,10 @@ every uncovered vertex), a count cut (at most Delta+1 newly covered vertices
 per remaining pick) and, for secure domination, an early secure cut (a vertex
 whose distance-3 ball is fully decided must already have a defender). A naive
 engine that scans every subset of each size with the definitional checks is
-kept as an independent cross-check, and results carry an explicit "skipped"
-status whenever a budget cap fires, so an inexact answer is never presented
-as exact.
+kept as an independent cross-check. ``SolverBudget`` picks the engine and
+caps the graph's order and the count of search nodes. Both caps are
+deterministic, and a solve past one has an explicit "skipped" status, so an
+inexact answer is never presented as exact.
 
 The swap test inside the fast secure check is incremental: removing v from D
 can only uncover vertices that v privately dominates (coverage count exactly
@@ -28,7 +29,6 @@ coverage from scratch and is what the tests cross-validate against.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
@@ -36,18 +36,24 @@ from itertools import combinations
 from .graphs import Graph, GraphError, VertexSet, max_degree
 
 
+ENGINES = ("branch", "naive")
+
+
 @dataclass(frozen=True)
 class SolverBudget:
-    """Caps on exact solving; any cap being exceeded gives status "skipped".
-    The wall-clock cap ``time_ms`` is off by default: it makes output depend on machine speed."""
+    """How an exact solve runs: the ``engine`` ("branch", the default search,
+    or "naive", the definitional subset scan) and its caps, the graph's order
+    ``max_vertices`` and the search effort ``max_nodes``. A solve past a cap
+    gives status "skipped"."""
 
     max_vertices: int = 26
     max_nodes: int = 500_000_000
-    time_ms: int | None = None
+    engine: str = "branch"
 
     def __post_init__(self):
-        if self.max_vertices <= 0 or self.max_nodes <= 0 or (
-                self.time_ms is not None and self.time_ms <= 0):
+        if self.engine not in ENGINES:
+            raise ValueError(f"unknown engine {self.engine!r} (choose from {', '.join(ENGINES)})")
+        if self.max_vertices <= 0 or self.max_nodes <= 0:
             raise ValueError("budget caps must be positive")
 
 
@@ -60,7 +66,7 @@ class SolveResult:
 
     ``nodes`` counts search effort: branch nodes of the default engine, or
     subsets of the naive one, over every size the solve walked. ``cap`` names
-    the cap that made a solve "skipped": "vertices", "nodes" or "time".
+    the cap that made a solve "skipped": "vertices" or "nodes".
     """
 
     value: int | None
@@ -71,25 +77,22 @@ class SolveResult:
 
 
 class _BudgetExceeded(Exception):
-    """Raised with the name of the cap that fired: "nodes" or "time"."""
+    """Raised when a search spends more nodes than its cap."""
 
 
 class _Effort:
-    """Node counter with a node cap and an optional wall-clock cap."""
+    """Search node counter with the node cap."""
 
-    __slots__ = ("nodes", "max_nodes", "deadline")
+    __slots__ = ("nodes", "max_nodes")
 
-    def __init__(self, budget: SolverBudget):
+    def __init__(self, max_nodes: int):
         self.nodes = 0
-        self.max_nodes = budget.max_nodes
-        self.deadline = None if budget.time_ms is None else time.monotonic() + budget.time_ms / 1000
+        self.max_nodes = max_nodes
 
     def spend(self):
         self.nodes += 1
         if self.nodes > self.max_nodes:
-            raise _BudgetExceeded("nodes")
-        if self.deadline is not None and self.nodes % 4096 == 0 and time.monotonic() > self.deadline:
-            raise _BudgetExceeded("time")
+            raise _BudgetExceeded
 
 
 def _check_universe(g: Graph, d: VertexSet):
@@ -281,21 +284,21 @@ def _domination_lower_bound(g: Graph) -> int:
     return -(-g.n // (max_degree(g) + 1))
 
 
-def _exact(g: Graph, budget: SolverBudget, naive: bool, secure: bool) -> SolveResult:
+def _exact(g: Graph, budget: SolverBudget, secure: bool) -> SolveResult:
     if g.n > budget.max_vertices:
         return SolveResult(None, None, "skipped", 0, "vertices")
-    effort = _Effort(budget)
-    if naive:
-        first = partial(_first_naive, g, effort=effort, secure=secure)
+    effort = _Effort(budget.max_nodes)
+    if budget.engine == "naive":
+        first, start = partial(_first_naive, g, effort=effort, secure=secure), 0
     else:
-        first = _first_pruned(g, effort, secure)
+        first, start = _first_pruned(g, effort, secure), _domination_lower_bound(g)
     try:
-        for size in range(0 if naive else _domination_lower_bound(g), g.n + 1):
+        for size in range(start, g.n + 1):
             mask = first(size)
             if mask is not None:
                 return SolveResult(size, VertexSet.from_mask(g.n, mask), "exact", effort.nodes)
-    except _BudgetExceeded as exceeded:
-        return SolveResult(None, None, "skipped", effort.nodes, exceeded.args[0])
+    except _BudgetExceeded:
+        return SolveResult(None, None, "skipped", effort.nodes, "nodes")
     raise AssertionError("the full vertex set always qualifies")
 
 
@@ -313,16 +316,16 @@ def _first_naive(g: Graph, size: int, effort: _Effort, secure: bool) -> int | No
     return None
 
 
-def gamma_exact(g: Graph, budget: SolverBudget = DEFAULT_BUDGET, naive: bool = False) -> SolveResult:
+def gamma_exact(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> SolveResult:
     """Minimum dominating set size with a lexicographically smallest witness."""
-    return _exact(g, budget, naive, secure=False)
+    return _exact(g, budget, secure=False)
 
 
-def gamma_s_exact(g: Graph, budget: SolverBudget = DEFAULT_BUDGET, naive: bool = False) -> SolveResult:
+def gamma_s_exact(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> SolveResult:
     """Minimum secure dominating set size with a lexicographically smallest
-    witness. The default engine cuts a branch once a vertex whose distance-3
-    ball is decided lacks a defender, and passes each dominating set it
-    completes, size by size, through the incremental secure check;
-    ``naive=True`` scans every subset with the definitional checks instead.
+    witness, by ``budget.engine``. The branch engine cuts a branch once a
+    vertex whose distance-3 ball is decided lacks a defender, and passes each
+    dominating set it completes, size by size, through the incremental secure
+    check; the naive engine scans every subset with the definitional checks.
     """
-    return _exact(g, budget, naive, secure=True)
+    return _exact(g, budget, secure=True)

@@ -41,7 +41,7 @@ def test_criterion_1_path_formula():
     for n in range(1, 19):
         expected = path_secure_formula(n)
         pruned = gamma_s_exact(path(n))
-        naive = gamma_s_exact(path(n), naive=True)
+        naive = gamma_s_exact(path(n), SolverBudget(engine="naive"))
         assert pruned.status == naive.status == "exact"
         assert pruned.value == naive.value == expected, n
         assert pruned.witness == naive.witness, n
@@ -113,7 +113,7 @@ def test_criterion_5_discrepancy_surfacing():
     five_path = subdivide(path(2), 4).derived
     oracle_value, _ = brute_gamma_s(five_path.n, neighbor_sets(five_path))
     assert oracle_value == 3
-    check = check_theorem(path(2), "g14", naive=True)
+    check = check_theorem(path(2), "g14", budget=SolverBudget(engine="naive"))
     ok = (check.exact == oracle_value == 3
           and check.equality == 2
           and check.status == "violated"

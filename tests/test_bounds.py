@@ -19,7 +19,7 @@ from subsec import (
 )
 from subsec import bounds
 from subsec.bounds import CLAIMS
-from conftest import cycle, path, star, wheel_rim6
+from conftest import complete, cycle, path, star, wheel_rim6
 
 
 def assert_invariants(check):
@@ -61,7 +61,7 @@ class TestCheckTheorem:
         assert check.status == "tight" and "lower" in check.detail
 
     def test_g14_single_edge_violated(self):
-        check = check_theorem(path(2), "g14", naive=True)
+        check = check_theorem(path(2), "g14", budget=SolverBudget(engine="naive"))
         assert check.equality == 2
         assert check.exact == 3
         assert check.status == "violated"
@@ -127,6 +127,16 @@ class TestCheckTheorem:
         assert "31 vertices" in check.detail
         assert_invariants(check)
 
+    def test_vertex_cap_skip_never_builds_the_subdivision(self, monkeypatch):
+        def no_subdivide(g, k):
+            raise AssertionError(f"G^{{1/{k}}} was built")
+
+        monkeypatch.setattr(bounds, "subdivide", no_subdivide)
+        check = check_theorem(complete(4), "g16", n=700001)
+        assert check.status == "skipped"
+        assert check.detail == "budget: derived graph has 4200004 vertices, cap 26"
+        assert check.equality == path_secure_formula(700002) * 6
+
     def test_graph_id_defaults_to_graph6(self):
         assert check_theorem(path(2), "g13").graph_id == "A_"
         assert check_theorem(path(2), "g13", graph_id="pair").graph_id == "pair"
@@ -191,6 +201,14 @@ class TestRunCorpus:
         assert calls == [("gamma_s_exact", 10)]
         assert g12.status == conj.status == "skipped"
         assert g12.detail == conj.detail == "budget: exhausted after 21 nodes"
+
+    def test_engine_crosses_the_pool(self):
+        # C5^{1/2} = C10 takes 72 branch nodes and 387 naive ones.
+        for engine, detail in (("naive", "budget: exhausted after 301 nodes"), ("branch", "ratio 1")):
+            budget = SolverBudget(max_nodes=300, engine=engine)
+            c5, p3 = run_corpus([cycle(5), path(3)], ["conj"], budget=budget, workers=2)
+            assert c5.detail == detail
+            assert p3.exact == 3
 
     def test_certificate_consistency(self):
         # wherever a construction validates, the matching check's exact value

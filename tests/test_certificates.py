@@ -2,6 +2,7 @@ import pytest
 
 from subsec import (
     CertificateError,
+    SolverBudget,
     cert_fifth,
     cert_general,
     cert_half,
@@ -111,7 +112,7 @@ class TestQuarter:
         assert cert.claimed_size == 2
         assert not cert.validated
         assert not oracle_validates(sm, cert)
-        assert gamma_s_exact(sm.derived, naive=True).value == 3
+        assert gamma_s_exact(sm.derived, SolverBudget(engine="naive")).value == 3
 
 
 class TestFifth:

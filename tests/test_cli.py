@@ -81,14 +81,6 @@ class TestSolveCommands:
                                monkeypatch=monkeypatch, capsys=capsys)
         assert code == 0 and out == "value=- status=skipped witness=- cap=nodes\n"
 
-    def test_skipped_row_names_the_time_cap(self, capsys, monkeypatch):
-        readings = iter([0.0, 1000.0])
-        monkeypatch.setattr("subsec.solver.time.monotonic", lambda: next(readings))
-        code, out, _ = run_cli(["gamma-s", "--time-ms", "1", "--max-vertices", "31"],
-                               stdin_text=emit_graph6(generate("cycle", 31)) + "\n",
-                               monkeypatch=monkeypatch, capsys=capsys)
-        assert code == 0 and out == "value=- status=skipped witness=- cap=time\n"
-
     def test_edges_input(self, capsys, monkeypatch):
         code, out, _ = run_cli(["gamma-s", "--format", "edges"],
                                stdin_text="p 5\ne 0 1\ne 1 2\ne 2 3\ne 3 4\n",
@@ -99,9 +91,34 @@ class TestSolveCommands:
         stdin = "\n".join(emit_graph6(g) for g in
                           [generate("path", 6), generate("cycle", 5), generate("star", 4)]) + "\n"
         _, fast, _ = run_cli(["gamma-s"], stdin_text=stdin, monkeypatch=monkeypatch, capsys=capsys)
-        _, slow, _ = run_cli(["gamma-s", "--naive"], stdin_text=stdin,
+        _, slow, _ = run_cli(["gamma-s", "--engine", "naive"], stdin_text=stdin,
                              monkeypatch=monkeypatch, capsys=capsys)
         assert fast == slow
+
+
+class TestEngineFlag:
+    # C5^{1/2} = C10 takes 72 branch nodes and 387 naive ones, so a 300-node
+    # cap shows which engine each solving command ran.
+    @pytest.mark.parametrize("engine", ["naive", "branch"])
+    def test_engine_reaches_the_solver(self, capsys, monkeypatch, engine):
+        flags = ["--engine", engine, "--max-nodes", "300"]
+        half = emit_graph6(subdivide(parse_graph6("Dhc"), 2).derived) + "\n"
+        _, solved, _ = run_cli(["gamma-s", *flags], stdin_text=half,
+                               monkeypatch=monkeypatch, capsys=capsys)
+        _, verified, _ = run_cli(["verify", "--theorem", "conj", "--output", "jsonl", *flags],
+                                 stdin_text="Dhc\n", monkeypatch=monkeypatch, capsys=capsys)
+        _, scanned, _ = run_cli(["conjecture", "--output", "jsonl", *flags],
+                                stdin_text="Dhc\n", monkeypatch=monkeypatch, capsys=capsys)
+        check = json.loads(verified.splitlines()[0])
+        row = json.loads(scanned.splitlines()[0])
+        if engine == "naive":
+            assert solved == "value=- status=skipped witness=- cap=nodes\n"
+            assert (check["exact"], check["detail"]) == (None, "budget: exhausted after 301 nodes")
+            assert (row["gamma_s_half"], row["status"]) == (None, "skipped")
+        else:
+            assert solved == "value=5 status=exact witness=0,1,2,3,4\n"
+            assert (check["exact"], check["status"]) == (5, "holds")
+            assert (row["gamma_s_half"], row["status"]) == (5, "ok")
 
 
 class TestSubdivideCommand:
@@ -207,11 +224,13 @@ class TestVerifyCommand:
                                monkeypatch=monkeypatch, capsys=capsys)
         assert code == 64 and "-n" in err
 
-    @pytest.mark.parametrize("theorem, n", [("r024", "8"), ("g16", "3")])
+    @pytest.mark.parametrize("theorem, n", [("r024", "8"), ("g16", "3"), ("r024", "2")])
     def test_bad_n_on_empty_corpus_is_usage_error(self, capsys, monkeypatch, theorem, n):
         code, out, err = run_cli(["verify", "--theorem", theorem, "-n", n], stdin_text="",
                                  monkeypatch=monkeypatch, capsys=capsys)
-        assert code == 64 and out == "" and err.startswith("usage error:")
+        reason = ("needs n mod 7 in (0, 2, 4); n=8 is r=1" if n == "8"
+                  else f"needs -n >= 6, got {n}")
+        assert code == 64 and out == "" and err == f"usage error: {theorem} {reason}\n"
 
     def test_unknown_theorem_checked_before_input(self, capsys, monkeypatch):
         code, out, err = run_cli(["verify", "--theorem", "g99"], stdin_text="not graph6 !!\n",
@@ -223,6 +242,10 @@ class TestErrorsAndExitCodes:
     def test_usage_error_is_64(self, capsys, monkeypatch):
         code, _, _ = run_cli(["gen", "--family", "nope", "--n", "3"], capsys=capsys)
         assert code == 64
+        for flags in (["--engine", "dp"], ["--naive"], ["--time-ms", "5"]):
+            code, out, err = run_cli(["gamma-s", *flags], stdin_text="A_\n",
+                                     monkeypatch=monkeypatch, capsys=capsys)
+            assert code == 64 and out == "" and err.startswith("usage error:")
 
     def test_parse_error_is_65_with_line(self, capsys, monkeypatch):
         code, _, err = run_cli(["gamma"], stdin_text="A_\nA__\n",
