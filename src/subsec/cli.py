@@ -162,6 +162,8 @@ def _cmd_enum(args, out) -> int:
 def _cmd_subdivide(args, out) -> int:
     if args.labels and args.format != "edges":
         raise _UsageError("--labels requires --format edges")
+    if args.k < 1:
+        raise _UsageError(f"subdivide needs --k >= 1, got {args.k}")
     for _, g in _read_graphs(args.input, args.format):
         sm = subdivide(g, args.k)
         _emit_graph(sm.derived, args.format, out)
@@ -195,6 +197,8 @@ def _cmd_cert(args, out) -> int:
     elif args.theorem == "general":
         if args.n is None:
             raise _UsageError("--theorem general needs -n")
+        if args.n < 6:
+            raise _UsageError(f"general needs -n >= 6, got {args.n}")
         k = args.n
     else:
         k = _CERT_K[args.theorem]

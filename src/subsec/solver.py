@@ -11,14 +11,17 @@ default engine is a branch search by ascending vertex id, from the bound
 ceil(n/(Delta+1)) up. It cuts a branch only when no completion of it can
 qualify, so it visits the surviving sets in the same lexicographic order and
 finds the same witness: a lex cap (the next pick must still be able to cover
-every uncovered vertex), a count cut (at most Delta+1 newly covered vertices
-per remaining pick) and, for secure domination, an early secure cut (a vertex
-whose distance-3 ball is fully decided must already have a defender). A naive
-engine that scans every subset of each size with the definitional checks is
-kept as an independent cross-check. ``SolverBudget`` picks the engine and
-caps the graph's order and the count of search nodes. Both caps are
-deterministic, and a solve past one has an explicit "skipped" status, so an
-inexact answer is never presented as exact.
+every uncovered vertex), a count cut (each remaining pick covers at most as
+many vertices as the largest closed neighborhood at or above its id) and, for
+secure domination, an early secure cut (a vertex whose distance-3 ball is
+fully decided must already have a defender). That cut has checked every
+vertex settled by the last pick, so the final secure check of a completed set
+covers only the vertices settled after it. A naive engine that scans every
+subset of each size with the definitional checks is kept as an independent
+cross-check. ``SolverBudget`` picks the engine and caps the graph's order and
+the count of search nodes. Both caps are deterministic, and a solve past one
+has an explicit "skipped" status, so an inexact answer is never presented as
+exact.
 
 The swap test inside the fast secure check is incremental: removing v from D
 can only uncover vertices that v privately dominates (coverage count exactly
@@ -220,24 +223,33 @@ def _first_pruned(g: Graph, effort: _Effort, secure: bool):
     - Lex cap: picks only grow, so a vertex u whose closed neighborhood lies
       wholly below the next pick can never be covered. The next pick is thus
       at most min over uncovered u of max N[u].
-    - Count cut: each pick covers at most Delta+1 vertices, so a branch with
-      more than remaining * (Delta+1) uncovered vertices is dead.
+    - Count cut: picks only ascend, so each pick after v is some w > v and
+      covers at most reach[v + 1] = max |N[w]| over w > v. A child whose
+      uncovered vertices outnumber its remaining picks times that reach is
+      dead. In G^{1/k} only the original vertices, which hold the lowest
+      ids, can cover more than 3, so this is much tighter than a global
+      Delta+1.
     - Early secure cut (``secure`` only): whether u has a defender depends
       only on D inside N^3[u] (the defender's private vertices and their
       closed neighborhoods). Once every id up to r3[u], the largest id in
       N^3[u], is decided and u is outside D, u must already have a defender.
       The "dominated exactly once" mask is carried along the branch for this
-      test; the full secure check of each completed set stays the final gate.
+      test. By the time a set is complete, every vertex with r3[u] <
+      next_min (one past its last pick) has passed it, so the final gate
+      checks only the rest, ``after[next_min]``, with the carried mask.
     """
     n = g.n
     closed = g.closed_masks
     full = g.full_mask
-    reach = max_degree(g) + 1
     spend = effort.spend
     # below[v]: vertices with max N[u] < v, which no pick >= v can cover.
     below = [0] * (n + 1)
-    # settled[v]: vertices u with r3[u] == v, decided once v is.
+    # reach[v]: the most vertices one pick w >= v can cover.
+    reach = [0] * (n + 1)
+    # settled[v]: vertices u with r3[u] == v, decided once v is;
+    # after[v]: those with r3[u] >= v.
     settled = [0] * n
+    after = [0] * (n + 1)
     for u in range(n):
         below[closed[u].bit_length()] |= 1 << u
         if secure:
@@ -245,11 +257,19 @@ def _first_pruned(g: Graph, effort: _Effort, secure: bool):
             settled[ball.bit_length() - 1] |= 1 << u
     for v in range(n):
         below[v + 1] |= below[v]
+    for v in reversed(range(n)):
+        reach[v] = max(reach[v + 1], closed[v].bit_count())
+        after[v] = after[v + 1] | settled[v]
 
     def extend(chosen: int, covered: int, ones: int, next_min: int, remaining: int) -> int | None:
         spend()
         if remaining == 0:
-            return chosen if covered == full and (not secure or _secure_mask(g, chosen)) else None
+            if covered != full:
+                return None
+            # Only vertices settled at next_min or later are still unchecked.
+            if secure and not _all_defended(g, after[next_min] & ~chosen, chosen, ones):
+                return None
+            return chosen
         uncovered = full & ~covered
         for v in range(next_min, n - remaining + 1):
             if uncovered & below[v]:  # lex cap
@@ -262,7 +282,7 @@ def _first_pruned(g: Graph, effort: _Effort, secure: bool):
             # The child's lex cap and count cut, tested before it is entered.
             nv = closed[v]
             left = uncovered & ~nv
-            if left & below[v + 1] or left.bit_count() > (remaining - 1) * reach:
+            if left & below[v + 1] or left.bit_count() > (remaining - 1) * reach[v + 1]:
                 continue
             pick = chosen | 1 << v
             picked_ones = (ones & ~nv) | (nv & uncovered)
@@ -324,8 +344,9 @@ def gamma_exact(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> SolveResult:
 def gamma_s_exact(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> SolveResult:
     """Minimum secure dominating set size with a lexicographically smallest
     witness, by ``budget.engine``. The branch engine cuts a branch once a
-    vertex whose distance-3 ball is decided lacks a defender, and passes each
-    dominating set it completes, size by size, through the incremental secure
-    check; the naive engine scans every subset with the definitional checks.
+    vertex whose distance-3 ball is decided lacks a defender, and checks the
+    vertices still undecided when it completes a dominating set with the
+    incremental secure test; the naive engine scans every subset with the
+    definitional checks.
     """
     return _exact(g, budget, secure=True)

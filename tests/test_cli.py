@@ -150,6 +150,13 @@ class TestSubdivideCommand:
                                monkeypatch=monkeypatch, capsys=capsys)
         assert code == 64 and "--labels" in err
 
+    @pytest.mark.parametrize("k, stdin", [("0", "A_\n"), ("0", ""), ("-2", ""),
+                                          ("0", "not graph6 !!\n")])
+    def test_bad_k_is_usage_error_before_input(self, capsys, monkeypatch, k, stdin):
+        code, out, err = run_cli(["subdivide", "--k", k], stdin_text=stdin,
+                                 monkeypatch=monkeypatch, capsys=capsys)
+        assert code == 64 and out == "" and err == f"usage error: subdivide needs --k >= 1, got {k}\n"
+
 
 class TestCertCommand:
     def test_quarter_on_single_edge(self, capsys, monkeypatch):
@@ -176,6 +183,18 @@ class TestCertCommand:
         code, out, _ = run_cli(["cert", "--theorem", "general", "-n", "6"], stdin_text="A_\n",
                                monkeypatch=monkeypatch, capsys=capsys)
         assert code == 0 and "claimed=3 size=3 validated=true" in out
+
+    @pytest.mark.parametrize("n, stdin", [("3", "A_\n"), ("0", "A_\n"), ("5", ""), ("0", ""),
+                                          ("3", "not graph6 !!\n")])
+    def test_general_bad_n_is_usage_error_before_input(self, capsys, monkeypatch, n, stdin):
+        code, out, err = run_cli(["cert", "--theorem", "general", "-n", n], stdin_text=stdin,
+                                 monkeypatch=monkeypatch, capsys=capsys)
+        assert code == 64 and out == "" and err == f"usage error: general needs -n >= 6, got {n}\n"
+
+    def test_general_needs_n(self, capsys, monkeypatch):
+        code, out, err = run_cli(["cert", "--theorem", "general"], stdin_text="",
+                                 monkeypatch=monkeypatch, capsys=capsys)
+        assert code == 64 and out == "" and err == "usage error: --theorem general needs -n\n"
 
     def test_star_on_non_star_base(self, capsys, monkeypatch):
         code, _, err = run_cli(["cert", "--theorem", "star", "--k", "2"], stdin_text="Ch\n",

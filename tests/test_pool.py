@@ -1,0 +1,59 @@
+import operator
+from concurrent.futures import ProcessPoolExecutor
+
+import pytest
+
+from subsec import _pool, bounds, bundled_corpus, run_corpus
+
+
+class _RecordingPool(ProcessPoolExecutor):
+    """A real process pool that records the chunk size of each map call."""
+
+    chunksizes: list[int] = []
+
+    def map(self, fn, *iterables, timeout=None, chunksize=1):
+        self.chunksizes.append(chunksize)
+        return super().map(fn, *iterables, timeout=timeout, chunksize=chunksize)
+
+
+class _NoPool:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    monkeypatch.setattr(_RecordingPool, "chunksizes", [])
+    monkeypatch.setattr(_pool, "ProcessPoolExecutor", _RecordingPool)
+    return _RecordingPool
+
+
+class TestOrderedMap:
+    def test_input_order_kept_across_multi_item_chunks(self, recording_pool):
+        items = list(range(50))
+        assert _pool.ordered_map(operator.neg, items, workers=2) == [-i for i in items]
+        # 50 items over 2 workers go out in chunks of ceil(50 / 16) = 4.
+        assert recording_pool.chunksizes == [4]
+
+    def test_chunks_shrink_to_one_item_on_short_inputs(self, recording_pool):
+        assert _pool.ordered_map(operator.neg, [1, 2, 3], workers=4) == [-1, -2, -3]
+        assert recording_pool.chunksizes == [1]
+
+    @pytest.mark.parametrize("items, workers", [([1, 2, 3], 1), ([7], 4), ([], 4)])
+    def test_in_process_for_one_worker_or_at_most_one_item(self, monkeypatch, items, workers):
+        monkeypatch.setattr(_pool, "ProcessPoolExecutor", _NoPool)
+        # A lambda cannot be pickled, so this passes only without a pool.
+        assert _pool.ordered_map(lambda x: x * 10, items, workers=workers) == [x * 10 for x in items]
+
+
+class TestRunCorpusChunked:
+    def test_two_workers_equal_one(self, recording_pool):
+        corpus = bundled_corpus()[:40]
+        theorems = ["prop1", "g12", "conj"]
+        # Pool first, from an empty solve cache, so no worker inherits a
+        # solve made in this process.
+        bounds._solve.cache_clear()
+        pooled = run_corpus(corpus, theorems, workers=2)
+        lone = run_corpus(corpus, theorems, workers=1)
+        assert recording_pool.chunksizes == [3]
+        assert len(lone) == 120 and lone == pooled

@@ -174,6 +174,36 @@ class TestGammaSecureExact:
                 solved += 1
         assert solved == 12 + 108
 
+    @given(graphs(min_n=2, max_n=9), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_naive_and_pruned_agree_with_degree_sorted_ids(self, g, ascending):
+        # Relabel so ids follow degree: ascending puts the high-degree
+        # vertices at high ids, descending puts them first, as in G^{1/k},
+        # where the per-position count cut is tightest.
+        order = sorted(range(g.n), key=lambda v: (g.degree(v), v), reverse=not ascending)
+        new_id = {old: new for new, old in enumerate(order)}
+        h = make_graph(g.n, [(new_id[u], new_id[v]) for u, v in g.edges()])
+        pruned, naive = gamma_s_exact(h), gamma_s_exact(h, NAIVE)
+        assert (pruned.value, pruned.witness) == (naive.value, naive.witness)
+
+    def test_witness_secure_on_bundled_subdivisions(self):
+        # The branch engine's final gate checks only the vertices its early
+        # cut has not settled; every witness must still pass the
+        # definitional check.
+        from subsec import bundled_corpus
+
+        solved = 0
+        for g in bundled_corpus():
+            for k in (2, 3):
+                derived = subdivide(g, k).derived
+                if derived.n > 26:
+                    continue
+                res = gamma_s_exact(derived)
+                assert res.status == "exact" and len(res.witness) == res.value
+                assert is_secure_dominating(derived, res.witness, full_recompute=True)
+                solved += 1
+        assert solved == 268
+
     def test_naive_and_pruned_agree_on_bundled_corpus(self):
         from subsec import bundled_corpus
 
@@ -250,6 +280,10 @@ class TestBudgets:
         # the naive engine scans every subset of each size from 0.
         assert gamma_s_exact(path(26)).nodes == 1_757
         assert gamma_s_exact(cycle(26)).nodes == 3_571
-        assert gamma_s_exact(subdivide(complete(4), 4).derived).nodes == 5_891
+        assert gamma_s_exact(subdivide(complete(4), 4).derived).nodes == 3_730
         assert gamma_s_exact(subdivide(complete(3), 8).derived).nodes == 3_664
+        # A mixed-degree base: in the wheel's G^{1/2} a pick past the hub
+        # (id 6) covers 3 vertices, not Delta+1 = 7, so the per-position
+        # count cut fires.
+        assert gamma_s_exact(subdivide(wheel_rim6(), 2).derived).nodes == 464
         assert gamma_s_exact(path(10), NAIVE).nodes == 428
