@@ -180,11 +180,6 @@ def _all_defended(g: Graph, us: int, dmask: int, ones: int) -> bool:
     return True
 
 
-def _secure_mask(g: Graph, dmask: int) -> bool:
-    ones = _ones_mask(g, dmask)
-    return ones >= 0 and _all_defended(g, g.full_mask & ~dmask, dmask, ones)
-
-
 def is_secure_dominating(g: Graph, d: VertexSet, full_recompute: bool = False) -> bool:
     """True iff d is dominating and every outside vertex has a defender.
 
@@ -196,7 +191,8 @@ def is_secure_dominating(g: Graph, d: VertexSet, full_recompute: bool = False) -
         if not is_dominating(g, d):
             return False
         return all(defenders(g, d, u) for u in range(g.n) if u not in d)
-    return _secure_mask(g, d.mask)
+    ones = _ones_mask(g, d.mask)
+    return ones >= 0 and _all_defended(g, g.full_mask & ~d.mask, d.mask, ones)
 
 
 def path_secure_formula(n: int) -> int:
