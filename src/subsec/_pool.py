@@ -12,7 +12,6 @@ matter how many workers ran.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 
 def worker_count() -> int:
@@ -33,5 +32,7 @@ def ordered_map(fn, items, workers: int | None = None) -> list:
         return [fn(item) for item in items]
     workers = min(workers, len(items))
     chunksize = -(-len(items) // (8 * workers))
+    from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items, chunksize=chunksize))

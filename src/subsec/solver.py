@@ -16,7 +16,11 @@ many vertices as the largest closed neighborhood at or above its id) and, for
 secure domination, an early secure cut (a vertex whose distance-3 ball is
 fully decided must already have a defender). That cut has checked every
 vertex settled by the last pick, so the final secure check of a completed set
-covers only the vertices settled after it. A naive engine that scans every
+covers only the vertices settled after it. On triangle-free graphs, which
+include every k-subdivision with k >= 2, a secure-deficit cut joins them: a
+member of a secure dominating set there has at most one private outside
+neighbor, so a completed set leaves at most as many outside vertices
+dominated only once as it has members. A naive engine that scans every
 subset of each size with the definitional checks is kept as an independent
 cross-check. ``SolverBudget`` picks the engine and caps the graph's order and
 the count of search nodes. Both caps are deterministic, and a solve past one
@@ -233,6 +237,19 @@ def _first_pruned(g: Graph, effort: _Effort, secure: bool):
       test. By the time a set is complete, every vertex with r3[u] <
       next_min (one past its last pick) has passed it, so the final gate
       checks only the rest, ``after[next_min]``, with the carried mask.
+    - Secure-deficit cut (``secure`` on a triangle-free graph only): a
+      member v of a secure set D has at most one private outside neighbor
+      (a vertex outside D whose only neighbor in D is v). If u1 and u2 were
+      two, v would be u1's only defender, and the swap D - v + u1 would
+      leave u2 dominated only through an edge u1u2, closing the triangle
+      v u1 u2. So the deficit, the sum over u outside the set of
+      max(0, 2 - |N[u] & set|), is at most ``size`` for a completed secure
+      set. Here it is 2 per uncovered vertex plus 1 per outside vertex in
+      the "dominated once" mask. A pick w lowers it by at most deg(w) + 2
+      (1 per neighbor, 2 for w itself), so a child whose deficit exceeds
+      ``size`` by more than its remaining picks times supply[v + 1] = max
+      deg(w) + 2 over w > v is dead. K3 shows why triangles turn it off:
+      {0} is secure there, with two private outside neighbors.
     """
     n = g.n
     closed = g.closed_masks
@@ -256,6 +273,10 @@ def _first_pruned(g: Graph, effort: _Effort, secure: bool):
     for v in reversed(range(n)):
         reach[v] = max(reach[v + 1], closed[v].bit_count())
         after[v] = after[v + 1] | settled[v]
+    # supply[v]: the most secure deficit one pick w >= v can remove, deg(w) + 2.
+    supply = [r + 1 for r in reach]
+    deficit_cut = secure and _triangle_free(g)
+    target = 0  # the size first() is searching
 
     def extend(chosen: int, covered: int, ones: int, next_min: int, remaining: int) -> int | None:
         spend()
@@ -282,6 +303,13 @@ def _first_pruned(g: Graph, effort: _Effort, secure: bool):
                 continue
             pick = chosen | 1 << v
             picked_ones = (ones & ~nv) | (nv & uncovered)
+            # Secure-deficit cut: 2 per uncovered vertex, 1 per outside
+            # vertex dominated once, and at most ``target`` when complete.
+            if deficit_cut and (
+                2 * left.bit_count() + (picked_ones & ~pick).bit_count() - target
+                > (remaining - 1) * supply[v + 1]
+            ):
+                continue
             if secure:
                 # Picking v settles the vertices whose ball ends at v.
                 due = settled[v] & ~pick
@@ -292,7 +320,18 @@ def _first_pruned(g: Graph, effort: _Effort, secure: bool):
                 return found
         return None
 
-    return lambda size: extend(0, 0, 0, 0, size)
+    def first(size: int) -> int | None:
+        nonlocal target
+        target = size
+        return extend(0, 0, 0, 0, size)
+
+    return first
+
+
+def _triangle_free(g: Graph) -> bool:
+    """True iff no edge uv has a common neighbor."""
+    adj = g.adj_masks
+    return not any(adj[u] & adj[v] for u, v in g.edges())
 
 
 def _domination_lower_bound(g: Graph) -> int:

@@ -36,6 +36,16 @@ def graphs(st_draw, min_n=1, max_n=8):
 
 
 @st.composite
+def bipartite_graphs(st_draw, max_n=10):
+    """Random graphs with every edge across a split of the ids: triangle-free."""
+    n = st_draw(st.integers(1, max_n))
+    side = st_draw(st.integers(0, n))
+    pairs = [(u, v) for u in range(side) for v in range(side, n)]
+    mask = st_draw(st.integers(0, (1 << len(pairs)) - 1))
+    return make_graph(n, [pair for i, pair in enumerate(pairs) if mask >> i & 1])
+
+
+@st.composite
 def connected_graphs(st_draw, min_n=1, max_n=7):
     g = st_draw(graphs(min_n=min_n, max_n=max_n).filter(is_connected))
     return g

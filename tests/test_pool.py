@@ -1,8 +1,13 @@
 import operator
+import os
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import pytest
 
+import subsec
 from subsec import _pool, bounds, bundled_corpus, run_corpus
 
 
@@ -24,7 +29,8 @@ class _NoPool:
 @pytest.fixture
 def recording_pool(monkeypatch):
     monkeypatch.setattr(_RecordingPool, "chunksizes", [])
-    monkeypatch.setattr(_pool, "ProcessPoolExecutor", _RecordingPool)
+    # ordered_map imports the pool class only when it starts a pool.
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _RecordingPool)
     return _RecordingPool
 
 
@@ -41,7 +47,7 @@ class TestOrderedMap:
 
     @pytest.mark.parametrize("items, workers", [([1, 2, 3], 1), ([7], 4), ([], 4)])
     def test_in_process_for_one_worker_or_at_most_one_item(self, monkeypatch, items, workers):
-        monkeypatch.setattr(_pool, "ProcessPoolExecutor", _NoPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _NoPool)
         # A lambda cannot be pickled, so this passes only without a pool.
         assert _pool.ordered_map(lambda x: x * 10, items, workers=workers) == [x * 10 for x in items]
 
@@ -57,3 +63,14 @@ class TestRunCorpusChunked:
         lone = run_corpus(corpus, theorems, workers=1)
         assert recording_pool.chunksizes == [3]
         assert len(lone) == 120 and lone == pooled
+
+
+def test_cli_import_starts_no_pool_machinery():
+    # A gamma-s run or an empty input never starts a pool, so it should not
+    # pay for importing one.
+    src = str(Path(subsec.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = "import sys, subsec.cli; print(sorted(m for m in sys.modules if m.startswith('concurrent')))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

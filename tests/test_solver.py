@@ -26,13 +26,18 @@ from brute_force import (
     brute_is_secure,
     neighbor_sets,
 )
-from conftest import complete, cycle, graphs, path, star, wheel_rim6
+from conftest import bipartite_graphs, complete, cycle, graphs, path, star, wheel_rim6
 
 NAIVE = SolverBudget(engine="naive")
 
 
 def vs(n, members):
     return VertexSet.of(n, members)
+
+
+def private_outside(g, d, v):
+    """Vertices outside d whose only neighbor in d is v."""
+    return {u for u in range(g.n) if u not in d and {w for w in g.neighbors(u) if w in d} == {v}}
 
 
 class TestDominating:
@@ -150,8 +155,16 @@ class TestGammaSecureExact:
         assert set(res.witness) == first
         assert is_secure_dominating(g, res.witness)
 
-    @given(graphs(max_n=9), st.sampled_from([None, "ascending", "descending"]))
-    @settings(max_examples=80, deadline=None)
+    @given(
+        st.one_of(
+            graphs(max_n=9),
+            # Triangle-free inputs, where the secure-deficit cut is on.
+            bipartite_graphs(max_n=10),
+            graphs(max_n=5).map(lambda g: subdivide(g, 2).derived).filter(lambda d: d.n <= 12),
+        ),
+        st.sampled_from([None, "ascending", "descending"]),
+    )
+    @settings(max_examples=120, deadline=None)
     def test_naive_and_pruned_agree(self, g, relabel):
         # Relabelling so ids follow degree, ascending, puts the high-degree
         # vertices at high ids; descending puts them first, as in G^{1/k},
@@ -184,7 +197,9 @@ class TestGammaSecureExact:
     def test_witness_secure_on_bundled_subdivisions(self):
         # The branch engine's final gate checks only the vertices its early
         # cut has not settled; every witness must still pass the
-        # definitional check.
+        # definitional check. G^{1/k} is triangle-free for k >= 2, so no
+        # member may have two private outside neighbors (the lemma behind
+        # the secure-deficit cut).
         from subsec import bundled_corpus
 
         solved = 0
@@ -196,8 +211,20 @@ class TestGammaSecureExact:
                 res = gamma_s_exact(derived)
                 assert res.status == "exact" and len(res.witness) == res.value
                 assert is_secure_dominating(derived, res.witness, full_recompute=True)
+                assert all(len(private_outside(derived, res.witness, v)) <= 1 for v in res.witness)
                 solved += 1
         assert solved == 268
+
+    def test_deficit_cut_needs_triangle_free(self):
+        # In K3, D = {0} is secure dominating although 0 has two private
+        # outside neighbors: the swap 0 -> 1 keeps 2 dominated through the
+        # edge 12, which closes a triangle. So the cut stays off here.
+        k3 = complete(3)
+        d = vs(3, {0})
+        assert is_secure_dominating(k3, d, full_recompute=True)
+        assert private_outside(k3, d, 0) == {1, 2}
+        res = gamma_s_exact(k3)
+        assert (res.value, res.witness) == (1, d)
 
     def test_naive_and_pruned_agree_on_bundled_corpus(self):
         from subsec import bundled_corpus
@@ -273,12 +300,15 @@ class TestBudgets:
     def test_node_counts_pinned(self):
         # The default engine walks each size once, from ceil(n/(Delta+1)) up;
         # the naive engine scans every subset of each size from 0.
-        assert gamma_s_exact(path(26)).nodes == 1_757
-        assert gamma_s_exact(cycle(26)).nodes == 3_571
-        assert gamma_s_exact(subdivide(complete(4), 4).derived).nodes == 3_730
-        assert gamma_s_exact(subdivide(complete(3), 8).derived).nodes == 3_664
+        # These are triangle-free, so the secure-deficit cut is on.
+        assert gamma_s_exact(path(26)).nodes == 1_202
+        assert gamma_s_exact(cycle(26)).nodes == 1_942
+        assert gamma_s_exact(subdivide(complete(4), 4).derived).nodes == 1_728
+        assert gamma_s_exact(subdivide(complete(3), 8).derived).nodes == 2_540
         # A mixed-degree base: in the wheel's G^{1/2} a pick past the hub
         # (id 6) covers 3 vertices, not Delta+1 = 7, so the per-position
         # count cut fires.
-        assert gamma_s_exact(subdivide(wheel_rim6(), 2).derived).nodes == 464
+        assert gamma_s_exact(subdivide(wheel_rim6(), 2).derived).nodes == 116
+        # The wheel itself has triangles: the deficit cut stays off.
+        assert gamma_s_exact(wheel_rim6()).nodes == 15
         assert gamma_s_exact(path(10), NAIVE).nodes == 428
