@@ -40,6 +40,7 @@ from .solver import (
     path_secure_formula,
 )
 from .certificates import (
+    CONSTRUCTIONS,
     Certificate,
     CertificateError,
     Decomposition,

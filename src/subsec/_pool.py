@@ -1,10 +1,10 @@
 """Ordered fan-out of per-graph work to a process pool.
 
-SUBSEC_THREADS caps the worker count (default: machine parallelism). Items
-go to the workers in chunks of an eighth of each worker's share, rounded up,
-so a corpus of many small solves costs about eight round trips per worker
-instead of one per graph, while the chunks stay small enough to even out
-unequal solves.
+SUBSEC_THREADS caps the worker count; the default, and the ceiling, is the
+machine's CPU count. Items go to the workers in chunks of an eighth of each
+worker's share, rounded up, so a corpus of many small solves costs about
+eight round trips per worker instead of one per graph, while the chunks stay
+small enough to even out unequal solves.
 Results always come back in input order, so reports are byte-identical no
 matter how many workers ran.
 """
@@ -15,13 +15,14 @@ import os
 
 
 def worker_count() -> int:
+    cpus = os.cpu_count() or 1
     env = os.environ.get("SUBSEC_THREADS")
     if env is not None:
         try:
-            return max(1, int(env))
+            return max(1, min(int(env), cpus))
         except ValueError:
             raise ValueError(f"SUBSEC_THREADS={env!r} is not an integer") from None
-    return os.cpu_count() or 1
+    return cpus
 
 
 def ordered_map(fn, items, workers: int | None = None) -> list:

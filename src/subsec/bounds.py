@@ -21,7 +21,7 @@ import json
 from typing import Callable
 
 from . import _pool
-from .certificates import decompose
+from .certificates import seventh
 from .graphs import Graph, emit_graph6, is_star, max_degree
 from .solver import DEFAULT_BUDGET, SolverBudget, gamma_exact, gamma_s_exact, path_secure_formula
 from .subdivision import subdivide
@@ -71,24 +71,6 @@ class Claim:
     skip: str | None = None
 
 
-def _seventh(claim_id: str, covered: bool, needs: str):
-    """k of a claim on G^{1/n}: n itself, which must be at least 6 and fall
-    in the residues mod 7 the claim is stated for (``covered`` as in
-    ``decompose``, worded by ``needs``)."""
-
-    def k(n: int | None) -> int:
-        if n is None:
-            raise ValueError(f"{claim_id} needs the subdivision parameter -n")
-        if n < 6:
-            raise ValueError(f"{claim_id} needs -n >= 6, got {n}")
-        dec = decompose(n)
-        if dec.covered != covered:
-            raise ValueError(f"{claim_id} needs {needs}; n={n} is {dec.marker}")
-        return n
-
-    return k
-
-
 CLAIMS = (
     Claim("prop1", 1,
           lower=lambda g, n, solve: solve(gamma_exact, 1),
@@ -114,10 +96,10 @@ CLAIMS = (
           lower=lambda g, n, _: 2 * g.m + 1,
           upper=lambda g, n, _: 3 * g.m - max_degree(g) + 1,
           text="2m+1 ≤ γ_s(G^{1/5}) ≤ 3m − Δ + 1"),
-    Claim("g16", _seventh("g16", True, "n = 7k + r with r in (-1, 1, 3, 5)"),
+    Claim("g16", seventh("g16", True),
           equality=lambda g, n, _: path_secure_formula(n + 1) * g.m,
           text="γ_s(G^{1/n}) = pathval(n+1)·m for n = 7k+r, r ∈ {−1,1,3,5} (`-n`)"),
-    Claim("r024", _seventh("r024", False, "n mod 7 in (0, 2, 4)"),
+    Claim("r024", seventh("r024", False),
           lower=lambda g, n, _: g.n + path_secure_formula(n - 3) * g.m,
           upper=lambda g, n, _: path_secure_formula(n + 1) * g.m,
           text="n_G + pathval(n−3)·m ≤ γ_s(G^{1/n}) ≤ pathval(n+1)·m (`-n`)"),

@@ -17,15 +17,7 @@ import os
 import sys
 
 from . import bounds
-from .certificates import (
-    CertificateError,
-    cert_fifth,
-    cert_general,
-    cert_half,
-    cert_quarter,
-    cert_star,
-    cert_third,
-)
+from .certificates import CONSTRUCTIONS, CertificateError
 from .graphs import (
     FAMILIES,
     Graph,
@@ -93,10 +85,10 @@ def build_parser() -> _Parser:
 
     cert = commands.add_parser("cert", help="build and validate a certificate construction")
     _add_input_flags(cert)
-    cert.add_argument("--theorem", choices=("half", "star", "third", "quarter", "fifth", "general"),
-                      required=True)
-    cert.add_argument("--k", type=int, help="subdivision parameter for --theorem star (2 or 3)")
-    cert.add_argument("-n", type=int, dest="n", help="subdivision parameter for --theorem general")
+    cert.add_argument("--theorem", choices=tuple(CONSTRUCTIONS), required=True)
+    for flag in ("--k", "-n"):
+        ids = ", ".join(row.id for row in CONSTRUCTIONS.values() if row.param == flag)
+        cert.add_argument(flag, type=int, help=f"subdivision parameter for --theorem {ids}")
 
     verify = commands.add_parser("verify", help="grade claimed bounds over a corpus")
     _add_input_flags(verify, "--corpus")
@@ -119,7 +111,8 @@ def build_parser() -> _Parser:
 def _read_stream(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
+    # as stdin is read: a byte that is not UTF-8 becomes a parse error on its line
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
         return handle.read()
 
 
@@ -186,33 +179,12 @@ def _cmd_solve(args, out, secure: bool) -> int:
     return 0
 
 
-_CERT_K = {"half": 2, "third": 3, "quarter": 4, "fifth": 5}
-
-
 def _cmd_cert(args, out) -> int:
-    if args.theorem == "star":
-        if args.k not in (2, 3):
-            raise _UsageError("--theorem star needs --k 2 or --k 3")
-        k = args.k
-    elif args.theorem == "general":
-        if args.n is None:
-            raise _UsageError("--theorem general needs -n")
-        if args.n < 6:
-            raise _UsageError(f"general needs -n >= 6, got {args.n}")
-        k = args.n
-    else:
-        k = _CERT_K[args.theorem]
-    builders = {
-        "half": cert_half,
-        "star": cert_star,
-        "third": cert_third,
-        "quarter": cert_quarter,
-        "fifth": cert_fifth,
-        "general": cert_general,
-    }
+    row = CONSTRUCTIONS[args.theorem]
+    k = row.resolve({"--k": args.k, "-n": args.n}.get(row.param))  # checked before input is read
     for _, g in _read_graphs(args.input, args.format):
         sm = subdivide(g, k)
-        built = builders[args.theorem](sm)
+        built = row.build(sm)
         for cert in built if isinstance(built, tuple) else (built,):
             ids = cert.vertices.sorted()
             labels = ",".join(str(sm.label(v)) for v in ids)
@@ -226,6 +198,8 @@ def _cmd_cert(args, out) -> int:
 
 def _cmd_verify(args, out) -> int:
     tids = [tid for chunk in args.theorem for tid in chunk.split(",") if tid]
+    if not tids:
+        raise _UsageError("--theorem names no theorem id")
     bounds.resolve_claims(tids, args.n)  # a usage error ends the run before input is read
     pairs = _read_graphs(args.corpus, args.format)
     checks = bounds.run_corpus(pairs, tids, n=args.n, budget=_budget(args))

@@ -288,7 +288,9 @@ def parse_graph6(line: str) -> Graph:
     for ch in text:
         code = ord(ch) - 63
         if not 0 <= code <= 63:
-            raise ParseError(f"byte {ord(ch)} outside graph6 alphabet")
+            # a byte that is not UTF-8 was read as its surrogateescape surrogate
+            byte = ord(ch) - 0xDC00 if 0xDC80 <= ord(ch) <= 0xDCFF else ord(ch)
+            raise ParseError(f"byte {byte} outside graph6 alphabet")
         values.append(code)
     pos = 0
     if values[0] != 63:

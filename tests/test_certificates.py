@@ -1,6 +1,7 @@
 import pytest
 
 from subsec import (
+    CONSTRUCTIONS,
     CertificateError,
     SolverBudget,
     cert_fifth,
@@ -185,6 +186,30 @@ class TestGeneral:
     def test_small_n_rejected(self):
         with pytest.raises(CertificateError):
             cert_general(subdivide(path(2), 5))
+
+
+class TestConstructionTable:
+    TAKES = {"half": {2}, "star": {2, 3}, "third": {3}, "quarter": {4}, "fifth": {5},
+             "general": {6, 8, 10, 12, 13}}
+
+    def test_rows_are_the_public_builders(self):
+        assert {tid: row.build for tid, row in CONSTRUCTIONS.items()} == {
+            "half": cert_half, "star": cert_star, "third": cert_third,
+            "quarter": cert_quarter, "fifth": cert_fifth, "general": cert_general,
+        }
+
+    @pytest.mark.parametrize("tid", TAKES)
+    def test_builder_takes_exactly_the_k_of_its_row(self, tid):
+        row = CONSTRUCTIONS[tid]
+        base = star(4) if tid == "star" else path(4)
+        for k in range(1, 15):
+            sm = subdivide(base, k)
+            if k in self.TAKES[tid]:
+                assert row.resolve(k) == k
+                row.build(sm)
+            else:
+                with pytest.raises(CertificateError, match=f"{tid}.* needs"):
+                    row.build(sm)
 
 
 class TestCrossCuttingInvariants:

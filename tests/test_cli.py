@@ -194,7 +194,21 @@ class TestCertCommand:
     def test_general_needs_n(self, capsys, monkeypatch):
         code, out, err = run_cli(["cert", "--theorem", "general"], stdin_text="",
                                  monkeypatch=monkeypatch, capsys=capsys)
-        assert code == 64 and out == "" and err == "usage error: --theorem general needs -n\n"
+        assert code == 64 and out == "" and err == "usage error: general needs the subdivision parameter -n\n"
+
+    @pytest.mark.parametrize("n", ["7", "9", "14"])
+    def test_general_uncovered_residue_is_usage_error_before_input(self, capsys, monkeypatch, n):
+        code, out, err = run_cli(["cert", "--theorem", "general", "-n", n], stdin_text="",
+                                 monkeypatch=monkeypatch, capsys=capsys)
+        assert code == 64 and out == ""
+        assert err == f"usage error: general needs n = 7k + r with r in (-1, 1, 3, 5); n={n} is r024\n"
+
+    @pytest.mark.parametrize("flags", [["--theorem", "star"], ["--theorem", "star", "--k", "4"],
+                                       ["--theorem", "star", "-n", "2"]])
+    def test_star_bad_k_is_usage_error_before_input(self, capsys, monkeypatch, flags):
+        code, out, err = run_cli(["cert", *flags], stdin_text="",
+                                 monkeypatch=monkeypatch, capsys=capsys)
+        assert code == 64 and out == "" and err == "usage error: --theorem star needs --k 2 or --k 3\n"
 
     def test_star_on_non_star_base(self, capsys, monkeypatch):
         code, _, err = run_cli(["cert", "--theorem", "star", "--k", "2"], stdin_text="Ch\n",
@@ -251,6 +265,12 @@ class TestVerifyCommand:
                   else f"needs -n >= 6, got {n}")
         assert code == 64 and out == "" and err == f"usage error: {theorem} {reason}\n"
 
+    @pytest.mark.parametrize("theorem", [",", ""])
+    def test_empty_theorem_list_is_usage_error_before_input(self, capsys, monkeypatch, theorem):
+        code, out, err = run_cli(["verify", "--theorem", theorem], stdin_text="not graph6 !!\n",
+                                 monkeypatch=monkeypatch, capsys=capsys)
+        assert code == 64 and out == "" and err == "usage error: --theorem names no theorem id\n"
+
     def test_unknown_theorem_checked_before_input(self, capsys, monkeypatch):
         code, out, err = run_cli(["verify", "--theorem", "g99"], stdin_text="not graph6 !!\n",
                                  monkeypatch=monkeypatch, capsys=capsys)
@@ -277,6 +297,14 @@ class TestErrorsAndExitCodes:
                                  monkeypatch=monkeypatch, capsys=capsys)
         assert code == 65 and out == ""
         assert err == "parse error: line 2: vertex count 99999999999999999999 is too large to build\n"
+
+    def test_bad_byte_in_file_is_65_with_line(self, capsys, tmp_path):
+        corpus = tmp_path / "bad.g6"
+        corpus.write_bytes(b"Ch\n\xff\n")
+        code, out, err = run_cli(["verify", "--theorem", "g13", "--corpus", str(corpus)],
+                                 capsys=capsys)
+        assert code == 65 and out == ""
+        assert err == "parse error: line 2: byte 255 outside graph6 alphabet\n"
 
     def test_missing_file_is_65(self, capsys, monkeypatch):
         code, _, err = run_cli(["verify", "--theorem", "g13", "--corpus", "/no/such/file"],

@@ -52,6 +52,19 @@ class TestOrderedMap:
         assert _pool.ordered_map(lambda x: x * 10, items, workers=workers) == [x * 10 for x in items]
 
 
+class TestWorkerCount:
+    @pytest.mark.parametrize("env, cpus, expected", [
+        ("100000", 2, 2), ("3", 8, 3), ("0", 4, 1), (None, 6, 6), (None, None, 1), ("5", None, 1),
+    ])
+    def test_capped_at_the_cpu_count(self, monkeypatch, env, cpus, expected):
+        if env is None:
+            monkeypatch.delenv("SUBSEC_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("SUBSEC_THREADS", env)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert _pool.worker_count() == expected
+
+
 class TestRunCorpusChunked:
     def test_two_workers_equal_one(self, recording_pool):
         corpus = bundled_corpus()[:40]
