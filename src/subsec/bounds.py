@@ -224,7 +224,8 @@ def _corpus_task(args):
 
 
 def _normalize(entries):
-    return [(emit_graph6(e), e) if isinstance(e, Graph) else e for e in entries]
+    pairs = ((None, e) if isinstance(e, Graph) else e for e in entries)
+    return [(emit_graph6(g) if gid is None else gid, g) for gid, g in pairs]
 
 
 def run_corpus(
@@ -236,9 +237,10 @@ def run_corpus(
 ) -> list[BoundCheck]:
     """One BoundCheck per (graph, theorem), in input order x theorem order.
 
-    Entries are Graphs or (graph_id, Graph) pairs. Work may fan out to
-    ``workers`` processes (default: SUBSEC_THREADS or machine parallelism);
-    the output is identical regardless of worker count.
+    Entries are Graphs or (graph_id, Graph) pairs; a None id means the
+    emitted graph6. Work may fan out to ``workers`` processes (default:
+    SUBSEC_THREADS or machine parallelism); the output is identical
+    regardless of worker count.
     """
     pairs = _normalize(entries)
     tids = tuple(theorem_ids)

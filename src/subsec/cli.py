@@ -1,9 +1,10 @@
 """Command-line entry point.
 
 One graph per line throughout: a graph6 corpus holds one graph per line, an
-edge-list file holds a single graph. Each command reads all its input before
-it prints. All subcommands are deterministic for fixed inputs and flags;
-corpus work fans out to SUBSEC_THREADS workers without changing the output.
+edge-list file holds a single graph. Each command reads all its input, as
+bytes split at LF, CR or CRLF with no locale consulted, before it prints.
+All subcommands are deterministic for fixed inputs and flags; corpus work
+fans out to SUBSEC_THREADS workers without changing the output.
 
 Exit codes: 0 done, 2 violations found under --fail-on-violation, 64 usage
 error, 65 parse error (reported with its line number), 141 stdout closed by
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from pathlib import Path
 
 from . import bounds
 from .certificates import CONSTRUCTIONS, CertificateError
@@ -108,24 +110,20 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _read_stream(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    # as stdin is read: a byte that is not UTF-8 becomes a parse error on its line
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
-        return handle.read()
+def _read_lines(path: str) -> list[str]:
+    """Stripped lines, one character per byte: a bad byte keeps its value."""
+    data = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
+    return [line.strip().decode("latin-1") for line in data.splitlines()]
 
 
-def _read_graphs(path: str, fmt: str) -> list[tuple[str, Graph]]:
+def _read_graphs(path: str, fmt: str) -> list[tuple[str | None, Graph]]:
     """(graph_id, Graph) pairs: one per nonblank line for g6, one per file
     for edge lists. graph_id is the input g6 line without its ``>>graph6<<``
-    header, or the emitted g6 of a parsed edge list."""
-    text = _read_stream(path)
+    header, or None for an edge list (``bounds`` names it by its g6)."""
+    lines = _read_lines(path)
     if fmt == "edges":
-        g = parse_edgelist(text)
-        return [(emit_graph6(g), g)]
-    lines = text.splitlines()
-    ids = [line.strip().removeprefix(">>graph6<<") for line in lines if line.strip()]
+        return [(None, parse_edgelist("\n".join(lines)))]
+    ids = [line.removeprefix(">>graph6<<") for line in lines if line]
     return list(zip(ids, iter_graph6(lines)))
 
 
@@ -181,7 +179,11 @@ def _cmd_solve(args, out, secure: bool) -> int:
 
 def _cmd_cert(args, out) -> int:
     row = CONSTRUCTIONS[args.theorem]
-    k = row.resolve({"--k": args.k, "-n": args.n}.get(row.param))  # checked before input is read
+    flags = {"--k": args.k, "-n": args.n}
+    k = row.resolve(flags.get(row.param))  # checked before input is read
+    for flag, value in flags.items():
+        if value is not None and flag != row.param:
+            raise _UsageError(f"--theorem {row.id} takes no {flag}")
     for _, g in _read_graphs(args.input, args.format):
         sm = subdivide(g, k)
         built = row.build(sm)

@@ -288,9 +288,7 @@ def parse_graph6(line: str) -> Graph:
     for ch in text:
         code = ord(ch) - 63
         if not 0 <= code <= 63:
-            # a byte that is not UTF-8 was read as its surrogateescape surrogate
-            byte = ord(ch) - 0xDC00 if 0xDC80 <= ord(ch) <= 0xDCFF else ord(ch)
-            raise ParseError(f"byte {byte} outside graph6 alphabet")
+            raise ParseError(f"byte {ord(ch)} outside graph6 alphabet")
         values.append(code)
     pos = 0
     if values[0] != 63:
@@ -338,7 +336,7 @@ def iter_graph6(lines: Iterable[str]) -> Iterator[Graph]:
     """Parse a stream of graph6 lines, skipping blank lines. ParseErrors are
     re-raised with the 1-based line number attached."""
     for lineno, raw in enumerate(lines, start=1):
-        text = raw.strip()
+        text = raw.strip(" \t\n\r\v\f")  # ASCII only: other bytes meet the alphabet check
         if not text:
             continue
         try:
@@ -349,7 +347,7 @@ def iter_graph6(lines: Iterable[str]) -> Iterator[Graph]:
 
 # ---------------------------------------------------------------------------
 # Edge-list text format: '#' comments, a "p <n>" size line, then "e <u> <v>"
-# lines with 0-based ids.
+# lines with 0-based ids. Lines end at "\n" and numbers are ASCII decimals.
 # ---------------------------------------------------------------------------
 
 
@@ -359,10 +357,19 @@ def emit_edgelist(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _decimal(field: str) -> int:
+    """An optional '-' and the ASCII digits 0-9; int() alone would also take
+    '1_1', '+1' and the digits of other scripts."""
+    digits = field.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(field)
+    return int(field)
+
+
 def parse_edgelist(text: str) -> Graph:
     n = size_line = None
     edges = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -371,7 +378,7 @@ def parse_edgelist(text: str) -> Graph:
             if fields[0] != "p" or len(fields) != 2:
                 raise ParseError("expected 'p <n>' size line", line_number=lineno)
             try:
-                n = int(fields[1])
+                n = _decimal(fields[1])
             except ValueError:
                 raise ParseError(f"bad vertex count {fields[1]!r}", line_number=lineno) from None
             if n < 0:
@@ -381,7 +388,7 @@ def parse_edgelist(text: str) -> Graph:
         if fields[0] != "e" or len(fields) != 3:
             raise ParseError(f"expected 'e <u> <v>' line, got {line!r}", line_number=lineno)
         try:
-            u, v = int(fields[1]), int(fields[2])
+            u, v = _decimal(fields[1]), _decimal(fields[2])
         except ValueError:
             raise ParseError(f"bad edge endpoints in {line!r}", line_number=lineno) from None
         if not (0 <= u < n and 0 <= v < n) or u == v:
@@ -529,7 +536,7 @@ _CORPUS_RESOURCE = "connected_upto6.g6"
 
 
 def bundled_corpus_lines() -> list[str]:
-    data = resources.files(__package__).joinpath("data", _CORPUS_RESOURCE).read_text()
+    data = resources.files(__package__).joinpath("data", _CORPUS_RESOURCE).read_text(encoding="ascii")
     return [line for line in data.splitlines() if line.strip()]
 
 

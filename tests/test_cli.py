@@ -13,7 +13,8 @@ from subsec.cli import main
 
 def run_cli(args, stdin_text="", monkeypatch=None, capsys=None):
     if monkeypatch is not None:
-        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text))
+        data = stdin_text if isinstance(stdin_text, bytes) else stdin_text.encode()
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
     code = main(args)
     out, err = capsys.readouterr()
     return code, out, err
@@ -210,6 +211,23 @@ class TestCertCommand:
                                  monkeypatch=monkeypatch, capsys=capsys)
         assert code == 64 and out == "" and err == "usage error: --theorem star needs --k 2 or --k 3\n"
 
+    @pytest.mark.parametrize("stdin", ["", "A_\n"])
+    @pytest.mark.parametrize("flags, message", [
+        (["--theorem", "half", "--k", "3"], "--theorem half takes no --k"),
+        (["--theorem", "third", "-n", "9"], "--theorem third takes no -n"),
+        (["--theorem", "general", "-n", "6", "--k", "9"], "--theorem general takes no --k"),
+        (["--theorem", "star", "--k", "2", "-n", "2"], "--theorem star takes no -n"),
+        # the row's own parameter rule runs first, with its own message
+        (["--theorem", "star", "-n", "2"], "--theorem star needs --k 2 or --k 3"),
+        (["--theorem", "general", "-n", "5", "--k", "9"], "general needs -n >= 6, got 5"),
+        (["--theorem", "general", "--k", "9"], "general needs the subdivision parameter -n"),
+    ])
+    def test_unread_parameter_is_usage_error_before_input(self, capsys, monkeypatch, flags,
+                                                          message, stdin):
+        code, out, err = run_cli(["cert", *flags], stdin_text=stdin,
+                                 monkeypatch=monkeypatch, capsys=capsys)
+        assert code == 64 and out == "" and err == f"usage error: {message}\n"
+
     def test_star_on_non_star_base(self, capsys, monkeypatch):
         code, _, err = run_cli(["cert", "--theorem", "star", "--k", "2"], stdin_text="Ch\n",
                                monkeypatch=monkeypatch, capsys=capsys)
@@ -323,6 +341,84 @@ class TestErrorsAndExitCodes:
             os.close(write_end)
         assert proc.returncode == 141
         assert proc.stderr == b""
+
+
+class TestInputBytes:
+    """Stdin and files are read as bytes, split at LF, CR or CRLF and decoded
+    one character per byte, whatever the locale."""
+
+    def test_bad_byte_on_stdin_matches_file_under_utf8_io(self, tmp_path):
+        data = b"Ch\n\xff\n"
+        corpus = tmp_path / "bad.g6"
+        corpus.write_bytes(data)
+        env = {**os.environ, "PYTHONIOENCODING": "utf-8"}
+        base = [sys.executable, "-m", "subsec", "verify", "--theorem", "g13"]
+        piped = subprocess.run(base, input=data, capture_output=True, env=env)
+        named = subprocess.run([*base, "--corpus", str(corpus)], capture_output=True, env=env)
+        for proc in (piped, named):
+            assert proc.returncode == 65 and proc.stdout == b""
+            assert proc.stderr == b"parse error: line 2: byte 255 outside graph6 alphabet\n"
+
+    @pytest.mark.parametrize("data, byte", [(b"Ch\xa0\n", 160), (b"\x85\nCh\n", 133)])
+    def test_non_ascii_space_is_a_bad_byte(self, capsys, monkeypatch, data, byte):
+        code, out, err = run_cli(["gamma"], stdin_text=data, monkeypatch=monkeypatch, capsys=capsys)
+        assert code == 65 and out == ""
+        assert err == f"parse error: line 1: byte {byte} outside graph6 alphabet\n"
+
+    def test_utf8_comment_in_edge_list(self, capsys, monkeypatch, tmp_path):
+        # U+00C5 is C3 85, and 0x85 alone is NEL, a line break to str.splitlines
+        data = b"# r\xc3\x85d\np 3\ne 0 1\ne 1 2\n"
+        path = tmp_path / "p3.edges"
+        path.write_bytes(data)
+        args = ["gamma-s", "--format", "edges"]
+        piped = run_cli(args, stdin_text=data, monkeypatch=monkeypatch, capsys=capsys)
+        named = run_cli([*args, "--input", str(path)], capsys=capsys)
+        assert piped == named == (0, "value=2 status=exact witness=0,1\n", "")
+
+    @pytest.mark.parametrize("args", [["gamma-s"], ["verify", "--theorem", "prop1,g12"]])
+    def test_cr_and_crlf_lines_match_lf(self, capsys, monkeypatch, args):
+        lf = b">>graph6<<A_\n\nCh\nBw\n"
+        outs = [run_cli(args, stdin_text=lf.replace(b"\n", end),
+                        monkeypatch=monkeypatch, capsys=capsys)
+                for end in (b"\n", b"\r", b"\r\n")]
+        assert outs[0][0] == 0 and len(outs[0][1].splitlines()) >= 3
+        assert outs[0] == outs[1] == outs[2]
+
+    @pytest.mark.parametrize("text, message", [
+        ("p 1_1\n", "line 1: bad vertex count '1_1'"),
+        ("p 3\ne +1 2\n", "line 2: bad edge endpoints in 'e +1 2'"),
+        ("p \uff13\n", "line 1: bad vertex count"),
+        ("p 3\ne \u0661 0\n", "line 2: bad edge endpoints"),
+        ("p -3\n", "line 1: vertex count must be nonnegative"),
+    ])
+    def test_edge_list_numbers_are_ascii_decimals(self, capsys, monkeypatch, text, message):
+        code, out, err = run_cli(["gamma-s", "--format", "edges"], stdin_text=text,
+                                 monkeypatch=monkeypatch, capsys=capsys)
+        assert code == 65 and out == "" and err.startswith(f"parse error: {message}")
+
+    def test_edge_list_is_named_only_by_reports(self, capsys, monkeypatch):
+        from subsec import bounds, cli
+
+        def refuse(g):
+            raise AssertionError("graph6 id built for an unnamed graph")
+
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return emit_graph6(g)
+
+        monkeypatch.setattr(cli, "emit_graph6", refuse)
+        monkeypatch.setattr(bounds, "emit_graph6", refuse)
+        edges = "p 4\ne 0 1\ne 1 2\ne 2 3\n"
+        code, out, _ = run_cli(["gamma", "--format", "edges"], stdin_text=edges,
+                               monkeypatch=monkeypatch, capsys=capsys)
+        assert code == 0 and out == "value=2 status=exact witness=0,2\n"
+        monkeypatch.setattr(bounds, "emit_graph6", counted)
+        code, out, _ = run_cli(["verify", "--format", "edges", "--theorem", "g12,g13,conj"],
+                               stdin_text=edges, monkeypatch=monkeypatch, capsys=capsys)
+        assert code == 0 and len(calls) == 1
+        assert [line.split("\t")[0] for line in out.splitlines()[1:-1]] == ["Ch"] * 3
 
 
 class TestSubprocessPipeline:
