@@ -16,14 +16,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from pathlib import Path
 
-from . import bounds
-from .certificates import CONSTRUCTIONS, CertificateError
 from .graphs import (
     FAMILIES,
     Graph,
-    GraphError,
     ParseError,
     emit_edgelist,
     emit_graph6,
@@ -33,7 +29,6 @@ from .graphs import (
     parse_edgelist,
 )
 from .solver import ENGINES, SolverBudget, gamma_exact, gamma_s_exact
-from .subdivision import subdivide
 
 EX_USAGE = 64
 EX_DATAERR = 65
@@ -49,70 +44,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _add_budget_flags(sub):
-    sub.add_argument("--engine", choices=ENGINES, default=SolverBudget.engine)
-    sub.add_argument("--max-vertices", type=int, default=SolverBudget.max_vertices)
-    sub.add_argument("--max-nodes", type=int, default=SolverBudget.max_nodes)
-
-
-def _add_input_flags(sub, name="--input"):
-    sub.add_argument(name, default="-", help="file path, or - for stdin")
-    sub.add_argument("--format", choices=("g6", "edges"), default="g6")
-
-
-def build_parser() -> _Parser:
-    parser = _Parser(prog="subsec", description=__doc__.splitlines()[0])
-    commands = parser.add_subparsers(dest="command", required=True)
-
-    gen = commands.add_parser("gen", help="emit a named graph")
-    gen.add_argument("--family", choices=FAMILIES, required=True)
-    gen.add_argument("--n", type=int, required=True)
-    gen.add_argument("--p", type=float)
-    gen.add_argument("--seed", type=int)
-    gen.add_argument("--format", choices=("g6", "edges"), default="g6")
-
-    enum = commands.add_parser("enum", help="all connected graphs on n vertices, one per class")
-    enum.add_argument("--n", type=int, required=True)
-
-    sub = commands.add_parser("subdivide", help="replace each edge with a k-edge path")
-    _add_input_flags(sub)
-    sub.add_argument("--k", type=int, required=True)
-    sub.add_argument("--labels", action="store_true",
-                     help="append the id->label table as comments (edges format only)")
-
-    for name in ("gamma", "gamma-s"):
-        solv = commands.add_parser(name, help=f"exact {name.replace('-', '_')} of each input graph")
-        _add_input_flags(solv)
-        _add_budget_flags(solv)
-
-    cert = commands.add_parser("cert", help="build and validate a certificate construction")
-    _add_input_flags(cert)
-    cert.add_argument("--theorem", choices=tuple(CONSTRUCTIONS), required=True)
-    for flag in ("--k", "-n"):
-        ids = ", ".join(row.id for row in CONSTRUCTIONS.values() if row.param == flag)
-        cert.add_argument(flag, type=int, help=f"subdivision parameter for --theorem {ids}")
-
-    verify = commands.add_parser("verify", help="grade claimed bounds over a corpus")
-    _add_input_flags(verify, "--corpus")
-    verify.add_argument("--theorem", action="append", required=True,
-                        help="theorem id, repeatable or comma-separated: "
-                             + ", ".join(bounds.THEOREM_IDS))
-    verify.add_argument("-n", type=int, dest="n", help="subdivision parameter for g16/r024")
-    verify.add_argument("--output", choices=("tsv", "jsonl", "text"), default="tsv")
-    verify.add_argument("--fail-on-violation", action="store_true")
-    _add_budget_flags(verify)
-
-    conj = commands.add_parser("conjecture", help="scan a corpus for ratio gamma_s(G^{1/2})/|V|")
-    _add_input_flags(conj, "--corpus")
-    conj.add_argument("--output", choices=("tsv", "jsonl", "text"), default="tsv")
-    _add_budget_flags(conj)
-
-    return parser
-
-
 def _read_lines(path: str) -> list[str]:
     """Stripped lines, one character per byte: a bad byte keeps its value."""
-    data = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
+    if path == "-":
+        data = sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as handle:
+            data = handle.read()
     return [line.strip().decode("latin-1") for line in data.splitlines()]
 
 
@@ -134,8 +72,32 @@ def _emit_graph(g: Graph, fmt: str, out) -> None:
         out.write(emit_edgelist(g))
 
 
+def _add_budget_flags(sub):
+    sub.add_argument("--engine", choices=ENGINES, default=SolverBudget.engine)
+    sub.add_argument("--max-vertices", type=int, default=SolverBudget.max_vertices)
+    sub.add_argument("--max-nodes", type=int, default=SolverBudget.max_nodes)
+
+
+def _add_input_flags(sub, name="--input"):
+    sub.add_argument(name, default="-", help="file path, or - for stdin")
+    sub.add_argument("--format", choices=("g6", "edges"), default="g6")
+
+
 def _budget(args) -> SolverBudget:
     return SolverBudget(args.max_vertices, args.max_nodes, args.engine)
+
+
+# Each command is a flag builder and a runner. The modules only some
+# commands use (subdivision, certificates, bounds) are imported inside these
+# functions, so a run loads only its own command's modules.
+
+
+def _gen_flags(sub):
+    sub.add_argument("--family", choices=FAMILIES, required=True)
+    sub.add_argument("--n", type=int, required=True)
+    sub.add_argument("--p", type=float)
+    sub.add_argument("--seed", type=int)
+    sub.add_argument("--format", choices=("g6", "edges"), default="g6")
 
 
 def _cmd_gen(args, out) -> int:
@@ -144,13 +106,26 @@ def _cmd_gen(args, out) -> int:
     return 0
 
 
+def _enum_flags(sub):
+    sub.add_argument("--n", type=int, required=True)
+
+
 def _cmd_enum(args, out) -> int:
     for g in enumerate_connected(args.n):
         print(emit_graph6(g), file=out)
     return 0
 
 
+def _subdivide_flags(sub):
+    _add_input_flags(sub)
+    sub.add_argument("--k", type=int, required=True)
+    sub.add_argument("--labels", action="store_true",
+                     help="append the id->label table as comments (edges format only)")
+
+
 def _cmd_subdivide(args, out) -> int:
+    from .subdivision import subdivide
+
     if args.labels and args.format != "edges":
         raise _UsageError("--labels requires --format edges")
     if args.k < 1:
@@ -162,6 +137,11 @@ def _cmd_subdivide(args, out) -> int:
             for vid in range(sm.derived.n):
                 print(f"# label {vid}\t{sm.label(vid)}", file=out)
     return 0
+
+
+def _solve_flags(sub):
+    _add_input_flags(sub)
+    _add_budget_flags(sub)
 
 
 def _cmd_solve(args, out, secure: bool) -> int:
@@ -177,7 +157,20 @@ def _cmd_solve(args, out, secure: bool) -> int:
     return 0
 
 
+def _cert_flags(sub):
+    from .certificates import CONSTRUCTIONS
+
+    _add_input_flags(sub)
+    sub.add_argument("--theorem", choices=tuple(CONSTRUCTIONS), required=True)
+    for flag in ("--k", "-n"):
+        ids = ", ".join(row.id for row in CONSTRUCTIONS.values() if row.param == flag)
+        sub.add_argument(flag, type=int, help=f"subdivision parameter for --theorem {ids}")
+
+
 def _cmd_cert(args, out) -> int:
+    from .certificates import CONSTRUCTIONS
+    from .subdivision import subdivide
+
     row = CONSTRUCTIONS[args.theorem]
     flags = {"--k": args.k, "-n": args.n}
     k = row.resolve(flags.get(row.param))  # checked before input is read
@@ -198,7 +191,21 @@ def _cmd_cert(args, out) -> int:
     return 0
 
 
+def _verify_flags(sub):
+    from .bounds import THEOREM_IDS
+
+    _add_input_flags(sub, "--corpus")
+    sub.add_argument("--theorem", action="append", required=True,
+                     help="theorem id, repeatable or comma-separated: " + ", ".join(THEOREM_IDS))
+    sub.add_argument("-n", type=int, dest="n", help="subdivision parameter for g16/r024")
+    sub.add_argument("--output", choices=("tsv", "jsonl", "text"), default="tsv")
+    sub.add_argument("--fail-on-violation", action="store_true")
+    _add_budget_flags(sub)
+
+
 def _cmd_verify(args, out) -> int:
+    from . import bounds
+
     tids = [tid for chunk in args.theorem for tid in chunk.split(",") if tid]
     if not tids:
         raise _UsageError("--theorem names no theorem id")
@@ -212,7 +219,15 @@ def _cmd_verify(args, out) -> int:
     return 0
 
 
+def _conjecture_flags(sub):
+    _add_input_flags(sub, "--corpus")
+    sub.add_argument("--output", choices=("tsv", "jsonl", "text"), default="tsv")
+    _add_budget_flags(sub)
+
+
 def _cmd_conjecture(args, out) -> int:
+    from . import bounds
+
     pairs = _read_graphs(args.corpus, args.format)
     report = bounds.conjecture_scan(pairs, budget=_budget(args))
     for line in bounds.render_conjecture(report, args.output):
@@ -220,23 +235,42 @@ def _cmd_conjecture(args, out) -> int:
     return 0
 
 
+# command -> (help text, flag builder, runner), in the order --help lists them
 _COMMANDS = {
-    "gen": _cmd_gen,
-    "enum": _cmd_enum,
-    "subdivide": _cmd_subdivide,
-    "gamma": lambda args, out: _cmd_solve(args, out, secure=False),
-    "gamma-s": lambda args, out: _cmd_solve(args, out, secure=True),
-    "cert": _cmd_cert,
-    "verify": _cmd_verify,
-    "conjecture": _cmd_conjecture,
+    "gen": ("emit a named graph", _gen_flags, _cmd_gen),
+    "enum": ("all connected graphs on n vertices, one per class", _enum_flags, _cmd_enum),
+    "subdivide": ("replace each edge with a k-edge path", _subdivide_flags, _cmd_subdivide),
+    "gamma": ("exact gamma of each input graph", _solve_flags,
+              lambda args, out: _cmd_solve(args, out, secure=False)),
+    "gamma-s": ("exact gamma_s of each input graph", _solve_flags,
+                lambda args, out: _cmd_solve(args, out, secure=True)),
+    "cert": ("build and validate a certificate construction", _cert_flags, _cmd_cert),
+    "verify": ("grade claimed bounds over a corpus", _verify_flags, _cmd_verify),
+    "conjecture": ("scan a corpus for ratio gamma_s(G^{1/2})/|V|", _conjecture_flags,
+                   _cmd_conjecture),
 }
 
 
+def build_parser(command: str | None) -> _Parser:
+    """The parser of every command name, with the flags of ``command`` only:
+    no other command's flags can be parsed in the same run."""
+    parser = _Parser(prog="subsec", description=__doc__.splitlines()[0])
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name, (text, add_flags, _) in _COMMANDS.items():
+        sub = commands.add_parser(name, help=text)
+        if name == command:
+            add_flags(sub)
+    return parser
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # The top level takes no option with a value, so argparse reads the
+    # first argument that is not an option as the command.
+    parser = build_parser(next((arg for arg in argv if not arg.startswith("-")), None))
     try:
         args = parser.parse_args(argv)
-        code = _COMMANDS[args.command](args, sys.stdout)
+        code = _COMMANDS[args.command][2](args, sys.stdout)
         sys.stdout.flush()
         return code
     except BrokenPipeError:
@@ -252,7 +286,7 @@ def main(argv: list[str] | None = None) -> int:
         where = f"line {exc.line_number}: " if exc.line_number else ""
         print(f"parse error: {where}{exc}", file=sys.stderr)
         return EX_DATAERR
-    except (GraphError, CertificateError, ValueError) as exc:
+    except ValueError as exc:  # GraphError, CertificateError and other bad values
         print(f"usage error: {exc}", file=sys.stderr)
         return EX_USAGE
     except OSError as exc:

@@ -4,16 +4,19 @@ enumeration of small connected graphs, and graph6 / edge-list I/O.
 Vertices are the integers ``0..n-1``. Adjacency is stored as one bitmask per
 vertex, which keeps set operations (coverage, neighborhood unions) cheap for
 the exact solvers built on top.
+
+``Graph`` and ``VertexSet`` are plain classes, not frozen dataclasses: every
+CLI command builds them, and importing ``dataclasses`` (through ``inspect``)
+would cost a short run more than its solve. They keep a dataclass's
+contract: assigning a field raises AttributeError, equality and hashing go
+by the fields, and they pickle.
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from functools import cached_property
-from importlib import resources
 from itertools import combinations
-from typing import Iterable, Iterator
 
 
 class GraphError(ValueError):
@@ -32,22 +35,40 @@ class ParseError(ValueError):
         self.line_number = line_number
 
 
-@dataclass(frozen=True)
-class Graph:
+class _Record:
+    """Assigning or deleting an attribute raises AttributeError, as on a
+    frozen dataclass. Fields live in the instance ``__dict__``, so default
+    pickling restores them without calling ``__setattr__``, and
+    ``cached_property`` can store beside them."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Graph(_Record):
     """Simple undirected graph on vertices 0..n-1.
 
     ``adj_masks[v]`` is the neighbor set of v as a bitmask. Instances are
     immutable and safe to share across workers.
     """
 
-    n: int
-    adj_masks: tuple[int, ...]
+    _fields = ("n", "adj_masks")
 
-    def __post_init__(self):
-        if self.n < 0 or len(self.adj_masks) != self.n:
-            raise GraphError(f"adjacency length {len(self.adj_masks)} != n={self.n}")
-        full = (1 << self.n) - 1
-        for v, mask in enumerate(self.adj_masks):
+    def __init__(self, n: int, adj_masks: tuple[int, ...]):
+        self.__dict__.update(n=n, adj_masks=adj_masks)
+        if n < 0 or len(adj_masks) != n:
+            raise GraphError(f"adjacency length {len(adj_masks)} != n={n}")
+        full = (1 << n) - 1
+        for v, mask in enumerate(adj_masks):
             if mask & ~full:
                 raise GraphError(f"neighbor id out of range at vertex {v}")
             if mask >> v & 1:
@@ -57,8 +78,16 @@ class Graph:
                 low = rest & -rest
                 u = low.bit_length() - 1
                 rest ^= low
-                if not self.adj_masks[u] >> v & 1:
+                if not adj_masks[u] >> v & 1:
                     raise GraphError(f"asymmetric adjacency between {u} and {v}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.adj_masks) == (other.n, other.adj_masks)
+
+    def __hash__(self):
+        return hash((self.n, self.adj_masks))
 
     @cached_property
     def m(self) -> int:
@@ -94,17 +123,24 @@ class Graph:
         return out
 
 
-@dataclass(frozen=True)
-class VertexSet:
+class VertexSet(_Record):
     """A subset of the vertices of a graph with ``universe`` vertices."""
 
-    universe: int
-    members: frozenset[int]
+    _fields = ("universe", "members")
 
-    def __post_init__(self):
-        for v in self.members:
-            if not 0 <= v < self.universe:
-                raise GraphError(f"vertex {v} outside universe 0..{self.universe - 1}")
+    def __init__(self, universe: int, members: frozenset[int]):
+        self.__dict__.update(universe=universe, members=members)
+        for v in members:
+            if not 0 <= v < universe:
+                raise GraphError(f"vertex {v} outside universe 0..{universe - 1}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.universe, self.members) == (other.universe, other.members)
+
+    def __hash__(self):
+        return hash((self.universe, self.members))
 
     @classmethod
     def of(cls, universe: int, members: Iterable[int]) -> "VertexSet":
@@ -199,6 +235,8 @@ def generate(family: str, n: int, p: float | None = None, seed: int | None = Non
         raise GraphError("random family needs p in [0,1]")
     if seed is None:
         raise GraphError("random family needs an explicit seed")
+    import random  # only this family draws
+
     rng = random.Random(seed)
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return make_graph(n, edges)
@@ -536,6 +574,8 @@ _CORPUS_RESOURCE = "connected_upto6.g6"
 
 
 def bundled_corpus_lines() -> list[str]:
+    from importlib import resources  # only the bundled corpus is a package resource
+
     data = resources.files(__package__).joinpath("data", _CORPUS_RESOURCE).read_text(encoding="ascii")
     return [line for line in data.splitlines() if line.strip()]
 

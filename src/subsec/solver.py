@@ -32,55 +32,81 @@ can only uncover vertices that v privately dominates (coverage count exactly
 one), so the swap is valid iff those all lie in u's closed neighborhood. The
 definitional path (``defenders`` / ``full_recompute=True``) recomputes
 coverage from scratch and is what the tests cross-validate against.
+
+``SolverBudget`` and ``SolveResult`` are plain immutable classes, as
+``Graph`` is, rather than frozen dataclasses: they are on every solve's
+path, and importing ``dataclasses`` would cost a short ``gamma``/``gamma-s``
+run more than its solve. They compare, hash and pickle by their fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
 
-from .graphs import Graph, GraphError, VertexSet, max_degree
+from .graphs import Graph, GraphError, VertexSet, _Record, max_degree
 
 
 ENGINES = ("branch", "naive")
 
 
-@dataclass(frozen=True)
-class SolverBudget:
+class SolverBudget(_Record):
     """How an exact solve runs: the ``engine`` ("branch", the default search,
     or "naive", the definitional subset scan) and its caps, the graph's order
     ``max_vertices`` and the search effort ``max_nodes``. A solve past a cap
-    gives status "skipped"."""
+    gives status "skipped". The class attributes are the defaults, which
+    the CLI's flags read.
+    """
 
+    _fields = ("max_vertices", "max_nodes", "engine")
     max_vertices: int = 26
     max_nodes: int = 500_000_000
     engine: str = "branch"
 
-    def __post_init__(self):
-        if self.engine not in ENGINES:
-            raise ValueError(f"unknown engine {self.engine!r} (choose from {', '.join(ENGINES)})")
-        if self.max_vertices <= 0 or self.max_nodes <= 0:
+    def __init__(self, max_vertices: int = max_vertices, max_nodes: int = max_nodes,
+                 engine: str = engine):
+        self.__dict__.update(max_vertices=max_vertices, max_nodes=max_nodes, engine=engine)
+        if engine not in ENGINES:
+            raise ValueError(f"unknown engine {engine!r} (choose from {', '.join(ENGINES)})")
+        if max_vertices <= 0 or max_nodes <= 0:
             raise ValueError("budget caps must be positive")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.max_vertices, self.max_nodes, self.engine)
+                == (other.max_vertices, other.max_nodes, other.engine))
+
+    def __hash__(self):
+        return hash((self.max_vertices, self.max_nodes, self.engine))
 
 
 DEFAULT_BUDGET = SolverBudget()
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(_Record):
     """Outcome of an exact solve: the optimum and a witness, or "skipped".
 
     ``nodes`` counts search effort: branch nodes of the default engine, or
     subsets of the naive one, over every size the solve walked. ``cap`` names
-    the cap that made a solve "skipped": "vertices" or "nodes".
+    the cap that made a solve "skipped": "vertices" or "nodes". ``status``
+    is "exact" or "skipped".
     """
 
-    value: int | None
-    witness: VertexSet | None
-    status: str  # "exact" | "skipped"
-    nodes: int
-    cap: str | None = None
+    _fields = ("value", "witness", "status", "nodes", "cap")
+
+    def __init__(self, value: int | None, witness: VertexSet | None, status: str,
+                 nodes: int, cap: str | None = None):
+        self.__dict__.update(value=value, witness=witness, status=status, nodes=nodes, cap=cap)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.value, self.witness, self.status, self.nodes, self.cap)
+                == (other.value, other.witness, other.status, other.nodes, other.cap))
+
+    def __hash__(self):
+        return hash((self.value, self.witness, self.status, self.nodes, self.cap))
 
 
 class _BudgetExceeded(Exception):

@@ -1,0 +1,104 @@
+"""The immutable records every command builds: Graph, VertexSet, SolverBudget
+and SolveResult keep a frozen dataclass's contract without being one."""
+
+import pickle
+import re
+
+import pytest
+
+from subsec import Graph, GraphError, SolveResult, SolverBudget, VertexSet
+
+# (class, fields, the same fields with one changed)
+RECORDS = [
+    (Graph, {"n": 3, "adj_masks": (2, 5, 2)}, {"n": 3, "adj_masks": (0, 4, 2)}),
+    (VertexSet, {"universe": 4, "members": frozenset({1, 3})},
+     {"universe": 5, "members": frozenset({1, 3})}),
+    (SolverBudget, {"max_vertices": 10, "max_nodes": 1000, "engine": "naive"},
+     {"max_vertices": 10, "max_nodes": 1000, "engine": "branch"}),
+    (SolveResult, {"value": 1, "witness": VertexSet(3, frozenset({1})), "status": "exact",
+                   "nodes": 7, "cap": None},
+     {"value": None, "witness": None, "status": "skipped", "nodes": 7, "cap": "nodes"}),
+]
+IDS = [cls.__name__ for cls, _, _ in RECORDS]
+
+
+@pytest.mark.parametrize("cls, fields, _", RECORDS, ids=IDS)
+def test_fields_cannot_change(cls, fields, _):
+    record = cls(**fields)
+    for name, value in fields.items():
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(record, name, value)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    assert {name: getattr(record, name) for name in fields} == fields
+
+
+@pytest.mark.parametrize("cls, fields, changed", RECORDS, ids=IDS)
+def test_equality_and_hash_go_by_fields(cls, fields, changed):
+    record, twin = cls(**fields), cls(**fields)
+    assert record is not twin and record == twin and not record != twin
+    assert hash(record) == hash(twin) == hash(tuple(fields.values()))
+    assert record != cls(**changed)
+    assert len({record, twin, cls(**changed)}) == 2
+    # another class with the same fields is never equal, a subclass included
+    subclass = type("Sub", (cls,), {})
+    assert record != subclass(**fields) and subclass(**fields) != record
+    assert record != tuple(fields.values())
+
+
+@pytest.mark.parametrize("cls, fields, _", RECORDS, ids=IDS)
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_pickle_round_trip(cls, fields, _, protocol):
+    record = cls(**fields)
+    back = pickle.loads(pickle.dumps(record, protocol))
+    assert type(back) is cls and back == record and hash(back) == hash(record)
+    with pytest.raises(AttributeError):
+        setattr(back, next(iter(fields)), None)
+
+
+def test_pickled_graph_keeps_its_lazy_tables_working():
+    g = Graph(3, (2, 5, 2))
+    assert "closed_masks" not in vars(g) and "m" not in vars(g)
+    assert g.closed_masks == (3, 7, 6) and g.m == 2
+    assert vars(g)["closed_masks"] == (3, 7, 6)  # computed once, then stored
+    back = pickle.loads(pickle.dumps(g))
+    assert back.closed_masks == (3, 7, 6) and back.m == 2
+    fresh = pickle.loads(pickle.dumps(Graph(3, (2, 5, 2))))
+    assert fresh.closed_masks == (3, 7, 6) and fresh.full_mask == 7
+    vs = VertexSet(4, frozenset({1, 3}))
+    assert vs.mask == 0b1010 and pickle.loads(pickle.dumps(vs)).mask == 0b1010
+
+
+def test_positional_keyword_and_default_construction():
+    assert Graph(2, (2, 1)) == Graph(n=2, adj_masks=(2, 1))
+    assert VertexSet(3, frozenset({0})) == VertexSet(universe=3, members=frozenset({0}))
+    assert SolverBudget.max_vertices == 26 and SolverBudget.max_nodes == 500_000_000
+    assert SolverBudget.engine == "branch"
+    default = SolverBudget()
+    assert (default.max_vertices, default.max_nodes, default.engine) == (26, 500_000_000, "branch")
+    assert default == SolverBudget(26, 500_000_000, "branch") == SolverBudget(
+        engine="branch", max_nodes=500_000_000, max_vertices=26)
+    assert SolverBudget(5).max_vertices == 5 and SolverBudget(5).engine == "branch"
+    assert SolveResult(1, None, "exact", 0).cap is None
+    assert SolveResult(None, None, "skipped", 3, "nodes") == SolveResult(
+        value=None, witness=None, status="skipped", nodes=3, cap="nodes")
+    assert repr(SolverBudget()) == "SolverBudget(max_vertices=26, max_nodes=500000000, engine='branch')"
+    assert repr(Graph(2, (2, 1))) == "Graph(n=2, adj_masks=(2, 1))"
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: SolverBudget(engine="dp"), ValueError, "unknown engine 'dp' (choose from branch, naive)"),
+    (lambda: SolverBudget(max_nodes=0), ValueError, "budget caps must be positive"),
+    (lambda: SolverBudget(max_vertices=-1), ValueError, "budget caps must be positive"),
+    (lambda: Graph(3, (0, 0)), GraphError, "adjacency length 2 != n=3"),
+    (lambda: Graph(-1, ()), GraphError, "adjacency length 0 != n=-1"),
+    (lambda: Graph(2, (4, 0)), GraphError, "neighbor id out of range at vertex 0"),
+    (lambda: Graph(2, (1, 0)), GraphError, "self-loop at vertex 0"),
+    (lambda: Graph(2, (2, 0)), GraphError, "asymmetric adjacency between 1 and 0"),
+    (lambda: VertexSet(3, frozenset({3})), GraphError, "vertex 3 outside universe 0..2"),
+])
+def test_validation_messages(build, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build()
