@@ -14,7 +14,6 @@ budget exhaustion, where no exact value exists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 import json
@@ -22,15 +21,14 @@ from typing import Callable
 
 from . import _pool
 from .certificates import seventh
-from .graphs import Graph, emit_graph6, is_star, max_degree
+from .graphs import Graph, _Record, emit_graph6, is_star, max_degree
 from .solver import DEFAULT_BUDGET, SolverBudget, gamma_exact, gamma_s_exact, path_secure_formula
 from .subdivision import subdivide
 
 _STATUSES = ("holds", "tight", "violated", "skipped")
 
 
-@dataclass(frozen=True)
-class BoundCheck:
+class BoundCheck(_Record):
     graph_id: str
     theorem_id: str
     lower: Fraction | int | None
@@ -41,8 +39,7 @@ class BoundCheck:
     detail: str
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(_Record):
     """One cataloged claim on gamma_s(G^{1/k}).
 
     ``k`` is the subdivision parameter, or a function that takes the ``-n``
@@ -262,8 +259,7 @@ def summarize(checks) -> dict[str, int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConjectureRow:
+class ConjectureRow(_Record):
     graph_id: str
     n: int
     value: int | None
@@ -271,8 +267,7 @@ class ConjectureRow:
     status: str  # "ok" | "counterexample" | "skipped"
 
 
-@dataclass(frozen=True)
-class ConjectureReport:
+class ConjectureReport(_Record):
     rows: tuple[ConjectureRow, ...]
     min_ratio: Fraction | None
     witnesses: tuple[str, ...]

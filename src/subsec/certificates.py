@@ -20,10 +20,9 @@ hub on each incident superedge regardless of id order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
-from .graphs import VertexSet, is_star, max_degree
+from .graphs import VertexSet, _Record, is_star, max_degree
 from .solver import is_secure_dominating, path_secure_formula
 from .subdivision import SubdivisionMap
 
@@ -32,14 +31,13 @@ class CertificateError(ValueError):
     """Preconditions not met (wrong k, star/non-star input, ...)."""
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(_Record):
     theorem_id: str
     vertices: VertexSet
     claimed_size: int
     validated: bool
 
-    def __post_init__(self):
+    def _check(self) -> None:
         if len(self.vertices) != self.claimed_size:
             raise CertificateError(
                 f"{self.theorem_id}: built {len(self.vertices)} vertices, "
@@ -47,8 +45,7 @@ class Certificate:
             )
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(_Record):
     """n = 7k + r. ``covered`` is True for the residues r in {-1, 1, 3, 5}
     handled by the closed-form construction; otherwise r is n mod 7
     (0, 2 or 4) and only two-sided bounds apply."""
@@ -180,8 +177,7 @@ def _star_k(k: int | None) -> int:
     return k
 
 
-@dataclass(frozen=True)
-class Construction:
+class Construction(_Record):
     """``k`` is the subdivision parameter, or a function that takes the
     value of the ``param`` option (``--k`` or ``-n``), rejects values the
     construction is not stated for, and returns k. ``build`` returns one

@@ -168,7 +168,7 @@ def _cert_flags(sub):
 
 
 def _cmd_cert(args, out) -> int:
-    from .certificates import CONSTRUCTIONS
+    from .certificates import CONSTRUCTIONS, CertificateError
     from .subdivision import subdivide
 
     row = CONSTRUCTIONS[args.theorem]
@@ -179,7 +179,11 @@ def _cmd_cert(args, out) -> int:
             raise _UsageError(f"--theorem {row.id} takes no {flag}")
     for _, g in _read_graphs(args.input, args.format):
         sm = subdivide(g, k)
-        built = row.build(sm)
+        try:
+            built = row.build(sm)
+        except CertificateError as exc:  # a base the construction does not take
+            print(f"theorem={row.id} status=skipped ({exc})", file=out)
+            continue
         for cert in built if isinstance(built, tuple) else (built,):
             ids = cert.vertices.sorted()
             labels = ",".join(str(sm.label(v)) for v in ids)
@@ -209,7 +213,9 @@ def _cmd_verify(args, out) -> int:
     tids = [tid for chunk in args.theorem for tid in chunk.split(",") if tid]
     if not tids:
         raise _UsageError("--theorem names no theorem id")
-    bounds.resolve_claims(tids, args.n)  # a usage error ends the run before input is read
+    claims = bounds.resolve_claims(tids, args.n)  # usage errors end the run before input is read
+    if args.n is not None and all(isinstance(claim.k, int) for claim, _ in claims):
+        raise _UsageError(f"--theorem {','.join(tids)} takes no -n")
     pairs = _read_graphs(args.corpus, args.format)
     checks = bounds.run_corpus(pairs, tids, n=args.n, budget=_budget(args))
     for line in bounds.render_checks(checks, args.output):

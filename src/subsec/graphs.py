@@ -4,12 +4,6 @@ enumeration of small connected graphs, and graph6 / edge-list I/O.
 Vertices are the integers ``0..n-1``. Adjacency is stored as one bitmask per
 vertex, which keeps set operations (coverage, neighborhood unions) cheap for
 the exact solvers built on top.
-
-``Graph`` and ``VertexSet`` are plain classes, not frozen dataclasses: every
-CLI command builds them, and importing ``dataclasses`` (through ``inspect``)
-would cost a short run more than its solve. They keep a dataclass's
-contract: assigning a field raises AttributeError, equality and hashing go
-by the fields, and they pickle.
 """
 
 from __future__ import annotations
@@ -36,12 +30,55 @@ class ParseError(ValueError):
 
 
 class _Record:
-    """Assigning or deleting an attribute raises AttributeError, as on a
-    frozen dataclass. Fields live in the instance ``__dict__``, so default
-    pickling restores them without calling ``__setattr__``, and
-    ``cached_property`` can store beside them."""
+    """An immutable record, the package's one way to declare one. A subclass
+    lists each field once, as an annotated class attribute; a value on it is
+    the field's default. Construction binds positional and keyword arguments
+    to the fields, then calls ``_check`` to validate. Records compare (same
+    class only) and hash by the tuple of their fields, and assigning or
+    deleting an attribute raises AttributeError. Fields live in the instance
+    ``__dict__``, so default pickling restores them without calling
+    ``__setattr__``, and ``cached_property`` can store beside them."""
 
     _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        # A class's own annotations (Python >= 3.10) follow its base's fields.
+        cls._fields = (*cls._fields, *cls.__annotations__)
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        fields = cls._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{cls.__name__}() takes {len(fields)} positional arguments "
+                            f"but {len(args)} were given")
+        values = dict(zip(fields, args))
+        for name in fields[len(args):]:
+            if name in kwargs:
+                values[name] = kwargs.pop(name)
+            elif hasattr(cls, name):
+                values[name] = getattr(cls, name)
+            else:
+                raise TypeError(f"{cls.__name__}() missing argument {name!r}")
+        if kwargs:
+            name = next(iter(kwargs))
+            problem = "multiple values for" if name in values else "an unexpected keyword"
+            raise TypeError(f"{cls.__name__}() got {problem} argument {name!r}")
+        self.__dict__.update(values)
+        self._check()
+
+    def _check(self) -> None:
+        """Raise if the fields do not make a valid record."""
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -61,10 +98,11 @@ class Graph(_Record):
     immutable and safe to share across workers.
     """
 
-    _fields = ("n", "adj_masks")
+    n: int
+    adj_masks: tuple[int, ...]
 
-    def __init__(self, n: int, adj_masks: tuple[int, ...]):
-        self.__dict__.update(n=n, adj_masks=adj_masks)
+    def _check(self) -> None:
+        n, adj_masks = self.n, self.adj_masks
         if n < 0 or len(adj_masks) != n:
             raise GraphError(f"adjacency length {len(adj_masks)} != n={n}")
         full = (1 << n) - 1
@@ -80,14 +118,6 @@ class Graph(_Record):
                 rest ^= low
                 if not adj_masks[u] >> v & 1:
                     raise GraphError(f"asymmetric adjacency between {u} and {v}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.adj_masks) == (other.n, other.adj_masks)
-
-    def __hash__(self):
-        return hash((self.n, self.adj_masks))
 
     @cached_property
     def m(self) -> int:
@@ -126,21 +156,13 @@ class Graph(_Record):
 class VertexSet(_Record):
     """A subset of the vertices of a graph with ``universe`` vertices."""
 
-    _fields = ("universe", "members")
+    universe: int
+    members: frozenset[int]
 
-    def __init__(self, universe: int, members: frozenset[int]):
-        self.__dict__.update(universe=universe, members=members)
-        for v in members:
-            if not 0 <= v < universe:
-                raise GraphError(f"vertex {v} outside universe 0..{universe - 1}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.universe, self.members) == (other.universe, other.members)
-
-    def __hash__(self):
-        return hash((self.universe, self.members))
+    def _check(self) -> None:
+        for v in self.members:
+            if not 0 <= v < self.universe:
+                raise GraphError(f"vertex {v} outside universe 0..{self.universe - 1}")
 
     @classmethod
     def of(cls, universe: int, members: Iterable[int]) -> "VertexSet":

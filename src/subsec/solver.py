@@ -32,11 +32,6 @@ can only uncover vertices that v privately dominates (coverage count exactly
 one), so the swap is valid iff those all lie in u's closed neighborhood. The
 definitional path (``defenders`` / ``full_recompute=True``) recomputes
 coverage from scratch and is what the tests cross-validate against.
-
-``SolverBudget`` and ``SolveResult`` are plain immutable classes, as
-``Graph`` is, rather than frozen dataclasses: they are on every solve's
-path, and importing ``dataclasses`` would cost a short ``gamma``/``gamma-s``
-run more than its solve. They compare, hash and pickle by their fields.
 """
 
 from __future__ import annotations
@@ -58,27 +53,15 @@ class SolverBudget(_Record):
     the CLI's flags read.
     """
 
-    _fields = ("max_vertices", "max_nodes", "engine")
     max_vertices: int = 26
     max_nodes: int = 500_000_000
     engine: str = "branch"
 
-    def __init__(self, max_vertices: int = max_vertices, max_nodes: int = max_nodes,
-                 engine: str = engine):
-        self.__dict__.update(max_vertices=max_vertices, max_nodes=max_nodes, engine=engine)
-        if engine not in ENGINES:
-            raise ValueError(f"unknown engine {engine!r} (choose from {', '.join(ENGINES)})")
-        if max_vertices <= 0 or max_nodes <= 0:
+    def _check(self) -> None:
+        if self.engine not in ENGINES:
+            raise ValueError(f"unknown engine {self.engine!r} (choose from {', '.join(ENGINES)})")
+        if self.max_vertices <= 0 or self.max_nodes <= 0:
             raise ValueError("budget caps must be positive")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.max_vertices, self.max_nodes, self.engine)
-                == (other.max_vertices, other.max_nodes, other.engine))
-
-    def __hash__(self):
-        return hash((self.max_vertices, self.max_nodes, self.engine))
 
 
 DEFAULT_BUDGET = SolverBudget()
@@ -93,20 +76,11 @@ class SolveResult(_Record):
     is "exact" or "skipped".
     """
 
-    _fields = ("value", "witness", "status", "nodes", "cap")
-
-    def __init__(self, value: int | None, witness: VertexSet | None, status: str,
-                 nodes: int, cap: str | None = None):
-        self.__dict__.update(value=value, witness=witness, status=status, nodes=nodes, cap=cap)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.value, self.witness, self.status, self.nodes, self.cap)
-                == (other.value, other.witness, other.status, other.nodes, other.cap))
-
-    def __hash__(self):
-        return hash((self.value, self.witness, self.status, self.nodes, self.cap))
+    value: int | None
+    witness: VertexSet | None
+    status: str
+    nodes: int
+    cap: str | None = None
 
 
 class _BudgetExceeded(Exception):

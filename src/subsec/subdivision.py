@@ -9,15 +9,13 @@ certificates, witnesses, reports) byte-stable across runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
 
-from .graphs import Graph, GraphError
+from .graphs import Graph, GraphError, _Record
 
 
-@dataclass(frozen=True)
-class Original:
+class Original(_Record):
     """A vertex of the derived graph that was already a vertex of the base."""
 
     u: int
@@ -26,8 +24,7 @@ class Original:
         return f"Original({self.u})"
 
 
-@dataclass(frozen=True)
-class Internal:
+class Internal(_Record):
     """Interior vertex of the path replacing base edge (u, v), u < v, at
     distance l from u (1 <= l <= k-1)."""
 
@@ -42,8 +39,7 @@ class Internal:
 SubdividedVertex = Union[Original, Internal]
 
 
-@dataclass(frozen=True, eq=False)
-class SubdivisionMap:
+class SubdivisionMap(_Record):
     """The derived graph of a k-subdivision plus the bidirectional labeling
     between derived ids and base vertices/edge interiors."""
 

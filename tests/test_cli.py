@@ -4,9 +4,11 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
+import subsec
 from subsec import emit_graph6, gamma_s_exact, generate, parse_graph6, subdivide
 from subsec.cli import main
 
@@ -229,9 +231,33 @@ class TestCertCommand:
         assert code == 64 and out == "" and err == f"usage error: {message}\n"
 
     def test_star_on_non_star_base(self, capsys, monkeypatch):
-        code, _, err = run_cli(["cert", "--theorem", "star", "--k", "2"], stdin_text="Ch\n",
-                               monkeypatch=monkeypatch, capsys=capsys)
-        assert code == 64 and "star" in err
+        code, out, err = run_cli(["cert", "--theorem", "star", "--k", "2"], stdin_text="Ch\n",
+                                 monkeypatch=monkeypatch, capsys=capsys)
+        assert code == 0 and err == ""
+        assert out == "theorem=star status=skipped (star certificate needs a star base)\n"
+
+    @pytest.mark.parametrize("flags, built, skipped", [
+        (["--theorem", "half"], 137, {"half certificate needs at least one edge": 1,
+                                      "half certificate excludes stars": 5}),
+        (["--theorem", "star", "--k", "2"], 5, {"star certificate needs a star base": 138}),
+        (["--theorem", "fifth"], 142, {"fifth certificate needs at least one edge": 1}),
+        (["--theorem", "third"], 143, {}),
+        (["--theorem", "quarter"], 143, {}),
+        (["--theorem", "general", "-n", "13"], 143, {}),
+    ])
+    def test_bases_a_construction_cannot_take_are_skipped(self, capsys, flags, built, skipped):
+        """One skip line per base the construction does not take; the rest
+        of the corpus is still certified, in input order."""
+        corpus = os.path.join(os.path.dirname(subsec.__file__), "data", "connected_upto6.g6")
+        code, out, err = run_cli(["cert", *flags, "--input", corpus], capsys=capsys)
+        assert code == 0 and err == ""
+        lines = out.splitlines()
+        prefix = f"theorem={flags[1]} status=skipped ("
+        reasons = Counter(line.removeprefix(prefix).removesuffix(")")
+                          for line in lines if " status=skipped " in line)
+        assert reasons == Counter(skipped)
+        per_graph = 2 if flags[1] == "half" else 1  # half prints two certificates
+        assert len(lines) == 3 * per_graph * built + sum(skipped.values())
 
 
 class TestVerifyCommand:
@@ -282,6 +308,24 @@ class TestVerifyCommand:
         reason = ("needs n mod 7 in (0, 2, 4); n=8 is r=1" if n == "8"
                   else f"needs -n >= 6, got {n}")
         assert code == 64 and out == "" and err == f"usage error: {theorem} {reason}\n"
+
+    @pytest.mark.parametrize("stdin", ["", "Ch\n", "not graph6 !!\n"])
+    @pytest.mark.parametrize("theorems", [["g14"], ["prop1,g12", "--theorem", "conj"],
+                                          ["g13,,g15"]])
+    def test_n_read_by_no_claim_is_usage_error_before_input(self, capsys, monkeypatch,
+                                                            theorems, stdin):
+        code, out, err = run_cli(["verify", "--theorem", *theorems, "-n", "13"], stdin_text=stdin,
+                                 monkeypatch=monkeypatch, capsys=capsys)
+        ids = ",".join(tid for arg in theorems[::2] for tid in arg.split(",") if tid)
+        assert code == 64 and out == "" and err == f"usage error: --theorem {ids} takes no -n\n"
+
+    @pytest.mark.parametrize("theorems", ["g14,g16", "r024,prop1"])
+    def test_n_is_valid_when_one_claim_reads_it(self, capsys, monkeypatch, theorems):
+        n = "13" if "g16" in theorems else "14"
+        code, out, err = run_cli(["verify", "--theorem", theorems, "-n", n, "--max-vertices", "8"],
+                                 stdin_text="A_\n", monkeypatch=monkeypatch, capsys=capsys)
+        assert code == 0 and err == ""
+        assert [line.split("\t")[1] for line in out.splitlines()[1:-1]] == theorems.split(",")
 
     @pytest.mark.parametrize("theorem", [",", ""])
     def test_empty_theorem_list_is_usage_error_before_input(self, capsys, monkeypatch, theorem):

@@ -37,6 +37,17 @@ def test_a_solve_loads_only_graphs_and_solver(command):
     assert not modules & NOT_FOR_A_SOLVE
 
 
+@pytest.mark.parametrize("args, module", [
+    (("verify", "--theorem", "prop1"), "subsec.bounds"),
+    (("conjecture",), "subsec.bounds"),
+    (("cert", "--theorem", "third"), "subsec.certificates"),
+])
+def test_records_need_neither_dataclasses_nor_inspect(args, module):
+    modules = imported("-m", "subsec", *args)
+    assert module in modules and "subsec.subdivision" in modules
+    assert not modules & {"dataclasses", "inspect"}
+
+
 def test_import_subsec_loads_no_submodule():
     modules = imported("-c", "import subsec")
     assert "subsec" in modules

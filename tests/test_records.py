@@ -1,14 +1,24 @@
-"""The immutable records every command builds: Graph, VertexSet, SolverBudget
-and SolveResult keep a frozen dataclass's contract without being one."""
+"""Every record class in subsec is a ``graphs._Record``: each declares its
+fields once, and all share one contract of frozen fields, equality and hash
+by the fields, pickling, repr and argument binding."""
 
 import pickle
 import re
+from fractions import Fraction
 
 import pytest
 
 from subsec import Graph, GraphError, SolveResult, SolverBudget, VertexSet
+from subsec.bounds import BoundCheck, Claim, ConjectureReport, ConjectureRow
+from subsec.certificates import (Certificate, CertificateError, Construction, Decomposition,
+                                 cert_third)
+from subsec.graphs import is_star
+from subsec.subdivision import Internal, Original, SubdivisionMap, subdivide
 
-# (class, fields, the same fields with one changed)
+P2 = Graph(2, (2, 1))
+ROW = ConjectureRow("Bw", 3, 2, Fraction(2, 3), "counterexample")
+
+# (class, every field in declaration order, the same fields with one changed)
 RECORDS = [
     (Graph, {"n": 3, "adj_masks": (2, 5, 2)}, {"n": 3, "adj_masks": (0, 4, 2)}),
     (VertexSet, {"universe": 4, "members": frozenset({1, 3})},
@@ -18,6 +28,33 @@ RECORDS = [
     (SolveResult, {"value": 1, "witness": VertexSet(3, frozenset({1})), "status": "exact",
                    "nodes": 7, "cap": None},
      {"value": None, "witness": None, "status": "skipped", "nodes": 7, "cap": "nodes"}),
+    (BoundCheck, {"graph_id": "Ch", "theorem_id": "g13", "lower": Fraction(7, 2), "upper": 4,
+                  "equality": None, "exact": 4, "status": "tight", "detail": "at upper"},
+     {"graph_id": "Ch", "theorem_id": "g13", "lower": Fraction(7, 2), "upper": 4,
+      "equality": None, "exact": 5, "status": "violated", "detail": "exact 5 > upper 4"}),
+    (Claim, {"id": "t", "k": 2, "lower": None, "upper": None, "equality": None,
+             "precondition": is_star, "strict": True, "text": "γ", "note": None, "skip": None},
+     {"id": "t", "k": 3, "lower": None, "upper": None, "equality": None,
+      "precondition": is_star, "strict": True, "text": "γ", "note": None, "skip": None}),
+    (ConjectureRow, {"graph_id": "Bw", "n": 3, "value": 2, "ratio": Fraction(2, 3),
+                     "status": "counterexample"},
+     {"graph_id": "Bw", "n": 3, "value": None, "ratio": None, "status": "skipped"}),
+    (ConjectureReport, {"rows": (ROW,), "min_ratio": Fraction(2, 3), "witnesses": ("Bw",),
+                        "counterexamples": ("Bw",), "skipped": ()},
+     {"rows": (ROW,), "min_ratio": Fraction(2, 3), "witnesses": ("Bw",),
+      "counterexamples": (), "skipped": ()}),
+    (Certificate, {"theorem_id": "third", "vertices": VertexSet(4, frozenset({2, 3})),
+                   "claimed_size": 2, "validated": True},
+     {"theorem_id": "third", "vertices": VertexSet(4, frozenset({2, 3})),
+      "claimed_size": 2, "validated": False}),
+    (Decomposition, {"n": 13, "k": 2, "r": -1, "covered": True},
+     {"n": 13, "k": 2, "r": -1, "covered": False}),
+    (Construction, {"id": "third", "k": 3, "build": cert_third, "param": None},
+     {"id": "third", "k": 4, "build": cert_third, "param": None}),
+    (Original, {"u": 1}, {"u": 2}),
+    (Internal, {"u": 0, "v": 2, "l": 1}, {"u": 0, "v": 2, "l": 2}),
+    (SubdivisionMap, {"base": P2, "k": 1, "derived": P2},
+     {"base": P2, "k": 2, "derived": Graph(3, (4, 4, 3))}),
 ]
 IDS = [cls.__name__ for cls, _, _ in RECORDS]
 
@@ -56,6 +93,50 @@ def test_pickle_round_trip(cls, fields, _, protocol):
     assert type(back) is cls and back == record and hash(back) == hash(record)
     with pytest.raises(AttributeError):
         setattr(back, next(iter(fields)), None)
+
+
+@pytest.mark.parametrize("cls, fields, _", RECORDS, ids=IDS)
+def test_fields_are_the_annotations_in_order(cls, fields, _):
+    assert cls._fields == tuple(fields)
+    record = cls(*fields.values())
+    assert record == cls(**fields)
+    assert repr(record) == f"{cls.__name__}(" + ", ".join(
+        f"{name}={value!r}" for name, value in fields.items()) + ")"
+
+
+@pytest.mark.parametrize("cls, fields, _", RECORDS, ids=IDS)
+def test_arguments_bind_to_fields_once(cls, fields, _):
+    values = list(fields.values())
+    name = f"{cls.__name__}()"
+    with pytest.raises(TypeError, match=re.escape(
+            f"{name} takes {len(values)} positional arguments but {len(values) + 1} were given")):
+        cls(*values, None)
+    with pytest.raises(TypeError, match=re.escape(f"{name} got an unexpected keyword argument 'nope'")):
+        cls(**fields, nope=1)
+    first = cls._fields[0]
+    with pytest.raises(TypeError, match=re.escape(f"{name} got multiple values for argument {first!r}")):
+        cls(values[0], **fields)
+    for field in cls._fields:
+        rest = {key: value for key, value in fields.items() if key != field}
+        if hasattr(cls, field):  # a class attribute is the default
+            assert getattr(cls(**rest), field) == getattr(cls, field)
+        else:
+            with pytest.raises(TypeError, match=re.escape(f"{name} missing argument {field!r}")):
+                cls(**rest)
+
+
+def test_record_reprs():
+    assert repr(Original(1)) == "Original(u=1)" and str(Original(1)) == "Original(1)"
+    assert repr(Internal(0, 2, 1)) == "Internal(u=0, v=2, l=1)"
+    assert repr(Decomposition(13, 2, -1, True)) == "Decomposition(n=13, k=2, r=-1, covered=True)"
+    assert repr(ROW) == "ConjectureRow(graph_id='Bw', n=3, value=2, ratio=Fraction(2, 3), status='counterexample')"
+    assert repr(subdivide(P2, 1)) == ("SubdivisionMap(base=Graph(n=2, adj_masks=(2, 1)), k=1, "
+                                      "derived=Graph(n=2, adj_masks=(2, 1)))")
+
+
+def test_subdivision_maps_compare_by_fields():
+    assert subdivide(P2, 2) == subdivide(P2, 2) and subdivide(P2, 2) != subdivide(P2, 3)
+    assert len({subdivide(P2, 2), subdivide(P2, 2)}) == 1
 
 
 def test_pickled_graph_keeps_its_lazy_tables_working():
@@ -98,6 +179,8 @@ def test_positional_keyword_and_default_construction():
     (lambda: Graph(2, (1, 0)), GraphError, "self-loop at vertex 0"),
     (lambda: Graph(2, (2, 0)), GraphError, "asymmetric adjacency between 1 and 0"),
     (lambda: VertexSet(3, frozenset({3})), GraphError, "vertex 3 outside universe 0..2"),
+    (lambda: Certificate("third", VertexSet(4, frozenset({2})), 2, True), CertificateError,
+     "third: built 1 vertices, formula says 2"),
 ])
 def test_validation_messages(build, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
