@@ -14,10 +14,10 @@ budget exhaustion, where no exact value exists.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from fractions import Fraction
 from functools import lru_cache
 import json
-from typing import Callable
 
 from . import _pool
 from .certificates import seventh

@@ -20,7 +20,7 @@ hub on each incident superedge regardless of id order.
 
 from __future__ import annotations
 
-from typing import Callable
+from collections.abc import Callable
 
 from .graphs import VertexSet, _Record, is_star, max_degree
 from .solver import is_secure_dominating, path_secure_formula

@@ -21,6 +21,7 @@ from .graphs import (
     FAMILIES,
     Graph,
     ParseError,
+    _G6_HEADER,
     emit_edgelist,
     emit_graph6,
     enumerate_connected,
@@ -61,7 +62,7 @@ def _read_graphs(path: str, fmt: str) -> list[tuple[str | None, Graph]]:
     lines = _read_lines(path)
     if fmt == "edges":
         return [(None, parse_edgelist("\n".join(lines)))]
-    ids = [line.removeprefix(">>graph6<<") for line in lines if line]
+    ids = [line.removeprefix(_G6_HEADER) for line in lines if line]
     return list(zip(ids, iter_graph6(lines)))
 
 

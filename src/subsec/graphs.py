@@ -3,7 +3,10 @@ enumeration of small connected graphs, and graph6 / edge-list I/O.
 
 Vertices are the integers ``0..n-1``. Adjacency is stored as one bitmask per
 vertex, which keeps set operations (coverage, neighborhood unions) cheap for
-the exact solvers built on top.
+the exact solvers built on top. Every graph is built through ``make_graph``
+from its edge list, whether a generator, a parser, a subdivision or a
+relabeling makes it, and every mask is walked bit by bit with ``_iter_bits``
+outside the search's inner loops in ``solver``.
 """
 
 from __future__ import annotations
@@ -111,11 +114,7 @@ class Graph(_Record):
                 raise GraphError(f"neighbor id out of range at vertex {v}")
             if mask >> v & 1:
                 raise GraphError(f"self-loop at vertex {v}")
-            rest = mask
-            while rest:
-                low = rest & -rest
-                u = low.bit_length() - 1
-                rest ^= low
+            for u in _iter_bits(mask):
                 if not adj_masks[u] >> v & 1:
                     raise GraphError(f"asymmetric adjacency between {u} and {v}")
 
@@ -143,14 +142,8 @@ class Graph(_Record):
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) pairs with u < v, sorted."""
-        out = []
-        for u in range(self.n):
-            rest = self.adj_masks[u] >> (u + 1) << (u + 1)
-            while rest:
-                low = rest & -rest
-                out.append((u, low.bit_length() - 1))
-                rest ^= low
-        return out
+        return [(u, v) for u, mask in enumerate(self.adj_masks)
+                for v in _iter_bits(mask >> (u + 1) << (u + 1))]
 
 
 class VertexSet(_Record):
@@ -283,11 +276,8 @@ def is_connected(g: Graph) -> bool:
     frontier = 1
     while frontier:
         grow = 0
-        rest = frontier
-        while rest:
-            low = rest & -rest
-            grow |= g.adj_masks[low.bit_length() - 1]
-            rest ^= low
+        for v in _iter_bits(frontier):
+            grow |= g.adj_masks[v]
         frontier = grow & ~seen
         seen |= frontier
     return seen == g.full_mask
@@ -304,6 +294,9 @@ def is_connected(g: Graph) -> bool:
 # ---------------------------------------------------------------------------
 
 _G6_HEADER = ">>graph6<<"
+# The text formats strip and split on ASCII whitespace only, as the CLI does;
+# str.strip() and str.split() would also take 0x1c-0x1f, 0x85 and 0xa0.
+_ASCII_SPACE = " \t\n\r\v\f"
 
 
 def _g6_size_groups(n: int) -> list[int]:
@@ -373,7 +366,7 @@ def parse_graph6(line: str) -> Graph:
         raise ParseError(f"truncated graph6 body: need {need} bytes, got {len(body)}")
     if len(body) > need:
         raise ParseError(f"graph6 body longer than n={n} allows")
-    masks = [0] * n
+    edges = []
     idx = 0
     u, v = 0, 1
     for code in body:
@@ -381,22 +374,21 @@ def parse_graph6(line: str) -> Graph:
             bit = code >> shift & 1
             if idx < nbits:
                 if bit:
-                    masks[u] |= 1 << v
-                    masks[v] |= 1 << u
+                    edges.append((u, v))
                 u += 1
                 if u == v:
                     u, v = 0, v + 1
             elif bit:
                 raise ParseError("nonzero padding in graph6 body")
             idx += 1
-    return Graph(n, tuple(masks))
+    return make_graph(n, edges)
 
 
 def iter_graph6(lines: Iterable[str]) -> Iterator[Graph]:
     """Parse a stream of graph6 lines, skipping blank lines. ParseErrors are
     re-raised with the 1-based line number attached."""
     for lineno, raw in enumerate(lines, start=1):
-        text = raw.strip(" \t\n\r\v\f")  # ASCII only: other bytes meet the alphabet check
+        text = raw.strip(_ASCII_SPACE)  # other bytes meet the alphabet check
         if not text:
             continue
         try:
@@ -407,8 +399,11 @@ def iter_graph6(lines: Iterable[str]) -> Iterator[Graph]:
 
 # ---------------------------------------------------------------------------
 # Edge-list text format: '#' comments, a "p <n>" size line, then "e <u> <v>"
-# lines with 0-based ids. Lines end at "\n" and numbers are ASCII decimals.
+# lines with 0-based ids. Lines end at "\n", fields are split by ASCII
+# whitespace and numbers are ASCII decimals.
 # ---------------------------------------------------------------------------
+
+_TO_SPACE = str.maketrans(_ASCII_SPACE, " " * len(_ASCII_SPACE))
 
 
 def emit_edgelist(g: Graph) -> str:
@@ -430,10 +425,10 @@ def parse_edgelist(text: str) -> Graph:
     n = size_line = None
     edges = []
     for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
+        line = raw.strip(_ASCII_SPACE)
         if not line or line.startswith("#"):
             continue
-        fields = line.split()
+        fields = [field for field in line.translate(_TO_SPACE).split(" ") if field]
         if n is None:
             if fields[0] != "p" or len(fields) != 2:
                 raise ParseError("expected 'p <n>' size line", line_number=lineno)
@@ -543,15 +538,8 @@ def canonical_form(g: Graph) -> Graph:
 
 def _relabel(g: Graph, perm: tuple[int, ...]) -> Graph:
     """The copy of g that puts original vertex perm[i] at position i."""
-    masks = [0] * g.n
     position = {orig: pos for pos, orig in enumerate(perm)}
-    for pos, orig in enumerate(perm):
-        rest = g.adj_masks[orig]
-        while rest:
-            low = rest & -rest
-            masks[pos] |= 1 << position[low.bit_length() - 1]
-            rest ^= low
-    return Graph(g.n, tuple(masks))
+    return make_graph(g.n, [(position[u], position[v]) for u, v in g.edges()])
 
 
 ENUMERATION_LIMIT = 7
@@ -567,19 +555,14 @@ def enumerate_connected(n: int) -> list[Graph]:
     """
     if not 1 <= n <= ENUMERATION_LIMIT:
         raise GraphError(f"enumeration supports 1 <= n <= {ENUMERATION_LIMIT}")
-    classes: dict[tuple[int, ...], Graph] = {(): Graph(1, (0,))}
+    classes: dict[tuple[int, ...], Graph] = {(): make_graph(1, ())}
     for size in range(2, n + 1):
         grown: dict[tuple[int, ...], Graph] = {}
         new = size - 1
         for parent in classes.values():
+            edges = parent.edges()
             for attach in range(1, 1 << new):
-                masks = list(parent.adj_masks) + [attach]
-                rest = attach
-                while rest:
-                    low = rest & -rest
-                    masks[low.bit_length() - 1] |= 1 << new
-                    rest ^= low
-                child = Graph(size, tuple(masks))
+                child = make_graph(size, edges + [(v, new) for v in _iter_bits(attach)])
                 key, perm = canonical_labeling(child)
                 if key not in grown:
                     grown[key] = _relabel(child, perm)

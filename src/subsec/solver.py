@@ -4,28 +4,18 @@ A set D dominates when every vertex outside it has a neighbor inside. D is
 secure dominating when, additionally, every outside vertex u has a "defender"
 v: a neighbor of u inside D whose swap (D - v + u) still dominates.
 
-Both optimum solvers run one size-increasing loop that asks each engine for
-the first feasible set of a size in lexicographic subset order, so the first
-size that has one is the optimum and that set is the reported witness. The
-default engine is a branch search by ascending vertex id, from the bound
-ceil(n/(Delta+1)) up. It cuts a branch only when no completion of it can
-qualify, so it visits the surviving sets in the same lexicographic order and
-finds the same witness: a lex cap (the next pick must still be able to cover
-every uncovered vertex), a count cut (each remaining pick covers at most as
-many vertices as the largest closed neighborhood at or above its id) and, for
-secure domination, an early secure cut (a vertex whose distance-3 ball is
-fully decided must already have a defender). That cut has checked every
-vertex settled by the last pick, so the final secure check of a completed set
-covers only the vertices settled after it. On triangle-free graphs, which
-include every k-subdivision with k >= 2, a secure-deficit cut joins them: a
-member of a secure dominating set there has at most one private outside
-neighbor, so a completed set leaves at most as many outside vertices
-dominated only once as it has members. A naive engine that scans every
-subset of each size with the definitional checks is kept as an independent
-cross-check. ``SolverBudget`` picks the engine and caps the graph's order and
-the count of search nodes. Both caps are deterministic, and a solve past one
-has an explicit "skipped" status, so an inexact answer is never presented as
-exact.
+Both optimum solvers run one size-increasing loop that asks an engine for
+the first feasible set of each size in lexicographic subset order, so the
+first size that has one is the optimum and that set is the reported witness.
+The default engine is a branch search by ascending vertex id that cuts a
+branch only when no completion of it can qualify, so it finds the same
+lex-first witness; ``_first_pruned`` describes its cuts, one of which holds
+only on triangle-free graphs (every k-subdivision with k >= 2). A naive
+engine that scans every subset of each size with the definitional checks is
+kept as an independent cross-check. ``SolverBudget`` picks the engine and
+caps the graph's order and the count of search nodes. Both caps are
+deterministic, and a solve past one has an explicit "skipped" status, so an
+inexact answer is never presented as exact.
 
 The swap test inside the fast secure check is incremental: removing v from D
 can only uncover vertices that v privately dominates (coverage count exactly
@@ -39,7 +29,7 @@ from __future__ import annotations
 from functools import partial
 from itertools import combinations
 
-from .graphs import Graph, GraphError, VertexSet, _Record, max_degree
+from .graphs import Graph, GraphError, VertexSet, _Record, _iter_bits, max_degree
 
 
 ENGINES = ("branch", "naive")
@@ -107,6 +97,12 @@ def _check_universe(g: Graph, d: VertexSet):
         raise GraphError(f"vertex set universe {d.universe} != graph order {g.n}")
 
 
+# The per-set tests _coverage, _ones_mask and _all_defended walk their masks
+# inline, not through _iter_bits: _all_defended runs inside every branch of
+# the search, _coverage on every subset the naive engine scans, and
+# _ones_mask on every set that is_secure_dominating checks.
+
+
 def _coverage(g: Graph, dmask: int) -> int:
     covered = 0
     closed = g.closed_masks
@@ -135,16 +131,9 @@ def defenders(g: Graph, d: VertexSet, u: int) -> list[int]:
         raise GraphError(f"vertex {u} outside 0..{g.n - 1}")
     if u in d:
         raise GraphError(f"vertex {u} is inside the set")
-    out = []
     dmask = d.mask
-    ubit = 1 << u
-    rest = g.adj_masks[u] & dmask
-    while rest:
-        low = rest & -rest
-        if _coverage(g, (dmask ^ low) | ubit) == g.full_mask:
-            out.append(low.bit_length() - 1)
-        rest ^= low
-    return out
+    return [v for v in _iter_bits(g.adj_masks[u] & dmask)
+            if _coverage(g, (dmask ^ 1 << v) | 1 << u) == g.full_mask]
 
 
 def _ones_mask(g: Graph, dmask: int) -> int:
@@ -378,10 +367,5 @@ def gamma_exact(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> SolveResult:
 
 def gamma_s_exact(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> SolveResult:
     """Minimum secure dominating set size with a lexicographically smallest
-    witness, by ``budget.engine``. The branch engine cuts a branch once a
-    vertex whose distance-3 ball is decided lacks a defender, and checks the
-    vertices still undecided when it completes a dominating set with the
-    incremental secure test; the naive engine scans every subset with the
-    definitional checks.
-    """
+    witness, by ``budget.engine``."""
     return _exact(g, budget, secure=True)

@@ -10,9 +10,8 @@ certificates, witnesses, reports) byte-stable across runs.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Union
 
-from .graphs import Graph, GraphError, _Record
+from .graphs import Graph, GraphError, _Record, make_graph
 
 
 class Original(_Record):
@@ -36,7 +35,7 @@ class Internal(_Record):
         return f"Internal({self.u},{self.v},{self.l})"
 
 
-SubdividedVertex = Union[Original, Internal]
+SubdividedVertex = Original | Internal
 
 
 class SubdivisionMap(_Record):
@@ -108,15 +107,10 @@ def subdivide(g: Graph, k: int) -> SubdivisionMap:
         raise GraphError("subdivision parameter k must be >= 1")
     if k == 1:
         return SubdivisionMap(base=g, k=1, derived=g)
-    edges = g.edges()
-    total = g.n + (k - 1) * len(edges)
-    masks = [0] * total
+    edges = []
     nxt = g.n
-    for u, v in edges:
-        chain = [u] + list(range(nxt, nxt + k - 1)) + [v]
+    for u, v in g.edges():
+        chain = [u, *range(nxt, nxt + k - 1), v]
         nxt += k - 1
-        for a, b in zip(chain, chain[1:]):
-            masks[a] |= 1 << b
-            masks[b] |= 1 << a
-    derived = Graph(total, tuple(masks))
-    return SubdivisionMap(base=g, k=k, derived=derived)
+        edges += zip(chain, chain[1:])
+    return SubdivisionMap(base=g, k=k, derived=make_graph(nxt, edges))

@@ -440,6 +440,21 @@ class TestInputBytes:
                                  monkeypatch=monkeypatch, capsys=capsys)
         assert code == 65 and out == "" and err.startswith(f"parse error: {message}")
 
+    @pytest.mark.parametrize("byte", [0x1C, 0x1D, 0x1E, 0x1F, 0x85, 0xA0])
+    @pytest.mark.parametrize("line", ["size", "edge"])
+    def test_edge_list_fields_split_on_ascii_whitespace_only(self, capsys, monkeypatch, byte,
+                                                             line):
+        # str.split() would read each of these bytes as a field separator
+        space = chr(byte)
+        if line == "size":
+            text, message = f"p{space}3\n", "line 1: expected 'p <n>' size line"
+        else:
+            text = f"p 3\ne 0{space}1\n"
+            message = f"line 2: expected 'e <u> <v>' line, got {f'e 0{space}1'!r}"
+        code, out, err = run_cli(["gamma", "--format", "edges"], stdin_text=text.encode("latin-1"),
+                                 monkeypatch=monkeypatch, capsys=capsys)
+        assert (code, out, err) == (65, "", f"parse error: {message}\n")
+
     def test_edge_list_is_named_only_by_reports(self, capsys, monkeypatch):
         from subsec import bounds, cli
 

@@ -102,6 +102,13 @@ class TestEdgeList:
         g = parse_edgelist(text)
         assert g.edges() == [(0, 1), (2, 3)]
 
+    def test_fields_split_on_ascii_whitespace_only(self):
+        text = "# any byte \xa0\x85 in a comment\n\tp\x0b3 \r\ne\f0\t\t1\ne 1 2\x0c\n"
+        assert parse_edgelist(text) == path(3)
+        for bad in ("p\xa03\n", "p 3\ne 0\x1c1\n", "p 3\ne 0 1\x85\n", "p 3\n\xa0\n"):
+            with pytest.raises(ParseError):
+                parse_edgelist(bad)
+
     def test_missing_size_line(self):
         with pytest.raises(ParseError):
             parse_edgelist("e 0 1\n")

@@ -48,6 +48,13 @@ def test_records_need_neither_dataclasses_nor_inspect(args, module):
     assert not modules & {"dataclasses", "inspect"}
 
 
+@pytest.mark.parametrize("args", [("verify", "--theorem", "prop1"), ("conjecture",),
+                                  ("cert", "--theorem", "third")])
+def test_annotations_need_no_typing(args):
+    modules = imported("-m", "subsec", *args)
+    assert "subsec.subdivision" in modules and "typing" not in modules
+
+
 def test_import_subsec_loads_no_submodule():
     modules = imported("-c", "import subsec")
     assert "subsec" in modules

@@ -61,6 +61,28 @@ class TestStructure:
         assert first.derived == second.derived
         assert first.labels == second.labels
 
+    @pytest.mark.parametrize("k", range(1, 6))
+    @given(g=graphs(max_n=8))
+    @settings(max_examples=60, deadline=None)
+    def test_adjacency_matches_set_reference(self, g, k):
+        # Neighbor sets in the documented id layout: base edges in sorted
+        # order, each edge's k - 1 interior ids ascending from its smaller end.
+        edges = sorted((u, v) for u in range(g.n) for v in range(u + 1, g.n) if g.has_edge(u, v))
+        assert g.edges() == edges
+        expected = [set() for _ in range(g.n)]
+        for u, v in edges:
+            chain = [u]
+            for _ in range(k - 1):
+                chain.append(len(expected))
+                expected.append(set())
+            chain.append(v)
+            for a, b in zip(chain, chain[1:]):
+                expected[a].add(b)
+                expected[b].add(a)
+        derived = subdivide(g, k).derived
+        assert derived.n == len(expected)
+        assert [{w for w in range(derived.n) if mask >> w & 1} for mask in derived.adj_masks] == expected
+
     def test_labels_and_order(self):
         g = make_graph(3, [(0, 2), (0, 1)])
         sm = subdivide(g, 3)
