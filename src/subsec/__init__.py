@@ -18,14 +18,8 @@ _MODULES = {
         "GraphError",
         "ParseError",
         "VertexSet",
-        "bundled_corpus",
-        "bundled_corpus_lines",
-        "canonical_form",
-        "canonical_key",
         "emit_edgelist",
         "emit_graph6",
-        "enumerate_connected",
-        "generate",
         "is_connected",
         "is_star",
         "iter_graph6",
@@ -33,6 +27,14 @@ _MODULES = {
         "max_degree",
         "parse_edgelist",
         "parse_graph6",
+    ),
+    "corpus": (
+        "bundled_corpus",
+        "bundled_corpus_lines",
+        "canonical_form",
+        "canonical_key",
+        "enumerate_connected",
+        "generate",
     ),
     "subdivision": ("Internal", "Original", "SubdivisionMap", "subdivide"),
     "solver": (

@@ -20,7 +20,6 @@ from functools import lru_cache
 import json
 
 from . import _pool
-from .certificates import seventh
 from .graphs import Graph, _Record, emit_graph6, is_star, max_degree
 from .solver import DEFAULT_BUDGET, SolverBudget, gamma_exact, gamma_s_exact, path_secure_formula
 from .subdivision import subdivide
@@ -68,6 +67,19 @@ class Claim(_Record):
     skip: str | None = None
 
 
+def _seventh(what: str, covered: bool) -> Callable[[int | None], int]:
+    """The k rule ``certificates.seventh(what, covered)``. Only the claims on
+    G^{1/n} use it, so ``certificates`` is imported when one is resolved,
+    not by every run that grades claims."""
+
+    def k(n: int | None) -> int:
+        from .certificates import seventh
+
+        return seventh(what, covered)(n)
+
+    return k
+
+
 CLAIMS = (
     Claim("prop1", 1,
           lower=lambda g, n, solve: solve(gamma_exact, 1),
@@ -93,10 +105,10 @@ CLAIMS = (
           lower=lambda g, n, _: 2 * g.m + 1,
           upper=lambda g, n, _: 3 * g.m - max_degree(g) + 1,
           text="2m+1 ≤ γ_s(G^{1/5}) ≤ 3m − Δ + 1"),
-    Claim("g16", seventh("g16", True),
+    Claim("g16", _seventh("g16", True),
           equality=lambda g, n, _: path_secure_formula(n + 1) * g.m,
           text="γ_s(G^{1/n}) = pathval(n+1)·m for n = 7k+r, r ∈ {−1,1,3,5} (`-n`)"),
-    Claim("r024", seventh("r024", False),
+    Claim("r024", _seventh("r024", False),
           lower=lambda g, n, _: g.n + path_secure_formula(n - 3) * g.m,
           upper=lambda g, n, _: path_secure_formula(n + 1) * g.m,
           text="n_G + pathval(n−3)·m ≤ γ_s(G^{1/n}) ≤ pathval(n+1)·m (`-n`)"),

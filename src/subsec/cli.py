@@ -17,18 +17,7 @@ import argparse
 import os
 import sys
 
-from .graphs import (
-    FAMILIES,
-    Graph,
-    ParseError,
-    _G6_HEADER,
-    emit_edgelist,
-    emit_graph6,
-    enumerate_connected,
-    generate,
-    iter_graph6,
-    parse_edgelist,
-)
+from .graphs import Graph, ParseError, _G6_HEADER, emit_edgelist, emit_graph6, iter_graph6, parse_edgelist
 from .solver import ENGINES, SolverBudget, gamma_exact, gamma_s_exact
 
 EX_USAGE = 64
@@ -89,11 +78,13 @@ def _budget(args) -> SolverBudget:
 
 
 # Each command is a flag builder and a runner. The modules only some
-# commands use (subdivision, certificates, bounds) are imported inside these
-# functions, so a run loads only its own command's modules.
+# commands use (corpus, subdivision, certificates, bounds) are imported inside
+# these functions, so a run loads only its own command's modules.
 
 
 def _gen_flags(sub):
+    from .corpus import FAMILIES
+
     sub.add_argument("--family", choices=FAMILIES, required=True)
     sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--p", type=float)
@@ -102,6 +93,8 @@ def _gen_flags(sub):
 
 
 def _cmd_gen(args, out) -> int:
+    from .corpus import generate
+
     g = generate(args.family, args.n, p=args.p, seed=args.seed)
     _emit_graph(g, args.format, out)
     return 0
@@ -112,6 +105,8 @@ def _enum_flags(sub):
 
 
 def _cmd_enum(args, out) -> int:
+    from .corpus import enumerate_connected
+
     for g in enumerate_connected(args.n):
         print(emit_graph6(g), file=out)
     return 0

@@ -21,10 +21,10 @@ NOT_FOR_A_SOLVE = {
 }
 
 
-def imported(*args: str) -> set[str]:
-    """The modules ``python -S -X importtime *args`` imports on empty stdin."""
+def imported(*args: str, stdin: str = "", env: dict[str, str] = ENV) -> set[str]:
+    """The modules ``python -S -X importtime *args`` imports on ``stdin``."""
     proc = subprocess.run([sys.executable, "-S", "-X", "importtime", *args],
-                          input="", env=ENV, capture_output=True, text=True)
+                          input=stdin, env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
             if line.startswith("import time:")}
@@ -53,6 +53,28 @@ def test_records_need_neither_dataclasses_nor_inspect(args, module):
 def test_annotations_need_no_typing(args):
     modules = imported("-m", "subsec", *args)
     assert "subsec.subdivision" in modules and "typing" not in modules
+
+
+@pytest.mark.parametrize("args", [("gamma",), ("gamma-s",), ("verify", "--theorem", "prop1"),
+                                  ("conjecture",)])
+def test_commands_that_read_graphs_load_no_generators_or_certificates(args):
+    modules = imported("-m", "subsec", *args)
+    assert "subsec.solver" in modules
+    assert not modules & {"subsec.corpus", "subsec.certificates"}
+
+
+@pytest.mark.parametrize("args", [("gen", "--family", "path", "--n", "3"), ("enum", "--n", "3")])
+def test_commands_that_make_graphs_load_the_corpus_module(args):
+    assert "subsec.corpus" in imported("-m", "subsec", *args)
+
+
+def test_a_pooled_verify_imports_no_pool_library():
+    corpus = "".join(line + "\n" for line in subsec.bundled_corpus_lines())
+    modules = imported("-m", "subsec", "verify", "--theorem", "prop1", stdin=corpus,
+                       env={**ENV, "SUBSEC_THREADS": "2"})
+    assert not {m for m in modules if m.partition(".")[0] in ("concurrent", "multiprocessing")}
+    if (os.cpu_count() or 1) >= 2:
+        assert "pickle" in modules  # the results of a forked worker came back
 
 
 def test_import_subsec_loads_no_submodule():
