@@ -80,6 +80,11 @@ def _seventh(what: str, covered: bool) -> Callable[[int | None], int]:
     return k
 
 
+def _conj_ratio(g: Graph, value: int | None) -> Fraction | None:
+    """gamma_s(G^{1/2}) / n_G, or None when the value is missing or G is empty."""
+    return Fraction(value, g.n) if value is not None and g.n else None
+
+
 CLAIMS = (
     Claim("prop1", 1,
           lower=lambda g, n, solve: solve(gamma_exact, 1),
@@ -115,7 +120,7 @@ CLAIMS = (
     Claim("conj", 2,
           lower=lambda g, n, _: Fraction(4 * g.n, 5),
           strict=True,
-          note=lambda g, lower, exact: f"ratio {Fraction(exact, g.n) if g.n else None}",
+          note=lambda g, lower, exact: f"ratio {_fmt(_conj_ratio(g, exact))}",
           text="γ_s(G^{1/2}) > (4/5)·n_G (strict)"),
 )
 
@@ -160,10 +165,6 @@ def _grade(exact: int, lower=None, upper=None, equality=None, strict_lower=False
     return "holds", ""
 
 
-def _skip(graph_id: str, theorem_id: str, detail: str, lower=None, upper=None, equality=None):
-    return BoundCheck(graph_id, theorem_id, lower, upper, equality, None, "skipped", detail)
-
-
 class _Unsolved(Exception):
     """A solve ran out of budget; the message is the skip detail."""
 
@@ -190,16 +191,16 @@ def check_theorem(
 ) -> BoundCheck:
     """Evaluate one cataloged claim on one graph.
 
-    ``n`` is the subdivision parameter for g16/r024 and ignored elsewhere.
-    Unknown ids and out-of-range parameters raise; everything that can be
-    expressed as a BoundCheck status (preconditions, budgets, violations)
-    is returned, never raised.
+    ``n`` is the subdivision parameter for the claims whose ``k`` is a rule
+    and ignored elsewhere. Unknown ids and out-of-range parameters raise;
+    everything that can be expressed as a BoundCheck status (preconditions,
+    budgets, violations) is returned, never raised.
     """
     [(claim, k)] = resolve_claims((theorem_id,), n)
     gid = graph_id if graph_id is not None else emit_graph6(g)
     reason = claim.precondition(g) if claim.precondition else None
     if reason:
-        return _skip(gid, claim.id, reason)
+        return BoundCheck(gid, claim.id, None, None, None, None, "skipped", reason)
 
     def solve(solver, k: int) -> int:
         value = _solve(solver, g, k, budget)
@@ -213,8 +214,8 @@ def check_theorem(
         exact = solve(gamma_s_exact, k)
     except _Unsolved as exc:
         if claim.skip:
-            return _skip(gid, claim.id, claim.skip)
-        return _skip(gid, claim.id, str(exc), *terms)
+            return BoundCheck(gid, claim.id, None, None, None, None, "skipped", claim.skip)
+        return BoundCheck(gid, claim.id, *terms, None, "skipped", str(exc))
     lower, upper, equality = terms
     status, detail = _grade(exact, lower, upper, equality, strict_lower=claim.strict)
     if claim.note:
@@ -225,11 +226,6 @@ def check_theorem(
 # ---------------------------------------------------------------------------
 # Corpus runs
 # ---------------------------------------------------------------------------
-
-
-def _corpus_task(args):
-    gid, g, theorem_ids, n, budget = args
-    return [check_theorem(g, tid, n=n, budget=budget, graph_id=gid) for tid in theorem_ids]
 
 
 def _normalize(entries):
@@ -251,11 +247,14 @@ def run_corpus(
     SUBSEC_THREADS or machine parallelism); the output is identical
     regardless of worker count.
     """
-    pairs = _normalize(entries)
     tids = tuple(theorem_ids)
     resolve_claims(tids, n)  # raise before any work is dispatched
-    tasks = [(gid, g, tids, n, budget) for gid, g in pairs]
-    grouped = _pool.ordered_map(_corpus_task, tasks, workers)
+
+    def checks(pair):
+        gid, g = pair
+        return [check_theorem(g, tid, n=n, budget=budget, graph_id=gid) for tid in tids]
+
+    grouped = _pool.ordered_map(checks, _normalize(entries), workers)
     return [check for group in grouped for check in group]
 
 
@@ -305,8 +304,7 @@ def conjecture_scan(
     pairs = _normalize(entries)
     checks = run_corpus(pairs, ("conj",), budget=budget, workers=workers)
     rows = tuple(
-        ConjectureRow(check.graph_id, g.n, check.exact,
-                      Fraction(check.exact, g.n) if check.exact is not None and g.n else None,
+        ConjectureRow(check.graph_id, g.n, check.exact, _conj_ratio(g, check.exact),
                       _CONJ_STATUS.get(check.status, "ok"))
         for (_, g), check in zip(pairs, checks)
     )
@@ -322,6 +320,7 @@ def conjecture_scan(
 # Report rendering: TSV and JSON-lines with identical fields, byte-stable.
 # ---------------------------------------------------------------------------
 
+# One column per BoundCheck field, in order; "theorem" is theorem_id.
 CHECK_COLUMNS = ("graph_id", "theorem", "lower", "upper", "equality", "exact", "status", "detail")
 
 
@@ -341,62 +340,57 @@ def _json(record) -> str:
 
 
 def _report(fmt: str, columns, records, text, summary: dict[str, list[str]]) -> list[str]:
-    """Records (tuples in ``columns`` order) as TSV under a header row, as
-    JSON lines, or as ``text(*record)`` lines; then ``summary[fmt]``."""
+    """Records as TSV under a header row of ``columns``, one name per field
+    in declaration order, as JSON lines under the same names, or as
+    ``text(record)`` lines; then ``summary[fmt]``."""
     if fmt == "tsv":
         lines = ["\t".join(columns)]
-        lines.extend("\t".join(_fmt(x) for x in record) for record in records)
+        lines.extend("\t".join(map(_fmt, record._values())) for record in records)
     elif fmt == "jsonl":
-        lines = [_json(dict(zip(columns, record))) for record in records]
+        lines = [_json(dict(zip(columns, record._values()))) for record in records]
     elif fmt == "text":
-        lines = [text(*record) for record in records]
+        lines = [text(record) for record in records]
     else:
         raise ValueError(f"unknown report format {fmt!r}")
     return lines + summary[fmt]
 
 
-def _check_record(c: BoundCheck) -> tuple:
-    return (c.graph_id, c.theorem_id, c.lower, c.upper, c.equality, c.exact, c.status, c.detail)
-
-
-def _check_text(graph_id, theorem_id, lower, upper, equality, exact, status, detail) -> str:
+def _check_text(c: BoundCheck) -> str:
     terms = []
-    if lower is not None:
-        terms.append(f"lower={_fmt(lower)}")
-    if upper is not None:
-        terms.append(f"upper={_fmt(upper)}")
-    if equality is not None:
-        terms.append(f"equality={_fmt(equality)}")
-    terms.append(f"exact={_fmt(exact)}")
-    extra = f" ({detail})" if detail else ""
-    return f"{graph_id} {theorem_id}: {' '.join(terms)} -> {status}{extra}"
+    if c.lower is not None:
+        terms.append(f"lower={_fmt(c.lower)}")
+    if c.upper is not None:
+        terms.append(f"upper={_fmt(c.upper)}")
+    if c.equality is not None:
+        terms.append(f"equality={_fmt(c.equality)}")
+    terms.append(f"exact={_fmt(c.exact)}")
+    extra = f" ({c.detail})" if c.detail else ""
+    return f"{c.graph_id} {c.theorem_id}: {' '.join(terms)} -> {c.status}{extra}"
 
 
 def render_checks(checks, fmt: str = "tsv") -> list[str]:
     checks = list(checks)
     counts = summarize(checks)
     summary = " ".join(f"{status}={counts[status]}" for status in _STATUSES)
-    return _report(fmt, CHECK_COLUMNS, map(_check_record, checks), _check_text, {
+    return _report(fmt, CHECK_COLUMNS, checks, _check_text, {
         "tsv": [f"# summary: {summary}"],
         "jsonl": [_json({"summary": counts})],
         "text": [f"summary: {summary}"],
     })
 
 
+# One column per ConjectureRow field, in order; "gamma_s_half" is value.
 CONJECTURE_COLUMNS = ("graph_id", "n", "gamma_s_half", "ratio", "status")
 
 
-def _conjecture_record(row: ConjectureRow) -> tuple:
-    return (row.graph_id, row.n, row.value, row.ratio, row.status)
-
-
-def _conjecture_text(graph_id, n, value, ratio, status) -> str:
-    return f"{graph_id} n={n} gamma_s_half={_fmt(value)} ratio={_fmt(ratio)} -> {status}"
+def _conjecture_text(row: ConjectureRow) -> str:
+    return (f"{row.graph_id} n={row.n} gamma_s_half={_fmt(row.value)} ratio={_fmt(row.ratio)}"
+            f" -> {row.status}")
 
 
 def render_conjecture(report: ConjectureReport, fmt: str = "tsv") -> list[str]:
     witnesses = report.witnesses
-    return _report(fmt, CONJECTURE_COLUMNS, map(_conjecture_record, report.rows), _conjecture_text, {
+    return _report(fmt, CONJECTURE_COLUMNS, report.rows, _conjecture_text, {
         "tsv": [
             f"# min_ratio: {_fmt(report.min_ratio)} witnesses: {','.join(witnesses) or '-'}",
             f"# counterexamples: {len(report.counterexamples)} skipped: {len(report.skipped)}",

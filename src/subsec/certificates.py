@@ -2,10 +2,12 @@
 
 Each builder materializes one closed-form construction as a concrete vertex
 set of the derived graph, sized by the construction's formula, and then
-*runs the definitional check* on it. The claimed size is never taken on
-faith: ``validated`` records what the check actually said, and a certificate
-that fails is a first-class result (the bound harness reports it as a
-discrepancy, not an error).
+*checks that it is secure dominating* with ``is_secure_dominating``'s
+incremental private-coverage test, the one the exact search uses (the
+definitional per-swap recomputation would make large certificates slow).
+The claimed size is never taken on faith: ``validated`` records what the
+check actually said, and a certificate that fails is a first-class result
+(the bound harness reports it as a discrepancy, not an error).
 
 ``CONSTRUCTIONS`` has one row per ``subsec cert --theorem`` id: the k the
 construction is stated for (fixed, or a rule on ``--k``/``-n``) and its

@@ -192,12 +192,13 @@ def _cmd_cert(args, out) -> int:
 
 
 def _verify_flags(sub):
-    from .bounds import THEOREM_IDS
+    from .bounds import CLAIMS, THEOREM_IDS
 
     _add_input_flags(sub, "--corpus")
     sub.add_argument("--theorem", action="append", required=True,
                      help="theorem id, repeatable or comma-separated: " + ", ".join(THEOREM_IDS))
-    sub.add_argument("-n", type=int, dest="n", help="subdivision parameter for g16/r024")
+    ids = ", ".join(claim.id for claim in CLAIMS if not isinstance(claim.k, int))
+    sub.add_argument("-n", type=int, dest="n", help=f"subdivision parameter for --theorem {ids}")
     sub.add_argument("--output", choices=("tsv", "jsonl", "text"), default="tsv")
     sub.add_argument("--fail-on-violation", action="store_true")
     _add_budget_flags(sub)

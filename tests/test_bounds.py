@@ -18,7 +18,14 @@ from subsec import (
     summarize,
 )
 from subsec import bounds
-from subsec.bounds import CLAIMS
+from subsec.bounds import (
+    CHECK_COLUMNS,
+    CLAIMS,
+    CONJECTURE_COLUMNS,
+    BoundCheck,
+    ConjectureReport,
+    ConjectureRow,
+)
 from conftest import complete, cycle, path, star, wheel_rim6
 
 
@@ -292,6 +299,47 @@ class TestRendering:
         assert set(THEOREM_IDS) == {
             "prop1", "g12", "star2", "g13", "g14", "g15", "g16", "r024", "conj",
         }
+
+
+def render_check_row(fmt):
+    return render_checks([BoundCheck("Ch", "g13", Fraction(7, 2), 5, 6, 4, "violated", "a detail")], fmt)
+
+
+def render_conjecture_row(fmt):
+    row = ConjectureRow("Dhc", 5, 4, Fraction(4, 5), "counterexample")
+    return render_conjecture(ConjectureReport((row,), row.ratio, ("Dhc",), ("Dhc",), ()), fmt)
+
+
+# Each record with distinct field values: its renderer, columns, and field
+# values as TSV writes them and as JSON reads them back.
+REPORT_ROWS = [
+    (render_check_row, CHECK_COLUMNS, ["Ch", "g13", "7/2", "5", "6", "4", "violated", "a detail"],
+     ["Ch", "g13", "7/2", 5, 6, 4, "violated", "a detail"]),
+    (render_conjecture_row, CONJECTURE_COLUMNS, ["Dhc", "5", "4", "4/5", "counterexample"],
+     ["Dhc", 5, 4, "4/5", "counterexample"]),
+]
+
+
+class TestReportRows:
+    """A report row is its record: one column per field, in declaration order."""
+
+    @pytest.mark.parametrize("columns, record, renamed", [
+        (CHECK_COLUMNS, BoundCheck, ["theorem"]),
+        (CONJECTURE_COLUMNS, ConjectureRow, ["gamma_s_half"]),
+    ])
+    def test_one_column_per_field(self, columns, record, renamed):
+        assert len(columns) == len(set(columns)) == len(record._fields)
+        assert [column for column, field in zip(columns, record._fields) if column != field] == renamed
+
+    @pytest.mark.parametrize("render, columns, tsv, _", REPORT_ROWS)
+    def test_tsv_row_is_the_fields_in_order(self, render, columns, tsv, _):
+        lines = render("tsv")
+        assert lines[:2] == ["\t".join(columns), "\t".join(tsv)]
+
+    @pytest.mark.parametrize("render, columns, _, values", REPORT_ROWS)
+    def test_jsonl_row_is_the_fields_in_order(self, render, columns, _, values):
+        row = json.loads(render("jsonl")[0])
+        assert list(row.items()) == list(zip(columns, values))
 
 
 class TestCatalog:

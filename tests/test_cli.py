@@ -10,6 +10,7 @@ import pytest
 
 import subsec
 from subsec import emit_graph6, gamma_s_exact, generate, parse_graph6, subdivide
+from subsec.bounds import CLAIMS
 from subsec.cli import main
 
 
@@ -337,6 +338,30 @@ class TestVerifyCommand:
         code, out, err = run_cli(["verify", "--theorem", "g99"], stdin_text="not graph6 !!\n",
                                  monkeypatch=monkeypatch, capsys=capsys)
         assert code == 64 and out == "" and "g99" in err
+
+    @pytest.mark.parametrize("output, row", [
+        ("tsv", "?\tconj\t0\t-\t-\t0\tviolated\tratio -; exact 0 <= lower 0"),
+        ("jsonl", '{"graph_id": "?", "theorem": "conj", "lower": "0", "upper": null, '
+                  '"equality": null, "exact": 0, "status": "violated", '
+                  '"detail": "ratio -; exact 0 <= lower 0"}'),
+        ("text", "? conj: lower=0 exact=0 -> violated (ratio -; exact 0 <= lower 0)"),
+    ], ids=["tsv", "jsonl", "text"])
+    def test_conj_on_empty_graph_prints_missing_ratio_as_dash(self, capsys, monkeypatch,
+                                                              output, row):
+        # gamma_s(G^{1/2})/n_G has no value for n_G = 0; conjecture prints it as -/null too.
+        code, out, err = run_cli(["verify", "--theorem", "conj", "--output", output],
+                                 stdin_text="?\n", monkeypatch=monkeypatch, capsys=capsys)
+        assert code == 0 and err == "" and row in out.splitlines()
+
+    def test_n_help_names_the_claims_whose_k_is_a_rule(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "200")  # one help line per flag
+        with pytest.raises(SystemExit):
+            main(["verify", "--help"])
+        [line] = [line for line in capsys.readouterr().out.splitlines()
+                  if line.lstrip().startswith("-n ")]
+        named = line.split("--theorem", 1)[1].replace(",", " ").split()
+        assert named == [claim.id for claim in CLAIMS if not isinstance(claim.k, int)]
+        assert named == ["g16", "r024"]
 
 
 class TestErrorsAndExitCodes:
