@@ -108,9 +108,8 @@ class Graph(_Record):
         n, adj_masks = self.n, self.adj_masks
         if n < 0 or len(adj_masks) != n:
             raise GraphError(f"adjacency length {len(adj_masks)} != n={n}")
-        full = (1 << n) - 1
         for v, mask in enumerate(adj_masks):
-            if mask & ~full:
+            if mask >> n:
                 raise GraphError(f"neighbor id out of range at vertex {v}")
             if mask >> v & 1:
                 raise GraphError(f"self-loop at vertex {v}")

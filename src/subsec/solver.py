@@ -29,7 +29,7 @@ from __future__ import annotations
 from functools import partial
 from itertools import combinations
 
-from .graphs import Graph, GraphError, VertexSet, _Record, _iter_bits, max_degree
+from .graphs import Graph, GraphError, VertexSet, _Record, _iter_bits
 
 
 ENGINES = ("branch", "naive")
@@ -201,9 +201,13 @@ def path_secure_formula(n: int) -> int:
 
 
 def _first_pruned(g: Graph, effort: _Effort, secure: bool):
-    """The branch search, as ``first(size)``: the lexicographically
-    first dominating set of exactly ``size`` vertices, secure dominating if
-    ``secure``, as a bitmask, or None. Its tables are built once per solve.
+    """The branch search, as ``(first, start)``: ``first(size)`` gives the
+    lexicographically first dominating set of exactly ``size`` vertices,
+    secure dominating if ``secure``, as a bitmask, or None. Its tables are
+    built in one pass per solve, and the start size, the count cut and the
+    deficit bound all read reach[v] = max |N[w]| over w >= v: ``start`` is
+    ceil(n / reach[0]), or 0 when n = 0, as no pick covers more than
+    reach[0] = Delta + 1 vertices.
 
     Branches extend by ascending vertex id, and a branch is cut only when no
     completion of it can qualify, so the sets that survive are visited in the
@@ -236,11 +240,12 @@ def _first_pruned(g: Graph, effort: _Effort, secure: bool):
       set. Here it is 2 per uncovered vertex plus 1 per outside vertex in
       the "dominated once" mask. A pick w lowers it by at most deg(w) + 2
       (1 per neighbor, 2 for w itself), so a child whose deficit exceeds
-      ``size`` by more than its remaining picks times supply[v + 1] = max
-      deg(w) + 2 over w > v is dead. K3 shows why triangles turn it off:
-      {0} is secure there, with two private outside neighbors.
+      ``size`` by more than its remaining picks times reach[v + 1] + 1 =
+      max deg(w) + 2 over w > v is dead. K3 shows why triangles turn it
+      off: {0} is secure there, with two private outside neighbors.
     """
     n = g.n
+    adj = g.adj_masks
     closed = g.closed_masks
     full = g.full_mask
     spend = effort.spend
@@ -252,19 +257,21 @@ def _first_pruned(g: Graph, effort: _Effort, secure: bool):
     # after[v]: those with r3[u] >= v.
     settled = [0] * n
     after = [0] * (n + 1)
+    # The deficit cut holds unless some vertex has two adjacent neighbors;
+    # a triangle shows at its lowest vertex, so only higher ones are walked.
+    deficit_cut = secure
     for u in range(n):
         below[closed[u].bit_length()] |= 1 << u
         if secure:
             ball = _coverage(g, _coverage(g, closed[u]))
             settled[ball.bit_length() - 1] |= 1 << u
+            higher = adj[u] >> u << u
+            deficit_cut = deficit_cut and not any(adj[u] & adj[w] for w in _iter_bits(higher))
     for v in range(n):
         below[v + 1] |= below[v]
     for v in reversed(range(n)):
         reach[v] = max(reach[v + 1], closed[v].bit_count())
         after[v] = after[v + 1] | settled[v]
-    # supply[v]: the most secure deficit one pick w >= v can remove, deg(w) + 2.
-    supply = [r + 1 for r in reach]
-    deficit_cut = secure and _triangle_free(g)
     target = 0  # the size first() is searching
 
     def extend(chosen: int, covered: int, ones: int, next_min: int, remaining: int) -> int | None:
@@ -296,7 +303,7 @@ def _first_pruned(g: Graph, effort: _Effort, secure: bool):
             # vertex dominated once, and at most ``target`` when complete.
             if deficit_cut and (
                 2 * left.bit_count() + (picked_ones & ~pick).bit_count() - target
-                > (remaining - 1) * supply[v + 1]
+                > (remaining - 1) * (reach[v + 1] + 1)
             ):
                 continue
             if secure:
@@ -314,18 +321,7 @@ def _first_pruned(g: Graph, effort: _Effort, secure: bool):
         target = size
         return extend(0, 0, 0, 0, size)
 
-    return first
-
-
-def _triangle_free(g: Graph) -> bool:
-    """True iff no edge uv has a common neighbor."""
-    adj = g.adj_masks
-    return not any(adj[u] & adj[v] for u, v in g.edges())
-
-
-def _domination_lower_bound(g: Graph) -> int:
-    """ceil(n/(Delta+1)): each vertex dominates at most Delta+1 vertices."""
-    return -(-g.n // (max_degree(g) + 1))
+    return first, -(-n // reach[0]) if n else 0
 
 
 def _exact(g: Graph, budget: SolverBudget, secure: bool) -> SolveResult:
@@ -335,7 +331,7 @@ def _exact(g: Graph, budget: SolverBudget, secure: bool) -> SolveResult:
     if budget.engine == "naive":
         first, start = partial(_first_naive, g, effort=effort, secure=secure), 0
     else:
-        first, start = _first_pruned(g, effort, secure), _domination_lower_bound(g)
+        first, start = _first_pruned(g, effort, secure)
     try:
         for size in range(start, g.n + 1):
             mask = first(size)

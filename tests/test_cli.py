@@ -506,6 +506,14 @@ class TestInputBytes:
 
 
 class TestSubprocessPipeline:
+    def test_huge_edgeless_order_validates_in_linear_time(self):
+        # Graph validation must stay linear in the order: work quadratic in
+        # n takes minutes on a million vertices.
+        proc = subprocess.run([sys.executable, "-m", "subsec", "gamma", "--format", "edges"],
+                              input="p 1000000\n", capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "value=- status=skipped witness=- cap=vertices\n"
+
     def test_shell_pipe_equivalence(self):
         cmd = (f"{sys.executable} -m subsec gen --family path --n 4 | "
                f"{sys.executable} -m subsec subdivide --k 2 | "

@@ -176,6 +176,7 @@ def test_positional_keyword_and_default_construction():
     (lambda: Graph(3, (0, 0)), GraphError, "adjacency length 2 != n=3"),
     (lambda: Graph(-1, ()), GraphError, "adjacency length 0 != n=-1"),
     (lambda: Graph(2, (4, 0)), GraphError, "neighbor id out of range at vertex 0"),
+    (lambda: Graph(2, (-1, 0)), GraphError, "neighbor id out of range at vertex 0"),
     (lambda: Graph(2, (1, 0)), GraphError, "self-loop at vertex 0"),
     (lambda: Graph(2, (2, 0)), GraphError, "asymmetric adjacency between 1 and 0"),
     (lambda: VertexSet(3, frozenset({3})), GraphError, "vertex 3 outside universe 0..2"),

@@ -226,6 +226,15 @@ class TestGammaSecureExact:
         res = gamma_s_exact(k3)
         assert (res.value, res.witness) == (1, d)
 
+    def test_triangle_on_the_top_ids_turns_the_deficit_cut_off(self):
+        # The only triangle is 2 3 4, on the highest ids. Here {0, 2} is
+        # secure although 2 has two private outside neighbors, 3 and 4; with
+        # the deficit cut wrongly on, the search skips it and returns {0, 3}.
+        g = make_graph(5, [(0, 1), (0, 2), (2, 3), (2, 4), (3, 4)])
+        res, naive = gamma_s_exact(g), gamma_s_exact(g, NAIVE)
+        assert (res.value, res.witness.sorted(), res.nodes) == (2, (0, 2), 3)
+        assert (naive.value, naive.witness) == (res.value, res.witness)
+
     def test_naive_and_pruned_agree_on_bundled_corpus(self):
         from subsec import bundled_corpus
 
@@ -312,3 +321,12 @@ class TestBudgets:
         # The wheel itself has triangles: the deficit cut stays off.
         assert gamma_s_exact(wheel_rim6()).nodes == 15
         assert gamma_s_exact(path(10), NAIVE).nodes == 428
+
+    def test_gamma_node_counts_pinned(self):
+        # gamma's branch search starts at ceil(n/(Delta+1)), as gamma_s's does.
+        assert gamma_exact(path(26)).nodes == 10
+        assert gamma_exact(cycle(26)).nodes == 10
+        assert gamma_exact(subdivide(complete(4), 4).derived).nodes == 49
+        assert gamma_exact(subdivide(wheel_rim6(), 2).derived).nodes == 54
+        assert gamma_exact(wheel_rim6()).nodes == 2
+        assert gamma_exact(make_graph(0, [])).nodes == 1
