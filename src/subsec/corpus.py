@@ -8,7 +8,7 @@ commands that read their graphs from input need none of it.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations
 
 from .graphs import Graph, GraphError, _iter_bits, make_graph, parse_graph6
 
@@ -23,30 +23,31 @@ def generate(family: str, n: int, p: float | None = None, seed: int | None = Non
     a hub vertex n adjacent to the whole rim (n+1 vertices total). random(n)
     is an Erdos-Renyi draw: each pair (u,v) with u<v is kept iff the next
     value of a generator seeded with ``seed`` is below p, so corpora are
-    reproducible; p and seed are required.
+    reproducible; p and seed are required. Edges reach make_graph lazily,
+    so its size bound refuses a huge n before any edge list is built.
     """
     if family not in FAMILIES:
         raise GraphError(f"unknown family {family!r}")
     if n < 1:
         raise GraphError("n must be >= 1")
     if family == "path":
-        return make_graph(n, [(i, i + 1) for i in range(n - 1)])
+        return make_graph(n, ((i, i + 1) for i in range(n - 1)))
     if family == "cycle":
         if n < 3:
             raise GraphError("cycle needs n >= 3")
-        return make_graph(n, [(i, (i + 1) % n) for i in range(n)])
+        return make_graph(n, ((i, (i + 1) % n) for i in range(n)))
     if family == "star":
         if n < 2:
             raise GraphError("star needs n >= 2")
-        return make_graph(n, [(0, i) for i in range(1, n)])
+        return make_graph(n, ((0, i) for i in range(1, n)))
     if family == "complete":
         return make_graph(n, combinations(range(n), 2))
     if family == "wheel":
         if n < 3:
             raise GraphError("wheel needs rim size n >= 3")
-        rim = [(i, (i + 1) % n) for i in range(n)]
-        spokes = [(i, n) for i in range(n)]
-        return make_graph(n + 1, rim + spokes)
+        rim = ((i, (i + 1) % n) for i in range(n))
+        spokes = ((i, n) for i in range(n))
+        return make_graph(n + 1, chain(rim, spokes))
     # random
     if p is None or not 0.0 <= p <= 1.0:
         raise GraphError("random family needs p in [0,1]")
@@ -55,7 +56,7 @@ def generate(family: str, n: int, p: float | None = None, seed: int | None = Non
     import random  # only this family draws
 
     rng = random.Random(seed)
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    edges = ((u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p)
     return make_graph(n, edges)
 
 
@@ -65,83 +66,57 @@ def generate(family: str, n: int, p: float | None = None, seed: int | None = Non
 # The canonical key of a graph is the lexicographically smallest upper
 # triangle bit sequence (graph6 bit order) over all n! relabelings. Keys are
 # kept as one integer segment per matrix column so prefixes can be compared
-# level by level during the backtracking search.
+# level by level during the backtracking search. A key is also the canonical
+# graph's upper triangle, so the canonical form is rebuilt from it alone.
 # ---------------------------------------------------------------------------
 
 
-def canonical_labeling(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Return (key, perm) where perm[i] is the original vertex placed at
-    position i in the minimizing relabeling."""
+def canonical_key(g: Graph) -> tuple[int, ...]:
     n = g.n
     if n <= 1:
-        return (), tuple(range(n))
+        return ()
     adj = g.adj_masks
-
-    def segment(placed: list[int], count: int, v: int) -> int:
-        seg = 0
-        av = adj[v]
-        for i in range(count):
-            seg = seg << 1 | (av >> placed[i] & 1)
-        return seg
-
-    # Greedy seed: pick the smallest segment (then smallest id) at each level.
-    best_perm = []
-    best = []
-    remaining = set(range(n))
-    for level in range(n):
-        pick = None
-        pick_seg = None
-        for v in sorted(remaining):
-            seg = segment(best_perm, level, v)
-            if pick_seg is None or seg < pick_seg:
-                pick, pick_seg = v, seg
-        best_perm.append(pick)
-        remaining.discard(pick)
-        if level >= 1:
-            best.append(pick_seg)
-
+    best = [1 << n] * (n - 1)  # above every key
     cur = [0] * (n - 1)
-    perm = [0] * n
-    best_perm = list(best_perm)
 
-    def search(level: int, placed_mask: int, tight: bool):
-        nonlocal best, best_perm
-        for v in range(n):
-            if placed_mask >> v & 1:
+    def search(level: int, segs: list[int], tight: bool) -> bool:
+        """Place each vertex next whose segment keeps the key prefix at or
+        below best's. segs[v] is v's adjacency to the placed vertices, in
+        placement order, or negative once v is placed; ``tight`` says the
+        prefix so far equals best's. Returns whether a leaf below improved
+        best, which leaves the prefix tight again."""
+        improved = False
+        for v, seg in enumerate(segs):
+            if seg < 0 or tight and seg > best[level - 1]:
                 continue
-            if level >= 1:
-                seg = segment(perm, level, v)
-                if tight and seg > best[level - 1]:
-                    continue
-                cur[level - 1] = seg
-                sub_tight = tight and seg == best[level - 1]
-            else:
-                sub_tight = tight
-            perm[level] = v
-            if level + 1 == n:
-                if cur < best:
-                    best = cur.copy()
-                    best_perm = perm.copy()
-            else:
-                search(level + 1, placed_mask | 1 << v, sub_tight)
+            below = not tight or seg < best[level - 1]
+            cur[level - 1] = seg
+            if level + 1 < n:
+                child = [s << 1 | a >> v & 1 for s, a in zip(segs, adj)]
+                child[v] = -1
+                if search(level + 1, child, not below):
+                    improved = tight = True
+            elif below:
+                best[:] = cur
+                improved = tight = True
+        return improved
 
-    search(0, 0, True)
-    return tuple(best), tuple(best_perm)
-
-
-def canonical_key(g: Graph) -> tuple[int, ...]:
-    return canonical_labeling(g)[0]
+    for first in range(n):
+        segs = [a >> first & 1 for a in adj]
+        segs[first] = -1
+        search(1, segs, True)
+    return tuple(best)
 
 
 def canonical_form(g: Graph) -> Graph:
     """The canonically relabeled copy of g (identical for isomorphic inputs)."""
-    return _relabel(g, canonical_labeling(g)[1])
+    return make_graph(g.n, _key_edges(canonical_key(g)))
 
 
-def _relabel(g: Graph, perm: tuple[int, ...]) -> Graph:
-    """The copy of g that puts original vertex perm[i] at position i."""
-    position = {orig: pos for pos, orig in enumerate(perm)}
-    return make_graph(g.n, [(position[u], position[v]) for u, v in g.edges()])
+def _key_edges(key: tuple[int, ...]) -> list[tuple[int, int]]:
+    """The edges of the graph whose upper triangle is key: edge (i, j) is
+    bit i of column j's segment, counted from the segment's top bit."""
+    return [(i, j) for j, seg in enumerate(key, start=1) for i in range(j) if seg >> (j - 1 - i) & 1]
 
 
 ENUMERATION_LIMIT = 7
@@ -157,19 +132,16 @@ def enumerate_connected(n: int) -> list[Graph]:
     """
     if not 1 <= n <= ENUMERATION_LIMIT:
         raise GraphError(f"enumeration supports 1 <= n <= {ENUMERATION_LIMIT}")
-    classes: dict[tuple[int, ...], Graph] = {(): make_graph(1, ())}
-    for size in range(2, n + 1):
-        grown: dict[tuple[int, ...], Graph] = {}
-        new = size - 1
-        for parent in classes.values():
-            edges = parent.edges()
+    keys = {()}
+    for new in range(1, n):
+        grown = set()
+        for key in keys:
+            edges = _key_edges(key)
             for attach in range(1, 1 << new):
-                child = make_graph(size, edges + [(v, new) for v in _iter_bits(attach)])
-                key, perm = canonical_labeling(child)
-                if key not in grown:
-                    grown[key] = _relabel(child, perm)
-        classes = grown
-    return [classes[key] for key in sorted(classes)]
+                child = make_graph(new + 1, edges + [(v, new) for v in _iter_bits(attach)])
+                grown.add(canonical_key(child))
+        keys = grown
+    return [make_graph(n, _key_edges(key)) for key in sorted(keys)]
 
 
 # ---------------------------------------------------------------------------

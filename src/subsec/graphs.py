@@ -6,7 +6,7 @@ Vertices are the integers ``0..n-1``. Adjacency is stored as one bitmask per
 vertex, which keeps set operations (coverage, neighborhood unions) cheap for
 the exact solvers built on top. Every graph is built through ``make_graph``
 from its edge list, whether a generator, a parser, a subdivision or a
-relabeling makes it, and every mask is walked bit by bit with ``_iter_bits``
+canonical key makes it, and every mask is walked bit by bit with ``_iter_bits``
 outside the search's inner loops in ``solver``.
 """
 
@@ -191,19 +191,34 @@ def _iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+# The most adjacency bits make_graph builds (1 GiB), so a huge order or
+# subdivision is a GraphError, not a MemoryError or a machine out of memory.
+MAX_ADJACENCY_BITS = 1 << 33
+
+
 def make_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from an edge list; duplicate edges collapse.
 
-    Raises GraphError on out-of-range ids or self-loops.
+    Raises GraphError on out-of-range ids or self-loops, and before it
+    allocates more than MAX_ADJACENCY_BITS: a running upper bound counts 64
+    bits per vertex slot and, per edge (u, v), the u + 1 and v + 1 bits that
+    its two masks then span at most.
     """
     if n < 0:
         raise GraphError("vertex count must be nonnegative")
+    bits = 64 * n
+    if bits > MAX_ADJACENCY_BITS:
+        raise GraphError(f"vertex count {n} is too large to build")
     masks = [0] * n
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise GraphError(f"edge ({u},{v}) has an id outside 0..{n - 1}")
         if u == v:
             raise GraphError(f"self-loop at vertex {u}")
+        bits += u + v + 2
+        if bits > MAX_ADJACENCY_BITS:
+            raise GraphError(f"graph on {n} vertices is too large to build: "
+                             f"its adjacency could pass {MAX_ADJACENCY_BITS} bits")
         masks[u] |= 1 << v
         masks[v] |= 1 << u
     return Graph(n, tuple(masks))
@@ -405,5 +420,7 @@ def parse_edgelist(text: str) -> Graph:
         raise ParseError("no 'p <n>' line found")
     try:
         return make_graph(n, edges)
-    except (OverflowError, MemoryError):
+    except GraphError as exc:  # the size guard: each edge was checked above
+        raise ParseError(str(exc), line_number=size_line) from None
+    except MemoryError:
         raise ParseError(f"vertex count {n} is too large to build", line_number=size_line) from None

@@ -10,6 +10,7 @@ certificates, witnesses, reports) byte-stable across runs.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import chain, pairwise
 
 from .graphs import Graph, GraphError, _Record, make_graph
 
@@ -107,10 +108,11 @@ def subdivide(g: Graph, k: int) -> SubdivisionMap:
         raise GraphError("subdivision parameter k must be >= 1")
     if k == 1:
         return SubdivisionMap(base=g, k=1, derived=g)
-    edges = []
-    nxt = g.n
-    for u, v in g.edges():
-        chain = [u, *range(nxt, nxt + k - 1), v]
-        nxt += k - 1
-        edges += zip(chain, chain[1:])
-    return SubdivisionMap(base=g, k=k, derived=make_graph(nxt, edges))
+    edges = g.edges()
+    # The path of the rank-th edge (u, v) runs through the k - 1 ids from
+    # n + rank(k - 1). Its edges reach make_graph lazily, so its size bound
+    # refuses a huge k before any edge list is built.
+    paths = (chain((u,), range(g.n + rank * (k - 1), g.n + (rank + 1) * (k - 1)), (v,))
+             for rank, (u, v) in enumerate(edges))
+    derived = make_graph(g.n + (k - 1) * len(edges), chain.from_iterable(map(pairwise, paths)))
+    return SubdivisionMap(base=g, k=k, derived=derived)

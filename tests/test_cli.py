@@ -514,6 +514,36 @@ class TestSubprocessPipeline:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "value=- status=skipped witness=- cap=vertices\n"
 
+    @pytest.mark.parametrize("args, stdin, code, message", [
+        (["subdivide", "--k", "100000"], "Ch\n", 64,
+         "usage error: graph on 300001 vertices is too large to build"),
+        (["gen", "--family", "path", "--n", "1000000"], "", 64,
+         "usage error: graph on 1000000 vertices is too large to build"),
+        # orders past the bound on their own: refused before any edge is made
+        (["subdivide", "--k", "100000000"], "Ch\n", 64,
+         "usage error: vertex count 300000001 is too large to build"),
+        (["gen", "--family", "path", "--n", "1000000000"], "", 64,
+         "usage error: vertex count 1000000000 is too large to build"),
+        (["cert", "--theorem", "general", "-n", "100001"], "Ch\n", 64,
+         "usage error: graph on 300004 vertices is too large to build"),
+        (["gamma", "--format", "edges"],
+         "p 200000\n" + "".join(f"e {v} {v + 1}\n" for v in range(199999)), 65,
+         "parse error: line 1: graph on 200000 vertices is too large to build"),
+    ], ids=["subdivide", "gen", "subdivide-order", "gen-order", "cert", "edges"])
+    def test_huge_graph_is_refused_before_it_is_built(self, args, stdin, code, message):
+        # Under a 2 GiB address-space limit a missing guard ends in a
+        # MemoryError traceback within seconds instead of filling the host.
+        import resource
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        proc = subprocess.run([sys.executable, "-m", "subsec", *args], input=stdin,
+                              capture_output=True, text=True, timeout=60,
+                              preexec_fn=limit_memory)
+        assert proc.returncode == code and proc.stdout == ""
+        assert proc.stderr.startswith(message) and "Traceback" not in proc.stderr
+
     def test_shell_pipe_equivalence(self):
         cmd = (f"{sys.executable} -m subsec gen --family path --n 4 | "
                f"{sys.executable} -m subsec subdivide --k 2 | "

@@ -1,6 +1,7 @@
 """Canonical forms and the connected-graph enumeration, cross-checked against
 a full-permutation oracle and exhaustive labeled-graph counting."""
 
+import hashlib
 import random
 from itertools import combinations
 
@@ -23,15 +24,28 @@ from brute_force import brute_canonical_bits, key_to_bits
 from conftest import graphs
 
 
-def all_labeled_connected(n):
+def all_labeled(n):
     pairs = list(combinations(range(n), 2))
     for mask in range(1 << len(pairs)):
-        g = make_graph(n, [pair for i, pair in enumerate(pairs) if mask >> i & 1])
-        if is_connected(g):
-            yield g
+        yield make_graph(n, [pair for i, pair in enumerate(pairs) if mask >> i & 1])
+
+
+def all_labeled_connected(n):
+    return filter(is_connected, all_labeled(n))
 
 
 class TestCanonicalKey:
+    @pytest.mark.parametrize("n", range(6))
+    def test_every_labeled_graph_matches_permutation_oracle(self, n):
+        # Every tie between labelings that the search meets on up to 5
+        # vertices, and the canonical form is the graph its key spells out.
+        for g in all_labeled(n):
+            bits = key_to_bits(canonical_key(g))
+            assert bits == brute_canonical_bits(g)
+            form = canonical_form(g)
+            assert form.n == n
+            assert tuple(int(form.has_edge(i, j)) for j in range(1, n) for i in range(j)) == bits
+
     @given(graphs(max_n=6))
     @settings(max_examples=120, deadline=None)
     def test_matches_permutation_oracle(self, g):
@@ -67,7 +81,12 @@ class TestEnumerateConnected:
         assert len(ours) == len(oracle_keys)
 
     def test_seven_vertices(self):
-        assert len(enumerate_connected(7)) == 853
+        # The lines of `subsec enum --n 7`, which the benchmark's corpus7
+        # input and expected report are keyed by: representatives and order.
+        lines = [emit_graph6(g) for g in enumerate_connected(7)]
+        assert len(lines) == 853
+        digest = hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()
+        assert digest == "f39a11e21a91db326d834f8e3bf6d5ae85c0f04d6077d08cfbaeecbc572b0a93"
 
     def test_no_duplicate_canonical_forms(self):
         for n in range(1, 7):
