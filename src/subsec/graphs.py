@@ -200,25 +200,27 @@ def make_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from an edge list; duplicate edges collapse.
 
     Raises GraphError on out-of-range ids or self-loops, and before it
-    allocates more than MAX_ADJACENCY_BITS: a running upper bound counts 64
-    bits per vertex slot and, per edge (u, v), the u + 1 and v + 1 bits that
-    its two masks then span at most.
+    allocates more than MAX_ADJACENCY_BITS: 64 bits per vertex slot plus the
+    widths of the masks, counted as each edge widens them. n masks of at
+    most n bits each cannot pass the bound, so smaller orders skip the count.
     """
     if n < 0:
         raise GraphError("vertex count must be nonnegative")
     bits = 64 * n
     if bits > MAX_ADJACENCY_BITS:
         raise GraphError(f"vertex count {n} is too large to build")
+    counted = bits + n * n > MAX_ADJACENCY_BITS
     masks = [0] * n
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise GraphError(f"edge ({u},{v}) has an id outside 0..{n - 1}")
         if u == v:
             raise GraphError(f"self-loop at vertex {u}")
-        bits += u + v + 2
-        if bits > MAX_ADJACENCY_BITS:
-            raise GraphError(f"graph on {n} vertices is too large to build: "
-                             f"its adjacency could pass {MAX_ADJACENCY_BITS} bits")
+        if counted:
+            bits += max(0, v + 1 - masks[u].bit_length()) + max(0, u + 1 - masks[v].bit_length())
+            if bits > MAX_ADJACENCY_BITS:
+                raise GraphError(f"graph on {n} vertices is too large to build: "
+                                 f"its adjacency would pass {MAX_ADJACENCY_BITS} bits")
         masks[u] |= 1 << v
         masks[v] |= 1 << u
     return Graph(n, tuple(masks))
@@ -348,7 +350,10 @@ def parse_graph6(line: str) -> Graph:
             elif bit:
                 raise ParseError("nonzero padding in graph6 body")
             idx += 1
-    return make_graph(n, edges)
+    try:
+        return make_graph(n, edges)
+    except GraphError as exc:  # the size guard: each edge is in range
+        raise ParseError(str(exc)) from None
 
 
 def iter_graph6(lines: Iterable[str]) -> Iterator[Graph]:

@@ -108,11 +108,14 @@ def subdivide(g: Graph, k: int) -> SubdivisionMap:
         raise GraphError("subdivision parameter k must be >= 1")
     if k == 1:
         return SubdivisionMap(base=g, k=1, derived=g)
-    edges = g.edges()
-    # The path of the rank-th edge (u, v) runs through the k - 1 ids from
-    # n + rank(k - 1). Its edges reach make_graph lazily, so its size bound
-    # refuses a huge k before any edge list is built.
-    paths = (chain((u,), range(g.n + rank * (k - 1), g.n + (rank + 1) * (k - 1)), (v,))
-             for rank, (u, v) in enumerate(edges))
-    derived = make_graph(g.n + (k - 1) * len(edges), chain.from_iterable(map(pairwise, paths)))
-    return SubdivisionMap(base=g, k=k, derived=derived)
+
+    def path_edges():
+        # Lazy down to each path, so make_graph's size bound refuses a huge
+        # k before any edge list is built.
+        nxt = g.n
+        for u, v in g.edges():
+            path = chain((u,), range(nxt, nxt + k - 1), (v,))
+            nxt += k - 1
+            yield from pairwise(path)
+
+    return SubdivisionMap(base=g, k=k, derived=make_graph(g.n + (k - 1) * g.m, path_edges()))

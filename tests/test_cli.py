@@ -385,6 +385,24 @@ class TestErrorsAndExitCodes:
         assert code == 65 and out == ""
         assert err == "parse error: line 2: vertex count 99999999999999999999 is too large to build\n"
 
+    @pytest.mark.parametrize("args, stdin, code, message", [
+        (["gamma"], "\nCh\n", 65, "parse error: line 2: graph on 4 vertices"),
+        (["gamma", "--format", "edges"], "p 4\ne 0 1\ne 1 2\ne 2 3\n", 65,
+         "parse error: line 1: graph on 4 vertices"),
+        (["gen", "--family", "path", "--n", "4"], "", 64, "usage error: graph on 4 vertices"),
+        (["subdivide", "--k", "3"], "A_\n", 64, "usage error: graph on 4 vertices"),
+    ], ids=["graph6", "edges", "gen", "subdivide"])
+    def test_graph_past_the_size_bound_exit_code(self, capsys, monkeypatch, args, stdin, code, message):
+        # A bound of the 4 vertex slots alone refuses any edge: input in
+        # either format is a parse error on its line, a built graph a usage
+        # error.
+        import subsec.graphs as graphs
+
+        monkeypatch.setattr(graphs, "MAX_ADJACENCY_BITS", 64 * 4)
+        code_, out, err = run_cli(args, stdin_text=stdin, monkeypatch=monkeypatch, capsys=capsys)
+        assert code_ == code and out == ""
+        assert err.startswith(message + " is too large to build")
+
     def test_bad_byte_in_file_is_65_with_line(self, capsys, tmp_path):
         corpus = tmp_path / "bad.g6"
         corpus.write_bytes(b"Ch\n\xff\n")
@@ -543,6 +561,19 @@ class TestSubprocessPipeline:
                               preexec_fn=limit_memory)
         assert proc.returncode == code and proc.stdout == ""
         assert proc.stderr.startswith(message) and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("args, lines", [
+        (["gen", "--family", "complete", "--n", "3000"], 1),
+        (["gen", "--family", "star", "--n", "200000", "--format", "edges"], 200000),
+    ], ids=["complete", "star"])
+    def test_large_graph_under_the_bound_is_built(self, args, lines):
+        # K_3000 holds about 9 million mask bits and K_{1,199999} about
+        # 400,000, far under the bound, though their edges' ids sum past it:
+        # the bound counts mask widths.
+        proc = subprocess.run([sys.executable, "-m", "subsec", *args],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout.count("\n") == lines
 
     def test_shell_pipe_equivalence(self):
         cmd = (f"{sys.executable} -m subsec gen --family path --n 4 | "

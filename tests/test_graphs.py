@@ -35,6 +35,25 @@ class TestMakeGraph:
         with pytest.raises(GraphError):
             make_graph(3, [(1, 1)])
 
+    @pytest.mark.parametrize("n, edges", [
+        (10, [(0, v) for v in range(1, 10)]),  # star, center 0: one wide mask
+        (10, [(v, 9) for v in range(9)]),  # star, center 9: ten wide masks
+        (6, [(u, v) for u in range(6) for v in range(u + 1, 6)] * 2),  # K6, each edge twice
+        (8, [(v, v + 1) for v in range(7)]),
+    ], ids=["star-low", "star-high", "complete-twice", "path"])
+    def test_size_bound_counts_mask_widths_exactly(self, monkeypatch, n, edges):
+        # The bound is 64 bits per vertex slot plus the masks' widths: a
+        # graph that needs exactly the bound is built, one bit less refuses.
+        import subsec.graphs as graphs
+
+        g = make_graph(n, edges)
+        need = 64 * n + sum(mask.bit_length() for mask in g.adj_masks)
+        monkeypatch.setattr(graphs, "MAX_ADJACENCY_BITS", need)
+        assert make_graph(n, edges) == g
+        monkeypatch.setattr(graphs, "MAX_ADJACENCY_BITS", need - 1)
+        with pytest.raises(GraphError, match=f"graph on {n} vertices is too large to build"):
+            make_graph(n, edges)
+
 
 class TestGenerate:
     def test_path(self):
