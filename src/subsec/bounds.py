@@ -334,9 +334,14 @@ def _fmt(value) -> str:
     return str(value)
 
 
+# One encoder for every row: json.dumps with a ``default`` builds a new one
+# per call.
+_JSON = json.JSONEncoder(default=_fmt)
+
+
 def _json(record) -> str:
     """One JSON line; a Fraction is written as its _fmt string."""
-    return json.dumps(record, default=_fmt)
+    return _JSON.encode(record)
 
 
 def _report(fmt: str, columns, records, text, summary: dict[str, list[str]]) -> list[str]:

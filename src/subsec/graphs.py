@@ -191,9 +191,11 @@ def _iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-# The most adjacency bits make_graph builds (1 GiB), so a huge order or
+# The most adjacency bits make_graph builds (256 MiB), so a huge order or
 # subdivision is a GraphError, not a MemoryError or a machine out of memory.
-MAX_ADJACENCY_BITS = 1 << 33
+# A refused graph still holds up to the bound, plus Python's int headers,
+# before the count passes it: about 0.3 GB at this bound.
+MAX_ADJACENCY_BITS = 1 << 31
 
 
 def make_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:

@@ -562,6 +562,23 @@ class TestSubprocessPipeline:
         assert proc.returncode == code and proc.stdout == ""
         assert proc.stderr.startswith(message) and "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("args, stdin", [
+        (["subdivide", "--k", "100000"], "Ch\n"),
+        (["gen", "--family", "path", "--n", "1000000"], ""),
+    ], ids=["subdivide", "gen"])
+    def test_refused_graph_peak_rss_is_bounded(self, args, stdin):
+        # A path's masks fill the whole bound (2^31 bits, 256 MiB) before the
+        # count passes it. A small parent process runs the command and reads
+        # its peak RSS, so no other child of the test run is counted.
+        measure = ("import resource, subprocess, sys\n"
+                   "code = subprocess.call(sys.argv[1:], stderr=subprocess.DEVNULL)\n"
+                   "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
+        proc = subprocess.run([sys.executable, "-c", measure, sys.executable, "-m", "subsec", *args],
+                              input=stdin, capture_output=True, text=True, timeout=60)
+        code, peak_kb = map(int, proc.stdout.split())
+        assert code == 64
+        assert peak_kb < 384 * 1024
+
     @pytest.mark.parametrize("args, lines", [
         (["gen", "--family", "complete", "--n", "3000"], 1),
         (["gen", "--family", "star", "--n", "200000", "--format", "edges"], 200000),

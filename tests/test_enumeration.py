@@ -34,6 +34,9 @@ def all_labeled_connected(n):
     return filter(is_connected, all_labeled(n))
 
 
+# sha256 of the output of `subsec enum --n 7`.
+ENUM7_SHA256 = "f39a11e21a91db326d834f8e3bf6d5ae85c0f04d6077d08cfbaeecbc572b0a93"
+
 class TestCanonicalKey:
     @pytest.mark.parametrize("n", range(6))
     def test_every_labeled_graph_matches_permutation_oracle(self, n):
@@ -86,7 +89,7 @@ class TestEnumerateConnected:
         lines = [emit_graph6(g) for g in enumerate_connected(7)]
         assert len(lines) == 853
         digest = hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()
-        assert digest == "f39a11e21a91db326d834f8e3bf6d5ae85c0f04d6077d08cfbaeecbc572b0a93"
+        assert digest == ENUM7_SHA256
 
     def test_no_duplicate_canonical_forms(self):
         for n in range(1, 7):

@@ -1,0 +1,137 @@
+"""The process exit: ``python -m subsec`` leaves with ``os._exit`` once its
+output is flushed, and prints exactly what ``cli.main`` prints in-process,
+byte for byte, with the same exit status."""
+
+import ast
+import hashlib
+import io
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import subsec
+from subsec import cli
+
+from test_enumeration import ENUM7_SHA256
+
+SRC = Path(subsec.__file__).resolve().parents[1]
+CORPUS = (SRC / "subsec" / "data" / "connected_upto6.g6").read_bytes()
+# COLUMNS fixes argparse's help width in both runs. Without
+# PYTHONUNBUFFERED, printed rows wait in the stdout buffer until a flush.
+ENV = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"} | {
+    "COLUMNS": "80",
+    "PYTHONPATH": os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
+
+
+def in_process(argv, stdin, monkeypatch):
+    out, err = io.BytesIO(), io.BytesIO()
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(stdin)))
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(out))
+    monkeypatch.setattr(sys, "stderr", io.TextIOWrapper(err))
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # --help
+        code = exc.code
+    sys.stdout.flush()
+    sys.stderr.flush()
+    return code, out.getvalue(), err.getvalue()
+
+
+def in_a_process(argv, stdin=b"", **streams):
+    return subprocess.run([sys.executable, "-m", "subsec", *argv], input=stdin, env=ENV,
+                          timeout=60, **({"stdout": subprocess.PIPE, "stderr": subprocess.PIPE} | streams))
+
+
+@pytest.mark.parametrize("argv, stdin, code", [
+    (["gamma-s"], CORPUS, 0),
+    (["verify", "--theorem", "g14", "--fail-on-violation"], CORPUS, 2),
+    (["subdivide", "--k", "0"], b"Ch\n", 64),
+    (["gamma"], b"Ch\n\xff\n", 65),
+    (["verify", "--help"], b"", 0),
+    # 1000 rows, 2000 bytes: under the 4 KiB stdout buffer Python gives a
+    # pipe, so all of them are still buffered at the error
+    (["subdivide", "--k", "1000000000"], b"@\n" * 1000 + b"A_\n", 64),
+    # about 240 KB, several pipe buffers
+    (["gen", "--family", "path", "--n", "20000", "--format", "edges"], b"", 0),
+], ids=["exit-0", "violations-2", "bad-k-64", "bad-byte-65", "help", "rows-then-64", "large"])
+def test_process_prints_what_main_prints(argv, stdin, code, monkeypatch):
+    proc = in_a_process(argv, stdin)
+    assert (proc.returncode, proc.stdout, proc.stderr) == in_process(argv, stdin, monkeypatch)
+    assert proc.returncode == code
+    assert (proc.stderr == b"") == (code in (0, 2))
+
+
+@pytest.mark.parametrize("into", ["pipe", "file"])
+def test_enum_output_arrives_whole(into, tmp_path):
+    if into == "pipe":
+        out = in_a_process(["enum", "--n", "7"]).stdout
+    else:
+        path = tmp_path / "enum7.g6"
+        with open(path, "wb") as handle:
+            assert in_a_process(["enum", "--n", "7"], stdout=handle).returncode == 0
+        out = path.read_bytes()
+    assert hashlib.sha256(out).hexdigest() == ENUM7_SHA256
+
+
+@pytest.mark.parametrize("argv, stdin, err", [
+    (["gamma-s"], b"Ch\n", b""),
+    (["subdivide", "--k", "1000000000"], b"@\n" * 1000 + b"A_\n",
+     b"usage error: vertex count 1000000001 is too large to build\n"),
+], ids=["done", "rows-then-64"])
+def test_closed_stdout_at_the_last_flush_is_141(argv, stdin, err):
+    # The output fits in the stdout buffer, so the first write to the
+    # closed pipe is the flush before the exit.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = in_a_process(argv, stdin, stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141 and proc.stderr == err
+
+
+@pytest.mark.parametrize("fd", [1, 2], ids=["stdout", "stderr"])
+def test_a_stream_closed_at_start_keeps_the_exit_status(fd):
+    # Python sets sys.stdout or sys.stderr to None when its descriptor is
+    # closed at start; print then writes an error message to the other one.
+    proc = in_a_process(["subdivide", "--k", "0"], b"Ch\n", preexec_fn=lambda: os.close(fd))
+    assert proc.returncode == 64
+    assert proc.stdout + proc.stderr == b"usage error: subdivide needs --k >= 1, got 0\n"
+
+
+# An exit handler that runs only if the interpreter tears down.
+TEARDOWN = """
+import atexit, runpy, sys
+atexit.register(lambda: sys.stderr.write("teardown\\n"))
+sys.argv = ["subsec", *sys.argv[1:]]
+runpy.run_module("subsec", run_name="__main__")
+"""
+
+
+@pytest.mark.parametrize("argv, code, teardown", [
+    (["gamma-s"], 0, False),
+    (["subdivide", "--k", "0"], 64, False),
+    (["--help"], 0, True),
+], ids=["done", "usage-error", "help"])
+def test_only_help_tears_the_interpreter_down(argv, code, teardown):
+    proc = subprocess.run([sys.executable, "-c", TEARDOWN, *argv], input=b"Ch\n", env=ENV,
+                          capture_output=True, timeout=60)
+    assert proc.returncode == code
+    assert proc.stderr.endswith(b"teardown\n") == teardown
+
+
+def test_console_script_is_the_entry_main_module_calls():
+    pyproject = (SRC.parent / "pyproject.toml").read_text(encoding="utf-8")
+    script = re.search(r'^subsec = "(.+)"$', pyproject, re.MULTILINE).group(1)
+    tree = ast.parse((SRC / "subsec" / "__main__.py").read_text(encoding="utf-8"))
+    imported = {alias.name: f"subsec.{node.module}:{alias.name}"
+                for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    called = [imported[node.func.id] for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
+    assert called == [script] == ["subsec.cli:run"]
