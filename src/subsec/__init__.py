@@ -18,16 +18,14 @@ _MODULES = {
         "GraphError",
         "ParseError",
         "VertexSet",
-        "emit_edgelist",
-        "emit_graph6",
         "is_connected",
         "is_star",
         "iter_graph6",
         "make_graph",
         "max_degree",
-        "parse_edgelist",
         "parse_graph6",
     ),
+    "formats": ("emit_edgelist", "emit_graph6", "parse_edgelist"),
     "corpus": (
         "bundled_corpus",
         "bundled_corpus_lines",

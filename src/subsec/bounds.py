@@ -20,7 +20,8 @@ from functools import lru_cache
 import json
 
 from . import _pool
-from .graphs import Graph, _Record, emit_graph6, is_star, max_degree
+from .formats import emit_graph6
+from .graphs import Graph, _Record, is_star, max_degree
 from .solver import DEFAULT_BUDGET, SolverBudget, gamma_exact, gamma_s_exact, path_secure_formula
 from .subdivision import subdivide
 

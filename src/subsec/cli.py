@@ -9,15 +9,20 @@ fans out to SUBSEC_THREADS workers without changing the output.
 Exit codes: 0 done, 2 violations found under --fail-on-violation, 64 usage
 error, 65 parse error (reported with its line number), 141 stdout closed by
 its reader (as by ``| head``; nothing is printed).
+
+Each command's flags are rows of ``_Flag``, read by ``_parse``, and its help
+is printed from the same rows. ``gamma`` and ``gamma-s`` run from this
+module; the other commands, and the modules only they use, are in
+``commands``, which loads when one of them runs or prints its help.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+from types import SimpleNamespace
 
-from .graphs import Graph, ParseError, _G6_HEADER, emit_edgelist, emit_graph6, iter_graph6, parse_edgelist
+from .graphs import Graph, ParseError, _G6_HEADER, _Record, iter_graph6
 from .solver import ENGINES, SolverBudget, gamma_exact, gamma_s_exact
 
 EX_USAGE = 64
@@ -29,9 +34,118 @@ class _UsageError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _UsageError(message)
+class _Flag(_Record):
+    """One flag of a command. ``kind`` is "int", "float" or "str" for a flag
+    that takes a value, "switch" for one that takes none (True if given), or
+    "append" for a str flag whose every use adds a value to a list; any other
+    flag given twice keeps its last value. A value must be one of
+    ``choices``, if set; ``default`` is the value of a flag not given."""
+
+    name: str
+    kind: str = "str"
+    choices: tuple[str, ...] | None = None
+    default: object = None
+    required: bool = False
+    help: str = ""
+
+    @property
+    def dest(self) -> str:
+        """The attribute that holds the value: ``--max-nodes`` -> ``max_nodes``."""
+        return self.name.lstrip("-").replace("-", "_")
+
+    @property
+    def synopsis(self) -> str:
+        return self.name if self.kind == "switch" else f"{self.name} {self.dest.upper()}"
+
+
+def _input_flags(name: str = "--input") -> tuple[_Flag, ...]:
+    return (_Flag(name, default="-", help="file path, or - for stdin"),
+            _Flag("--format", choices=("g6", "edges"), default="g6"))
+
+
+_BUDGET_FLAGS = (
+    _Flag("--engine", choices=ENGINES, default=SolverBudget.engine),
+    _Flag("--max-vertices", "int", default=SolverBudget.max_vertices),
+    _Flag("--max-nodes", "int", default=SolverBudget.max_nodes),
+)
+_HELP = ("-h", "--help")
+
+
+def _looks_like_flag(arg: str) -> bool:
+    """A dash and more, other than a negative number: ``--k -1`` gives --k
+    its value, ``--k --format`` gives it none."""
+    return arg.startswith("-") and len(arg) > 1 and not (arg[1].isdigit() or arg[1] == ".")
+
+
+def _parse(command: str, flags: tuple[_Flag, ...], argv: list[str]) -> SimpleNamespace:
+    """The values of ``flags`` in ``argv``: ``--flag value``, ``--flag=value``
+    or ``-n value``. A flag is named in full, never abbreviated."""
+    by_name = {flag.name: flag for flag in flags}
+    values = {flag.dest: [] if flag.kind == "append" else flag.default for flag in flags}
+    given = set()
+    args = iter(argv)
+    for arg in args:
+        name, eq, value = arg.partition("=") if arg.startswith("--") else (arg, "", "")
+        flag = by_name.get(name)
+        if flag is None:
+            if _looks_like_flag(arg):
+                raise _UsageError(f"{command} has no flag {name}")
+            raise _UsageError(f"{command} takes no argument {arg!r}")
+        given.add(name)
+        if flag.kind == "switch":
+            if eq:
+                raise _UsageError(f"{name} takes no value")
+            values[flag.dest] = True
+            continue
+        if not eq:
+            value = next(args, None)
+            if value is None or _looks_like_flag(value):
+                raise _UsageError(f"{name} needs a value")
+        if flag.kind in ("int", "float"):
+            try:
+                value = int(value) if flag.kind == "int" else float(value)
+            except ValueError:
+                expected = "an integer" if flag.kind == "int" else "a number"
+                raise _UsageError(f"{name} needs {expected}, got {value!r}") from None
+        if flag.choices is not None and value not in flag.choices:
+            raise _UsageError(f"unknown {name} {value!r} (choose from {', '.join(flag.choices)})")
+        if flag.kind == "append":
+            values[flag.dest].append(value)
+        else:
+            values[flag.dest] = value
+    for flag in flags:
+        if flag.required and flag.name not in given:
+            raise _UsageError(f"{command} needs {flag.name}")
+    return SimpleNamespace(**values)
+
+
+def _help(command: str, flags: tuple[_Flag, ...]) -> str:
+    """One line per flag at a fixed width, whatever the terminal's."""
+    rows = []
+    for flag in flags:
+        notes = [flag.help] if flag.help else []
+        if flag.choices:
+            notes.append(f"one of {', '.join(flag.choices)}")
+        if flag.required:
+            notes.append("(required)")
+        elif flag.default is not None:
+            notes.append(f"(default {flag.default})")
+        rows.append((flag.synopsis, " ".join(notes)))
+    rows.append(("-h, --help", "print this help and exit"))
+    width = max(len(left) for left, _ in rows) + 2
+    required = "".join(f"{flag.synopsis} " for flag in flags if flag.required)
+    lines = [f"usage: subsec {command} {required}[flag ...]", "", _COMMANDS[command], "",
+             "flags:", *(f"  {left:<{width}}{right}".rstrip() for left, right in rows)]
+    return "\n".join(lines) + "\n"
+
+
+def _usage() -> str:
+    width = max(map(len, _COMMANDS)) + 2
+    return "\n".join([
+        "usage: subsec <command> [flag ...]", "", "commands:",
+        *(f"  {name:<{width}}{text}" for name, text in _COMMANDS.items()), "",
+        "'subsec <command> --help' lists the flags of a command.",
+    ]) + "\n"
 
 
 def _read_lines(path: str) -> list[str]:
@@ -50,94 +164,15 @@ def _read_graphs(path: str, fmt: str) -> list[tuple[str | None, Graph]]:
     header, or None for an edge list (``bounds`` names it by its g6)."""
     lines = _read_lines(path)
     if fmt == "edges":
+        from .formats import parse_edgelist
+
         return [(None, parse_edgelist("\n".join(lines)))]
     ids = [line.removeprefix(_G6_HEADER) for line in lines if line]
     return list(zip(ids, iter_graph6(lines)))
 
 
-def _emit_graph(g: Graph, fmt: str, out) -> None:
-    if fmt == "g6":
-        print(emit_graph6(g), file=out)
-    else:
-        out.write(emit_edgelist(g))
-
-
-def _add_budget_flags(sub):
-    sub.add_argument("--engine", choices=ENGINES, default=SolverBudget.engine)
-    sub.add_argument("--max-vertices", type=int, default=SolverBudget.max_vertices)
-    sub.add_argument("--max-nodes", type=int, default=SolverBudget.max_nodes)
-
-
-def _add_input_flags(sub, name="--input"):
-    sub.add_argument(name, default="-", help="file path, or - for stdin")
-    sub.add_argument("--format", choices=("g6", "edges"), default="g6")
-
-
 def _budget(args) -> SolverBudget:
     return SolverBudget(args.max_vertices, args.max_nodes, args.engine)
-
-
-# Each command is a flag builder and a runner. The modules only some
-# commands use (corpus, subdivision, certificates, bounds) are imported inside
-# these functions, so a run loads only its own command's modules.
-
-
-def _gen_flags(sub):
-    from .corpus import FAMILIES
-
-    sub.add_argument("--family", choices=FAMILIES, required=True)
-    sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--p", type=float)
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--format", choices=("g6", "edges"), default="g6")
-
-
-def _cmd_gen(args, out) -> int:
-    from .corpus import generate
-
-    g = generate(args.family, args.n, p=args.p, seed=args.seed)
-    _emit_graph(g, args.format, out)
-    return 0
-
-
-def _enum_flags(sub):
-    sub.add_argument("--n", type=int, required=True)
-
-
-def _cmd_enum(args, out) -> int:
-    from .corpus import enumerate_connected
-
-    for g in enumerate_connected(args.n):
-        print(emit_graph6(g), file=out)
-    return 0
-
-
-def _subdivide_flags(sub):
-    _add_input_flags(sub)
-    sub.add_argument("--k", type=int, required=True)
-    sub.add_argument("--labels", action="store_true",
-                     help="append the id->label table as comments (edges format only)")
-
-
-def _cmd_subdivide(args, out) -> int:
-    from .subdivision import subdivide
-
-    if args.labels and args.format != "edges":
-        raise _UsageError("--labels requires --format edges")
-    if args.k < 1:
-        raise _UsageError(f"subdivide needs --k >= 1, got {args.k}")
-    for _, g in _read_graphs(args.input, args.format):
-        sm = subdivide(g, args.k)
-        _emit_graph(sm.derived, args.format, out)
-        if args.labels:
-            for vid in range(sm.derived.n):
-                print(f"# label {vid}\t{sm.label(vid)}", file=out)
-    return 0
-
-
-def _solve_flags(sub):
-    _add_input_flags(sub)
-    _add_budget_flags(sub)
 
 
 def _cmd_solve(args, out, secure: bool) -> int:
@@ -153,127 +188,50 @@ def _cmd_solve(args, out, secure: bool) -> int:
     return 0
 
 
-def _cert_flags(sub):
-    from .certificates import CONSTRUCTIONS
-
-    _add_input_flags(sub)
-    sub.add_argument("--theorem", choices=tuple(CONSTRUCTIONS), required=True)
-    for flag in ("--k", "-n"):
-        ids = ", ".join(row.id for row in CONSTRUCTIONS.values() if row.param == flag)
-        sub.add_argument(flag, type=int, help=f"subdivision parameter for --theorem {ids}")
-
-
-def _cmd_cert(args, out) -> int:
-    from .certificates import CONSTRUCTIONS, CertificateError
-    from .subdivision import subdivide
-
-    row = CONSTRUCTIONS[args.theorem]
-    flags = {"--k": args.k, "-n": args.n}
-    k = row.resolve(flags.get(row.param))  # checked before input is read
-    for flag, value in flags.items():
-        if value is not None and flag != row.param:
-            raise _UsageError(f"--theorem {row.id} takes no {flag}")
-    for _, g in _read_graphs(args.input, args.format):
-        sm = subdivide(g, k)
-        try:
-            built = row.build(sm)
-        except CertificateError as exc:  # a base the construction does not take
-            print(f"theorem={row.id} status=skipped ({exc})", file=out)
-            continue
-        for cert in built if isinstance(built, tuple) else (built,):
-            ids = cert.vertices.sorted()
-            labels = ",".join(str(sm.label(v)) for v in ids)
-            verdict = "true" if cert.validated else "false"
-            print(f"theorem={cert.theorem_id} claimed={cert.claimed_size} "
-                  f"size={len(cert.vertices)} validated={verdict}", file=out)
-            print(f"set={','.join(str(v) for v in ids)}", file=out)
-            print(f"labels={labels}", file=out)
-    return 0
-
-
-def _verify_flags(sub):
-    from .bounds import CLAIMS, THEOREM_IDS
-
-    _add_input_flags(sub, "--corpus")
-    sub.add_argument("--theorem", action="append", required=True,
-                     help="theorem id, repeatable or comma-separated: " + ", ".join(THEOREM_IDS))
-    ids = ", ".join(claim.id for claim in CLAIMS if not isinstance(claim.k, int))
-    sub.add_argument("-n", type=int, dest="n", help=f"subdivision parameter for --theorem {ids}")
-    sub.add_argument("--output", choices=("tsv", "jsonl", "text"), default="tsv")
-    sub.add_argument("--fail-on-violation", action="store_true")
-    _add_budget_flags(sub)
-
-
-def _cmd_verify(args, out) -> int:
-    from . import bounds
-
-    tids = [tid for chunk in args.theorem for tid in chunk.split(",") if tid]
-    if not tids:
-        raise _UsageError("--theorem names no theorem id")
-    claims = bounds.resolve_claims(tids, args.n)  # usage errors end the run before input is read
-    if args.n is not None and all(isinstance(claim.k, int) for claim, _ in claims):
-        raise _UsageError(f"--theorem {','.join(tids)} takes no -n")
-    pairs = _read_graphs(args.corpus, args.format)
-    checks = bounds.run_corpus(pairs, tids, n=args.n, budget=_budget(args))
-    for line in bounds.render_checks(checks, args.output):
-        print(line, file=out)
-    if args.fail_on_violation and any(c.status == "violated" for c in checks):
-        return 2
-    return 0
-
-
-def _conjecture_flags(sub):
-    _add_input_flags(sub, "--corpus")
-    sub.add_argument("--output", choices=("tsv", "jsonl", "text"), default="tsv")
-    _add_budget_flags(sub)
-
-
-def _cmd_conjecture(args, out) -> int:
-    from . import bounds
-
-    pairs = _read_graphs(args.corpus, args.format)
-    report = bounds.conjecture_scan(pairs, budget=_budget(args))
-    for line in bounds.render_conjecture(report, args.output):
-        print(line, file=out)
-    return 0
-
-
-# command -> (help text, flag builder, runner), in the order --help lists them
+# command -> its one-line help, in the order --help lists them
 _COMMANDS = {
-    "gen": ("emit a named graph", _gen_flags, _cmd_gen),
-    "enum": ("all connected graphs on n vertices, one per class", _enum_flags, _cmd_enum),
-    "subdivide": ("replace each edge with a k-edge path", _subdivide_flags, _cmd_subdivide),
-    "gamma": ("exact gamma of each input graph", _solve_flags,
-              lambda args, out: _cmd_solve(args, out, secure=False)),
-    "gamma-s": ("exact gamma_s of each input graph", _solve_flags,
-                lambda args, out: _cmd_solve(args, out, secure=True)),
-    "cert": ("build and validate a certificate construction", _cert_flags, _cmd_cert),
-    "verify": ("grade claimed bounds over a corpus", _verify_flags, _cmd_verify),
-    "conjecture": ("scan a corpus for ratio gamma_s(G^{1/2})/|V|", _conjecture_flags,
-                   _cmd_conjecture),
+    "gen": "emit a named graph",
+    "enum": "all connected graphs on n vertices, one per class",
+    "subdivide": "replace each edge with a k-edge path",
+    "gamma": "exact gamma of each input graph",
+    "gamma-s": "exact gamma_s of each input graph",
+    "cert": "build and validate a certificate construction",
+    "verify": "grade claimed bounds over a corpus",
+    "conjecture": "scan a corpus for ratio gamma_s(G^{1/2})/|V|",
 }
 
 
-def build_parser(command: str | None) -> _Parser:
-    """The parser of every command name, with the flags of ``command`` only:
-    no other command's flags can be parsed in the same run."""
-    parser = _Parser(prog="subsec", description=__doc__.splitlines()[0])
-    commands = parser.add_subparsers(dest="command", required=True)
-    for name, (text, add_flags, _) in _COMMANDS.items():
-        sub = commands.add_parser(name, help=text)
-        if name == command:
-            add_flags(sub)
-    return parser
+def _command(name: str):
+    """The flags and the runner of command ``name``."""
+    if name in ("gamma", "gamma-s"):
+        secure = name == "gamma-s"
+        return (*_input_flags(), *_BUDGET_FLAGS), lambda args, out: _cmd_solve(args, out, secure)
+    from .commands import COMMANDS
+
+    flags, runner = COMMANDS[name]
+    return flags(), runner
+
+
+def _run(argv: list[str], out) -> int:
+    if argv and argv[0] in _HELP:
+        out.write(_usage())
+        return 0
+    if not argv or argv[0] not in _COMMANDS:
+        given = f"unknown command {argv[0]!r}" if argv else "missing command"
+        raise _UsageError(f"{given} (choose from {', '.join(_COMMANDS)})")
+    command, rest = argv[0], argv[1:]
+    flags, runner = _command(command)
+    if any(arg in _HELP for arg in rest):
+        out.write(_help(command, flags))
+        return 0
+    return runner(_parse(command, flags, rest), out)
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command line and return its exit code; ``--help`` returns 0."""
     argv = sys.argv[1:] if argv is None else argv
-    # The top level takes no option with a value, so argparse reads the
-    # first argument that is not an option as the command.
-    parser = build_parser(next((arg for arg in argv if not arg.startswith("-")), None))
     try:
-        args = parser.parse_args(argv)
-        code = _COMMANDS[args.command][2](args, sys.stdout)
+        code = _run(argv, sys.stdout)
         sys.stdout.flush()
         return code
     except BrokenPipeError:
@@ -300,8 +258,7 @@ def run() -> None:
     run ``main``, flush what it printed and leave with ``os._exit``, as
     ``_pool`` workers do. Freeing every module and object at interpreter
     teardown would only delay the exit status (10-20 ms a run on a 2-core
-    host). A ``--help`` exit and an uncaught exception still take Python's
-    own exit."""
+    host). Only an uncaught exception takes Python's own exit."""
     code = main()
     # An error exit leaves what it printed in the buffers. A stream is None
     # if the process started with its descriptor closed.

@@ -353,10 +353,8 @@ class TestVerifyCommand:
                                  stdin_text="?\n", monkeypatch=monkeypatch, capsys=capsys)
         assert code == 0 and err == "" and row in out.splitlines()
 
-    def test_n_help_names_the_claims_whose_k_is_a_rule(self, capsys, monkeypatch):
-        monkeypatch.setenv("COLUMNS", "200")  # one help line per flag
-        with pytest.raises(SystemExit):
-            main(["verify", "--help"])
+    def test_n_help_names_the_claims_whose_k_is_a_rule(self, capsys):
+        assert main(["verify", "--help"]) == 0
         [line] = [line for line in capsys.readouterr().out.splitlines()
                   if line.lstrip().startswith("-n ")]
         named = line.split("--theorem", 1)[1].replace(",", " ").split()
@@ -430,6 +428,107 @@ class TestErrorsAndExitCodes:
         assert proc.stderr == b""
 
 
+class TestFlagParsing:
+    """Each command's flags are rows of one table in ``cli``/``commands``,
+    read by one small parser; help is printed from the same rows."""
+
+    @pytest.mark.parametrize("args", [
+        ["gen", "--family", "path", "--n", "4"],
+        ["gen", "--family=path", "--n=4"],
+        ["gen", "--n", "4", "--family=path", "--format=g6"],
+    ], ids=["spaced", "equals", "mixed"])
+    def test_value_forms_are_accepted(self, capsys, args):
+        assert run_cli(args, capsys=capsys) == (0, "Ch\n", "")
+
+    def test_short_n_takes_its_value(self, capsys, monkeypatch):
+        code, out, err = run_cli(["cert", "--theorem", "general", "-n", "6"], stdin_text="A_\n",
+                                 monkeypatch=monkeypatch, capsys=capsys)
+        assert code == 0 and err == "" and "claimed=3 size=3 validated=true" in out
+
+    def test_negative_value_reaches_the_command_check(self, capsys, monkeypatch):
+        for args in (["subdivide", "--k", "-1"], ["subdivide", "--k=-1"]):
+            code, out, err = run_cli(args, stdin_text="A_\n", monkeypatch=monkeypatch, capsys=capsys)
+            assert (code, out, err) == (64, "", "usage error: subdivide needs --k >= 1, got -1\n")
+
+    def test_repeated_theorem_accumulates(self, capsys, monkeypatch):
+        code, out, _ = run_cli(["verify", "--theorem", "g13", "--theorem", "prop1,g12"],
+                               stdin_text="Ch\n", monkeypatch=monkeypatch, capsys=capsys)
+        assert code == 0
+        assert [line.split("\t")[1] for line in out.splitlines()[1:-1]] == ["g13", "prop1", "g12"]
+
+    @pytest.mark.parametrize("args, stdin, out", [
+        (["gen", "--family", "cycle", "--n", "3", "--family", "path", "--n", "4"], "", "Ch\n"),
+        (["gamma", "--max-nodes", "1", "--max-nodes", "100"], "Ch\n",
+         "value=2 status=exact witness=0,2\n"),
+        (["gamma", "--max-nodes", "100", "--max-nodes=1"], "Ch\n",
+         "value=- status=skipped witness=- cap=nodes\n"),
+        (["subdivide", "--k", "2", "--format", "edges", "--labels", "--labels"], "p 2\ne 0 1\n",
+         "p 3\ne 0 2\ne 1 2\n# label 0\tOriginal(0)\n# label 1\tOriginal(1)\n"
+         "# label 2\tInternal(0,1,1)\n"),
+    ], ids=["gen", "larger-last", "smaller-last", "switch"])
+    def test_other_repeated_flags_keep_the_last_value(self, capsys, monkeypatch, args, stdin, out):
+        assert run_cli(args, stdin_text=stdin, monkeypatch=monkeypatch, capsys=capsys) == (0, out, "")
+
+    @pytest.mark.parametrize("args, message", [
+        ([], "missing command (choose from gen, enum, subdivide, gamma, gamma-s, cert, verify, "
+             "conjecture)"),
+        (["nope"], "unknown command 'nope' (choose from gen, enum, subdivide, gamma, gamma-s, "
+                   "cert, verify, conjecture)"),
+        (["--bogus"], "unknown command '--bogus' (choose from gen, enum, subdivide, gamma, "
+                      "gamma-s, cert, verify, conjecture)"),
+        (["gamma-s", "--naive"], "gamma-s has no flag --naive"),
+        (["gamma", "--max-n", "5"], "gamma has no flag --max-n"),
+        (["verify", "--theorem", "g16", "-n5"], "verify has no flag -n5"),
+        (["cert", "--theorem", "general", "-n=6"], "cert has no flag -n=6"),
+        (["gamma", "--max-nodes"], "--max-nodes needs a value"),
+        (["gamma", "--input", "--format", "g6"], "--input needs a value"),
+        (["gamma", "--max-nodes", "many"], "--max-nodes needs an integer, got 'many'"),
+        (["gamma", "--max-vertices=2.5"], "--max-vertices needs an integer, got '2.5'"),
+        (["gen", "--family", "random", "--n", "5", "--p", "half", "--seed", "1"],
+         "--p needs a number, got 'half'"),
+        (["gamma", "--engine", "dp"], "unknown --engine 'dp' (choose from branch, naive)"),
+        (["gamma", "--format", "graph6"], "unknown --format 'graph6' (choose from g6, edges)"),
+        (["cert", "--theorem", "g13"],
+         "unknown --theorem 'g13' (choose from half, star, third, quarter, fifth, general)"),
+        (["subdivide"], "subdivide needs --k"),
+        (["verify", "--output", "text"], "verify needs --theorem"),
+        (["gen", "--n", "4"], "gen needs --family"),
+        (["gamma", "stray"], "gamma takes no argument 'stray'"),
+        (["gamma", "-"], "gamma takes no argument '-'"),
+        (["subdivide", "--k", "2", "--labels=yes"], "--labels takes no value"),
+    ], ids=["no-command", "unknown-command", "flag-as-command", "unknown-flag", "abbreviation",
+            "attached-short", "short-with-equals", "missing-value", "flag-as-value", "bad-int",
+            "float-for-int", "bad-float", "engine-choice", "format-choice", "theorem-choice",
+            "subdivide-k", "verify-theorem", "gen-family", "positional", "dash-positional",
+            "switch-value"])
+    def test_bad_command_line_is_64_and_names_the_flag(self, capsys, monkeypatch, args, message):
+        code, out, err = run_cli(args, stdin_text="A_\n", monkeypatch=monkeypatch, capsys=capsys)
+        assert (code, out, err) == (64, "", f"usage error: {message}\n")
+
+    @pytest.mark.parametrize("command", ["gen", "enum", "subdivide", "gamma", "gamma-s", "cert",
+                                         "verify", "conjecture"])
+    def test_help_lists_every_flag_of_the_table(self, capsys, command):
+        from subsec import cli
+
+        flags, _ = cli._command(command)
+        assert main([command, "--help"]) == 0
+        out = capsys.readouterr().out
+        listed = [line.split()[0] for line in out.split("flags:\n", 1)[1].splitlines()]
+        assert listed == [flag.name for flag in flags] + ["-h,"]
+        assert out.startswith(f"usage: subsec {command} ")
+
+    @pytest.mark.parametrize("args", [["--help"], ["-h"], ["verify", "--help"], ["cert", "-h"],
+                                      ["gamma-s", "--max-nodes", "5", "--help"]],
+                             ids=["top", "top-short", "verify", "cert-short", "after-flags"])
+    def test_help_bytes_do_not_depend_on_the_terminal_width(self, capsys, args):
+        assert main(args) == 0
+        expected = capsys.readouterr().out.encode()
+        for columns in ("20", "300"):
+            proc = subprocess.run([sys.executable, "-m", "subsec", *args], capture_output=True,
+                                  env={**os.environ, "COLUMNS": columns})
+            assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, b"")
+
+
 class TestInputBytes:
     """Stdin and files are read as bytes, split at LF, CR or CRLF and decoded
     one character per byte, whatever the locale."""
@@ -499,7 +598,7 @@ class TestInputBytes:
         assert (code, out, err) == (65, "", f"parse error: {message}\n")
 
     def test_edge_list_is_named_only_by_reports(self, capsys, monkeypatch):
-        from subsec import bounds, cli
+        from subsec import bounds, commands, formats
 
         def refuse(g):
             raise AssertionError("graph6 id built for an unnamed graph")
@@ -510,8 +609,8 @@ class TestInputBytes:
             calls.append(g)
             return emit_graph6(g)
 
-        monkeypatch.setattr(cli, "emit_graph6", refuse)
-        monkeypatch.setattr(bounds, "emit_graph6", refuse)
+        for module in (formats, commands, bounds):
+            monkeypatch.setattr(module, "emit_graph6", refuse)
         edges = "p 4\ne 0 1\ne 1 2\ne 2 3\n"
         code, out, _ = run_cli(["gamma", "--format", "edges"], stdin_text=edges,
                                monkeypatch=monkeypatch, capsys=capsys)

@@ -14,11 +14,18 @@ import subsec
 
 SRC = str(Path(subsec.__file__).resolve().parents[1])
 ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
-# What grading, certificates, subdivision and the pool need, and a solve does not.
+# What grading, certificates, subdivision, the pool, the other commands and
+# the graph writers need, and a solve does not.
 NOT_FOR_A_SOLVE = {
     "subsec.bounds", "subsec.certificates", "subsec.subdivision", "subsec._pool",
+    "subsec.commands", "subsec.formats",
     "dataclasses", "fractions", "json", "concurrent.futures",
 }
+# What argparse loads to build its parsers and help: no run needs it.
+NOT_FOR_ANY_RUN = {"argparse", "gettext", "locale", "shutil"}
+A_SOLVE = {"subsec", "subsec.cli", "subsec.graphs", "subsec.solver"}
+OTHER_RUNS = [("gen", "--family", "path", "--n", "3"), ("enum", "--n", "3"), ("subdivide", "--k", "2"),
+              ("cert", "--theorem", "third"), ("verify", "--theorem", "prop1"), ("conjecture",)]
 
 
 def imported(*args: str, stdin: str = "", env: dict[str, str] = ENV) -> set[str]:
@@ -30,11 +37,34 @@ def imported(*args: str, stdin: str = "", env: dict[str, str] = ENV) -> set[str]
             if line.startswith("import time:")}
 
 
-@pytest.mark.parametrize("command", ["gamma", "gamma-s"])
+def subsec_modules(modules: set[str]) -> set[str]:
+    return {m for m in modules if m.partition(".")[0] == "subsec"}
+
+
+@pytest.mark.parametrize("command", ["gamma", "gamma-s", "--help"])
 def test_a_solve_loads_only_graphs_and_solver(command):
-    modules = imported("-m", "subsec", command)
-    assert {"subsec.cli", "subsec.graphs", "subsec.solver"} <= modules
+    modules = imported("-m", "subsec", command, stdin="Ch\n")
+    assert subsec_modules(modules) == A_SOLVE
     assert not modules & NOT_FOR_A_SOLVE
+
+
+@pytest.mark.parametrize("command", ["gamma", "gamma-s"])
+def test_an_edge_list_solve_adds_only_the_formats_module(command):
+    modules = imported("-m", "subsec", command, "--format", "edges", stdin="p 2\ne 0 1\n")
+    assert subsec_modules(modules) == A_SOLVE | {"subsec.formats"}
+
+
+@pytest.mark.parametrize("args", [*OTHER_RUNS, *((run[0], "--help") for run in OTHER_RUNS)])
+def test_the_other_commands_load_the_commands_module(args):
+    assert "subsec.commands" in imported("-m", "subsec", *args)
+
+
+@pytest.mark.parametrize("args", [("gamma",), ("gamma-s",), *OTHER_RUNS, ("--help",),
+                                  *((command, "--help") for command in
+                                    ("gen", "enum", "subdivide", "gamma", "gamma-s", "cert",
+                                     "verify", "conjecture"))])
+def test_no_run_loads_argparse_or_what_it_imports(args):
+    assert not imported("-m", "subsec", *args) & NOT_FOR_ANY_RUN
 
 
 @pytest.mark.parametrize("args, module", [
