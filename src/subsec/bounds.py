@@ -20,7 +20,6 @@ from functools import lru_cache
 import json
 
 from . import _pool
-from .formats import emit_graph6
 from .graphs import Graph, _Record, is_star, max_degree
 from .solver import DEFAULT_BUDGET, SolverBudget, gamma_exact, gamma_s_exact, path_secure_formula
 from .subdivision import subdivide
@@ -198,7 +197,7 @@ def check_theorem(
     budgets, violations) is returned, never raised.
     """
     [(claim, k)] = resolve_claims((theorem_id,), n)
-    gid = graph_id if graph_id is not None else emit_graph6(g)
+    gid = graph_id if graph_id is not None else _normalize([g])[0][0]
     reason = claim.precondition(g) if claim.precondition else None
     if reason:
         return BoundCheck(gid, claim.id, None, None, None, None, "skipped", reason)
@@ -230,7 +229,9 @@ def check_theorem(
 
 
 def _normalize(entries):
-    pairs = ((None, e) if isinstance(e, Graph) else e for e in entries)
+    pairs = [(None, e) if isinstance(e, Graph) else e for e in entries]
+    if any(gid is None for gid, _ in pairs):  # a graph6 corpus names its own graphs
+        from .formats import emit_graph6
     return [(emit_graph6(g) if gid is None else gid, g) for gid, g in pairs]
 
 

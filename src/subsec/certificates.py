@@ -91,6 +91,11 @@ def seventh(what: str, covered: bool) -> Callable[[int | None], int]:
     return k
 
 
+def _interior(sm: SubdivisionMap, distances) -> list[int]:
+    """The interior vertices at ``distances`` from each superedge's smaller end."""
+    return [sm.superedge_vertex(u, v, l) for u, v in sm.base.edges() for l in distances]
+
+
 def _build(theorem_id: str, sm: SubdivisionMap, members, claimed: int) -> Certificate:
     vs = VertexSet.of(sm.derived.n, members)
     return Certificate(theorem_id, vs, claimed, is_secure_dominating(sm.derived, vs))
@@ -105,7 +110,7 @@ def cert_half(sm: SubdivisionMap) -> tuple[Certificate, Certificate]:
         raise CertificateError("half certificate needs at least one edge")
     if is_star(g):
         raise CertificateError("half certificate excludes stars")
-    internal = _build("half.internal", sm, sm.internal_ids(), g.m)
+    internal = _build("half.internal", sm, _interior(sm, (1,)), g.m)
     original = _build("half.original", sm, range(g.n), g.n)
     return internal, original
 
@@ -131,14 +136,13 @@ def cert_star(sm: SubdivisionMap) -> Certificate:
 def cert_third(sm: SubdivisionMap) -> Certificate:
     """Both interior vertices of every superedge in a 3-subdivision; size 2m."""
     CONSTRUCTIONS["third"].check(sm)
-    return _build("third", sm, sm.internal_ids(), 2 * sm.base.m)
+    return _build("third", sm, _interior(sm, (1, 2)), 2 * sm.base.m)
 
 
 def cert_quarter(sm: SubdivisionMap) -> Certificate:
     """Positions 1 and 3 of every superedge in a 4-subdivision; size 2m."""
     CONSTRUCTIONS["quarter"].check(sm)
-    members = [sm.superedge_vertex(u, v, l) for u, v in sm.base.edges() for l in (1, 3)]
-    return _build("quarter", sm, members, 2 * sm.base.m)
+    return _build("quarter", sm, _interior(sm, (1, 3)), 2 * sm.base.m)
 
 
 def cert_fifth(sm: SubdivisionMap) -> Certificate:
@@ -151,7 +155,7 @@ def cert_fifth(sm: SubdivisionMap) -> Certificate:
     if g.m == 0:
         raise CertificateError("fifth certificate needs at least one edge")
     delta = max_degree(g)
-    members = {sm.superedge_vertex(u, v, l) for u, v in g.edges() for l in (1, 2, 4)}
+    members = set(_interior(sm, (1, 2, 4)))
     w = min(v for v in range(g.n) if g.degree(v) == delta)
     for u in g.neighbors(w):
         members.discard(sm.superedge_vertex(w, u, 1))
@@ -168,9 +172,8 @@ def cert_general(sm: SubdivisionMap) -> Certificate:
     n, dec = sm.k, decompose(sm.k)
     positions = [7 * i + off for i in range(dec.k) for off in (1, 3, 5)]
     positions += [n - t for t in range(dec.r, 0, -2)]  # the residue tail
-    members = [sm.superedge_vertex(u, v, l) for u, v in sm.base.edges() for l in positions]
     claimed = path_secure_formula(n + 1) * sm.base.m
-    return _build("general", sm, members, claimed)
+    return _build("general", sm, _interior(sm, positions), claimed)
 
 
 def _star_k(k: int | None) -> int:

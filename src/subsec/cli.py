@@ -30,10 +30,6 @@ EX_DATAERR = 65
 EX_PIPE = 128 + 13  # as if killed by SIGPIPE
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Flag(_Record):
     """One flag of a command. ``kind`` is "int", "float" or "str" for a flag
     that takes a value, "switch" for one that takes none (True if given), or
@@ -89,33 +85,33 @@ def _parse(command: str, flags: tuple[_Flag, ...], argv: list[str]) -> SimpleNam
         flag = by_name.get(name)
         if flag is None:
             if _looks_like_flag(arg):
-                raise _UsageError(f"{command} has no flag {name}")
-            raise _UsageError(f"{command} takes no argument {arg!r}")
+                raise ValueError(f"{command} has no flag {name}")
+            raise ValueError(f"{command} takes no argument {arg!r}")
         given.add(name)
         if flag.kind == "switch":
             if eq:
-                raise _UsageError(f"{name} takes no value")
+                raise ValueError(f"{name} takes no value")
             values[flag.dest] = True
             continue
         if not eq:
             value = next(args, None)
             if value is None or _looks_like_flag(value):
-                raise _UsageError(f"{name} needs a value")
+                raise ValueError(f"{name} needs a value")
         if flag.kind in ("int", "float"):
             try:
                 value = int(value) if flag.kind == "int" else float(value)
             except ValueError:
                 expected = "an integer" if flag.kind == "int" else "a number"
-                raise _UsageError(f"{name} needs {expected}, got {value!r}") from None
+                raise ValueError(f"{name} needs {expected}, got {value!r}") from None
         if flag.choices is not None and value not in flag.choices:
-            raise _UsageError(f"unknown {name} {value!r} (choose from {', '.join(flag.choices)})")
+            raise ValueError(f"unknown {name} {value!r} (choose from {', '.join(flag.choices)})")
         if flag.kind == "append":
             values[flag.dest].append(value)
         else:
             values[flag.dest] = value
     for flag in flags:
         if flag.required and flag.name not in given:
-            raise _UsageError(f"{command} needs {flag.name}")
+            raise ValueError(f"{command} needs {flag.name}")
     return SimpleNamespace(**values)
 
 
@@ -218,7 +214,7 @@ def _run(argv: list[str], out) -> int:
         return 0
     if not argv or argv[0] not in _COMMANDS:
         given = f"unknown command {argv[0]!r}" if argv else "missing command"
-        raise _UsageError(f"{given} (choose from {', '.join(_COMMANDS)})")
+        raise ValueError(f"{given} (choose from {', '.join(_COMMANDS)})")
     command, rest = argv[0], argv[1:]
     flags, runner = _command(command)
     if any(arg in _HELP for arg in rest):
@@ -238,14 +234,11 @@ def main(argv: list[str] | None = None) -> int:
         # Stdout is the only pipe written. Its reader is gone, so stop like
         # a process killed by SIGPIPE.
         return EX_PIPE
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EX_USAGE
     except ParseError as exc:
         where = f"line {exc.line_number}: " if exc.line_number else ""
         print(f"parse error: {where}{exc}", file=sys.stderr)
         return EX_DATAERR
-    except ValueError as exc:  # GraphError, CertificateError and other bad values
+    except ValueError as exc:  # usage errors, GraphError, CertificateError and other bad values
         print(f"usage error: {exc}", file=sys.stderr)
         return EX_USAGE
     except OSError as exc:

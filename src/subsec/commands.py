@@ -2,20 +2,21 @@
 ``subdivide``, ``cert``, ``verify`` and ``conjecture``. ``cli`` loads this
 module only when one of them runs or prints its help, so a ``gamma`` or
 ``gamma-s`` run never compiles it. The modules a command uses (corpus,
-subdivision, certificates, bounds) are imported inside its own functions, so
-a run loads only its own command's modules.
+subdivision, certificates, bounds, formats) are imported inside its own
+functions, so a run loads only its own command's modules.
 """
 
 from __future__ import annotations
 
-from .cli import _BUDGET_FLAGS, _Flag, _UsageError, _budget, _input_flags, _read_graphs
-from .formats import emit_edgelist, emit_graph6
+from .cli import _BUDGET_FLAGS, _Flag, _budget, _input_flags, _read_graphs
 from .graphs import Graph
 
 _OUTPUT_FLAG = _Flag("--output", choices=("tsv", "jsonl", "text"), default="tsv")
 
 
 def _emit_graph(g: Graph, fmt: str, out) -> None:
+    from .formats import emit_edgelist, emit_graph6
+
     if fmt == "g6":
         print(emit_graph6(g), file=out)
     else:
@@ -52,7 +53,7 @@ def _cmd_enum(args, out) -> int:
     from .corpus import enumerate_connected
 
     for g in enumerate_connected(args.n):
-        print(emit_graph6(g), file=out)
+        _emit_graph(g, "g6", out)
     return 0
 
 
@@ -67,9 +68,9 @@ def _cmd_subdivide(args, out) -> int:
     from .subdivision import subdivide
 
     if args.labels and args.format != "edges":
-        raise _UsageError("--labels requires --format edges")
+        raise ValueError("--labels requires --format edges")
     if args.k < 1:
-        raise _UsageError(f"subdivide needs --k >= 1, got {args.k}")
+        raise ValueError(f"subdivide needs --k >= 1, got {args.k}")
     for _, g in _read_graphs(args.input, args.format):
         sm = subdivide(g, args.k)
         _emit_graph(sm.derived, args.format, out)
@@ -100,7 +101,7 @@ def _cmd_cert(args, out) -> int:
     k = row.resolve(flags.get(row.param))  # checked before input is read
     for flag, value in flags.items():
         if value is not None and flag != row.param:
-            raise _UsageError(f"--theorem {row.id} takes no {flag}")
+            raise ValueError(f"--theorem {row.id} takes no {flag}")
     for _, g in _read_graphs(args.input, args.format):
         sm = subdivide(g, k)
         try:
@@ -137,10 +138,10 @@ def _cmd_verify(args, out) -> int:
 
     tids = [tid for chunk in args.theorem for tid in chunk.split(",") if tid]
     if not tids:
-        raise _UsageError("--theorem names no theorem id")
+        raise ValueError("--theorem names no theorem id")
     claims = bounds.resolve_claims(tids, args.n)  # usage errors end the run before input is read
     if args.n is not None and all(isinstance(claim.k, int) for claim, _ in claims):
-        raise _UsageError(f"--theorem {','.join(tids)} takes no -n")
+        raise ValueError(f"--theorem {','.join(tids)} takes no -n")
     pairs = _read_graphs(args.corpus, args.format)
     checks = bounds.run_corpus(pairs, tids, n=args.n, budget=_budget(args))
     for line in bounds.render_checks(checks, args.output):

@@ -215,13 +215,16 @@ def _first_pruned(g: Graph, effort: _Effort, secure: bool):
 
     - Lex cap: picks only grow, so a vertex u whose closed neighborhood lies
       wholly below the next pick can never be covered. The next pick is thus
-      at most min over uncovered u of max N[u].
+      at most min over uncovered u of max N[u]. A child of pick v needs no
+      cap of its own: any u it leaves uncovered is outside N[v], so max N[u]
+      != v, and the loop's cap at v has already caught max N[u] < v.
     - Count cut: picks only ascend, so each pick after v is some w > v and
       covers at most reach[v + 1] = max |N[w]| over w > v. A child whose
       uncovered vertices outnumber its remaining picks times that reach is
       dead. In G^{1/k} only the original vertices, which hold the lowest
       ids, can cover more than 3, so this is much tighter than a global
-      Delta+1.
+      Delta+1. It passes a last pick only if nothing is left uncovered, and
+      start >= 1 unless n = 0, so every completed set dominates.
     - Early secure cut (``secure`` only): whether u has a defender depends
       only on D inside N^3[u] (the defender's private vertices and their
       closed neighborhoods). Once every id up to r3[u], the largest id in
@@ -277,8 +280,6 @@ def _first_pruned(g: Graph, effort: _Effort, secure: bool):
     def extend(chosen: int, covered: int, ones: int, next_min: int, remaining: int) -> int | None:
         spend()
         if remaining == 0:
-            if covered != full:
-                return None
             # Only vertices settled at next_min or later are still unchecked.
             if secure and not _all_defended(g, after[next_min] & ~chosen, chosen, ones):
                 return None
@@ -292,10 +293,10 @@ def _first_pruned(g: Graph, effort: _Effort, secure: bool):
                 lost = settled[v - 1] & ~chosen
                 if lost and not _all_defended(g, lost, chosen, ones):
                     return None
-            # The child's lex cap and count cut, tested before it is entered.
+            # The child's count cut, tested before it is entered.
             nv = closed[v]
             left = uncovered & ~nv
-            if left & below[v + 1] or left.bit_count() > (remaining - 1) * reach[v + 1]:
+            if left.bit_count() > (remaining - 1) * reach[v + 1]:
                 continue
             pick = chosen | 1 << v
             picked_ones = (ones & ~nv) | (nv & uncovered)

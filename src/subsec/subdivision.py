@@ -60,9 +60,6 @@ class SubdivisionMap(_Record):
     def labels(self) -> tuple[SubdividedVertex, ...]:
         return tuple(map(self.label, range(self.derived.n)))
 
-    def internal_ids(self) -> tuple[int, ...]:
-        return tuple(range(self.base.n, self.derived.n))
-
     @cached_property
     def _edges(self) -> tuple[tuple[int, int], ...]:
         return tuple(self.base.edges())
@@ -95,7 +92,9 @@ class SubdivisionMap(_Record):
         works; (v, u, l) names the same vertex as (u, v, k-l)."""
         if not 1 <= l <= self.k - 1:
             raise GraphError(f"interior distance l={l} outside 1..{self.k - 1}")
-        return self.superedge(u, v)[l]
+        if u > v:
+            l = self.k - l
+        return self.base.n + self._edge_rank(u, v) * (self.k - 1) + l - 1
 
 
 def subdivide(g: Graph, k: int) -> SubdivisionMap:

@@ -53,6 +53,16 @@ class TestGenEnum:
                                capsys=capsys)
         assert code == 64 and "seed" in err
 
+    @pytest.mark.parametrize("args, message", [
+        (["--family", "path", "--n", "0"], "n must be >= 1"),
+        (["--family", "wheel", "--n", "2"], "wheel needs rim size n >= 3"),
+        (["--family", "random", "--n", "5", "--p", "2", "--seed", "1"],
+         "random family needs p in [0,1]"),
+    ], ids=["path-n", "wheel-rim", "random-p"])
+    def test_gen_parameter_out_of_range_is_usage_error(self, capsys, args, message):
+        code, out, err = run_cli(["gen", *args], capsys=capsys)
+        assert (code, out, err) == (64, "", f"usage error: {message}\n")
+
     def test_enum(self, capsys, monkeypatch):
         code, out, _ = run_cli(["enum", "--n", "4"], capsys=capsys)
         lines = out.splitlines()
@@ -582,6 +592,11 @@ class TestInputBytes:
                                  monkeypatch=monkeypatch, capsys=capsys)
         assert code == 65 and out == "" and err.startswith(f"parse error: {message}")
 
+    def test_edge_list_without_size_line_is_65(self, capsys, monkeypatch):
+        code, out, err = run_cli(["gamma", "--format", "edges"], stdin_text="# only a comment\n",
+                                 monkeypatch=monkeypatch, capsys=capsys)
+        assert (code, out, err) == (65, "", "parse error: no 'p <n>' line found\n")
+
     @pytest.mark.parametrize("byte", [0x1C, 0x1D, 0x1E, 0x1F, 0x85, 0xA0])
     @pytest.mark.parametrize("line", ["size", "edge"])
     def test_edge_list_fields_split_on_ascii_whitespace_only(self, capsys, monkeypatch, byte,
@@ -598,7 +613,9 @@ class TestInputBytes:
         assert (code, out, err) == (65, "", f"parse error: {message}\n")
 
     def test_edge_list_is_named_only_by_reports(self, capsys, monkeypatch):
-        from subsec import bounds, commands, formats
+        # Every module that writes graph6 imports the writer from formats
+        # when it runs, so patching formats covers them all.
+        from subsec import formats
 
         def refuse(g):
             raise AssertionError("graph6 id built for an unnamed graph")
@@ -609,13 +626,12 @@ class TestInputBytes:
             calls.append(g)
             return emit_graph6(g)
 
-        for module in (formats, commands, bounds):
-            monkeypatch.setattr(module, "emit_graph6", refuse)
+        monkeypatch.setattr(formats, "emit_graph6", refuse)
         edges = "p 4\ne 0 1\ne 1 2\ne 2 3\n"
         code, out, _ = run_cli(["gamma", "--format", "edges"], stdin_text=edges,
                                monkeypatch=monkeypatch, capsys=capsys)
         assert code == 0 and out == "value=2 status=exact witness=0,2\n"
-        monkeypatch.setattr(bounds, "emit_graph6", counted)
+        monkeypatch.setattr(formats, "emit_graph6", counted)
         code, out, _ = run_cli(["verify", "--format", "edges", "--theorem", "g12,g13,conj"],
                                stdin_text=edges, monkeypatch=monkeypatch, capsys=capsys)
         assert code == 0 and len(calls) == 1
@@ -722,6 +738,14 @@ class TestSubprocessPipeline:
         g13 = [int(row[5]) for row in rows if row[1] == "g13"]
         assert g13 == [math.ceil(3 * (3 * (n - 1) + 1) / 7) for n in sizes] == [2, 3, 5, 6, 7]
         assert outs[0] == outs[1]
+
+    def test_thread_env_that_is_no_integer_is_usage_error(self):
+        corpus = "".join(line + "\n" for line in subsec.bundled_corpus_lines())
+        proc = subprocess.run([sys.executable, "-m", "subsec", "verify", "--theorem", "prop1"],
+                              input=corpus, capture_output=True, text=True,
+                              env={**os.environ, "SUBSEC_THREADS": "abc"})
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            64, "", "usage error: SUBSEC_THREADS='abc' is not an integer\n")
 
     def test_identical_invocations_byte_identical(self):
         args = [sys.executable, "-m", "subsec", "conjecture"]

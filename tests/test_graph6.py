@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 
 from subsec import (
+    GraphError,
     ParseError,
     emit_edgelist,
     emit_graph6,
@@ -40,6 +41,16 @@ class TestGraph6Decode:
         with pytest.raises(ParseError):
             parse_graph6("D")  # n=5 needs 2 body bytes
 
+    @pytest.mark.parametrize("line, message", [
+        ("~?", "truncated graph6 size header"),
+        ("~~?????", "truncated graph6 size header"),
+        # n = 258048, the least order with the 8-byte header
+        ("~~???~??", "truncated graph6 body: need 5549042688 bytes, got 0"),
+    ])
+    def test_long_size_headers(self, line, message):
+        with pytest.raises(ParseError, match=f"^{message}$"):
+            parse_graph6(line)
+
     def test_size_mismatch(self):
         with pytest.raises(ParseError):
             parse_graph6("A__")
@@ -72,6 +83,15 @@ class TestGraph6Emit:
     @settings(max_examples=200)
     def test_round_trip_random(self, g):
         assert parse_graph6(emit_graph6(g)) == g
+
+    def test_size_header_forms(self):
+        from subsec.formats import _g6_size_groups
+
+        assert _g6_size_groups(62) == [62]
+        assert _g6_size_groups(258047) == [63, 62, 63, 63]
+        assert _g6_size_groups(258048) == [63, 63, 0, 0, 0, 63, 0, 0]
+        with pytest.raises(GraphError, match="graph too large for graph6"):
+            _g6_size_groups(2**36)
 
     def test_round_trip_long_form(self):
         g = generate("random", 70, p=0.08, seed=3)

@@ -35,6 +35,10 @@ class TestMakeGraph:
         with pytest.raises(GraphError):
             make_graph(3, [(1, 1)])
 
+    def test_negative_order(self):
+        with pytest.raises(GraphError, match="vertex count must be nonnegative"):
+            make_graph(-1, [])
+
     @pytest.mark.parametrize("n, edges", [
         (10, [(0, v) for v in range(1, 10)]),  # star, center 0: one wide mask
         (10, [(v, 9) for v in range(9)]),  # star, center 9: ten wide masks
@@ -73,6 +77,10 @@ class TestGenerate:
         with pytest.raises(GraphError):
             cycle(2)
 
+    def test_unknown_family(self):
+        with pytest.raises(GraphError, match="unknown family 'x'"):
+            generate("x", 3)
+
     def test_random_needs_seed(self):
         with pytest.raises(GraphError):
             generate("random", 5, p=0.5)
@@ -100,6 +108,7 @@ class TestDegreeAndStar:
         assert max_degree(path(4)) == 2
         assert max_degree(star(4)) == 3
         assert max_degree(make_graph(3, [])) == 0
+        assert max_degree(make_graph(0, [])) == 0
 
     def test_max_degree_hub(self):
         # hub neighbors counted off the explicit edge list

@@ -54,6 +54,21 @@ def test_an_edge_list_solve_adds_only_the_formats_module(command):
     assert subsec_modules(modules) == A_SOLVE | {"subsec.formats"}
 
 
+@pytest.mark.parametrize("args, stdin, loads", [
+    (("verify", "--theorem", "prop1"), "Ch\n", False),
+    (("conjecture",), "Ch\n", False),
+    (("cert", "--theorem", "third"), "Ch\n", False),
+    (("gen", "--family", "path", "--n", "3"), "", True),
+    (("enum", "--n", "3"), "", True),
+    (("subdivide", "--k", "2"), "Ch\n", True),
+    (("verify", "--theorem", "prop1", "--format", "edges"), "p 2\ne 0 1\n", True),
+], ids=["verify", "conjecture", "cert", "gen", "enum", "subdivide", "verify-edges"])
+def test_only_runs_that_write_or_name_a_graph_load_the_formats_module(args, stdin, loads):
+    # A graph6 corpus names its own graphs; an edge list's graph gets its
+    # graph6 as an id.
+    assert ("subsec.formats" in imported("-m", "subsec", *args, stdin=stdin)) == loads
+
+
 @pytest.mark.parametrize("args", [*OTHER_RUNS, *((run[0], "--help") for run in OTHER_RUNS)])
 def test_the_other_commands_load_the_commands_module(args):
     assert "subsec.commands" in imported("-m", "subsec", *args)

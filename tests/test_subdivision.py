@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subsec import GraphError, Internal, Original, generate, make_graph, subdivide
-from conftest import graphs, path, wheel_rim6
+from conftest import complete, graphs, path, star, wheel_rim6
 
 
 class TestCounts:
@@ -135,6 +135,15 @@ class TestSuperedgeVertex:
             x = sm.superedge_vertex(u, v, 1)
             common = set(sm.derived.neighbors(u)) & set(sm.derived.neighbors(v))
             assert common == {x}
+
+    @pytest.mark.parametrize("base", [complete(4), star(5)], ids=["K4", "star"])
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_agrees_with_the_superedge_walk(self, base, k):
+        sm = subdivide(base, k)
+        for u, v in base.edges():
+            for l in range(1, k):
+                assert sm.superedge_vertex(u, v, l) == sm.superedge(u, v)[l]
+                assert sm.superedge_vertex(u, v, l) == sm.superedge_vertex(v, u, k - l)
 
     def test_errors(self):
         sm = subdivide(path(3), 4)
