@@ -14,17 +14,17 @@ construction is stated for (fixed, or a rule on ``--k``/``-n``) and its
 builder. The CLI resolves k from a row before it reads input, and each
 builder checks its map against its own row.
 
-Interior positions are indexed from the smaller endpoint of each base edge,
-matching the subdivision labeling; the one exception is the maximum-degree
-construction, which removes the interior vertex *adjacent to* the chosen
-hub on each incident superedge regardless of id order.
+Interior positions are counted from the smaller endpoint of each base edge,
+matching the subdivision labeling, except in the two constructions built
+around a hub: ``star`` takes the interior vertex next to each leaf, and
+``fifth`` counts each superedge from its end nearer its hub.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 
-from .graphs import VertexSet, _Record, is_star, max_degree
+from .graphs import VertexSet, _Record, _iter_bits, _layers, is_star, max_degree
 from .solver import is_secure_dominating, path_secure_formula
 from .subdivision import SubdivisionMap
 
@@ -146,20 +146,23 @@ def cert_quarter(sm: SubdivisionMap) -> Certificate:
 
 
 def cert_fifth(sm: SubdivisionMap) -> Certificate:
-    """Positions 1, 2, 4 of every superedge in a 5-subdivision, then around
-    one maximum-degree vertex w (smallest id among them) trade the interior
-    vertex adjacent to w on each incident superedge for w itself; size
-    3m - max_degree + 1."""
+    """Around one maximum-degree vertex w (smallest id among them): w, and
+    positions 1, 2, 4 of every superedge counted from its end nearer w, but
+    position 1 on w's own superedges, whose place w takes; size
+    3m - max_degree + 1. Nearer is by distance in the base; on a tie, or
+    when neither end reaches w, the smaller end counts."""
     CONSTRUCTIONS["fifth"].check(sm)
     g = sm.base
     if g.m == 0:
         raise CertificateError("fifth certificate needs at least one edge")
     delta = max_degree(g)
-    members = set(_interior(sm, (1, 2, 4)))
     w = min(v for v in range(g.n) if g.degree(v) == delta)
-    for u in g.neighbors(w):
-        members.discard(sm.superedge_vertex(w, u, 1))
-    members.add(w)
+    dist = {v: d for d, layer in enumerate(_layers(g, w)) for v in _iter_bits(layer)}
+    members = {w}
+    for u, v in g.edges():
+        if dist.get(v, g.n) < dist.get(u, g.n):  # g.n: past every distance
+            u, v = v, u
+        members.update(sm.superedge_vertex(u, v, l) for l in (1, 2, 4) if (u, l) != (w, 1))
     return _build("fifth", sm, members, 3 * g.m - delta + 1)
 
 

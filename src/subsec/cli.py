@@ -60,7 +60,7 @@ def _input_flags(name: str = "--input") -> tuple[_Flag, ...]:
 
 
 _BUDGET_FLAGS = (
-    _Flag("--engine", choices=ENGINES, default=SolverBudget.engine),
+    _Flag("--engine", choices=tuple(ENGINES), default=SolverBudget.engine),
     _Flag("--max-vertices", "int", default=SolverBudget.max_vertices),
     _Flag("--max-nodes", "int", default=SolverBudget.max_nodes),
 )

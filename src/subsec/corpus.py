@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from itertools import chain, combinations
 
-from .graphs import Graph, GraphError, _iter_bits, make_graph, parse_graph6
+from .graphs import Graph, GraphError, _column_edges, _iter_bits, make_graph, parse_graph6
 
 FAMILIES = ("path", "cycle", "star", "complete", "wheel", "random")
 
@@ -67,7 +67,8 @@ def generate(family: str, n: int, p: float | None = None, seed: int | None = Non
 # triangle bit sequence (graph6 bit order) over all n! relabelings. Keys are
 # kept as one integer segment per matrix column so prefixes can be compared
 # level by level during the backtracking search. A key is also the canonical
-# graph's upper triangle, so the canonical form is rebuilt from it alone.
+# graph's upper triangle, so ``graphs._column_edges``, which decodes graph6
+# bodies too, rebuilds the canonical form from it alone.
 # ---------------------------------------------------------------------------
 
 
@@ -110,13 +111,7 @@ def canonical_key(g: Graph) -> tuple[int, ...]:
 
 def canonical_form(g: Graph) -> Graph:
     """The canonically relabeled copy of g (identical for isomorphic inputs)."""
-    return make_graph(g.n, _key_edges(canonical_key(g)))
-
-
-def _key_edges(key: tuple[int, ...]) -> list[tuple[int, int]]:
-    """The edges of the graph whose upper triangle is key: edge (i, j) is
-    bit i of column j's segment, counted from the segment's top bit."""
-    return [(i, j) for j, seg in enumerate(key, start=1) for i in range(j) if seg >> (j - 1 - i) & 1]
+    return make_graph(g.n, _column_edges(canonical_key(g)))
 
 
 ENUMERATION_LIMIT = 7
@@ -136,12 +131,12 @@ def enumerate_connected(n: int) -> list[Graph]:
     for new in range(1, n):
         grown = set()
         for key in keys:
-            edges = _key_edges(key)
+            edges = _column_edges(key)
             for attach in range(1, 1 << new):
                 child = make_graph(new + 1, edges + [(v, new) for v in _iter_bits(attach)])
                 grown.add(canonical_key(child))
         keys = grown
-    return [make_graph(n, _key_edges(key)) for key in sorted(keys)]
+    return [make_graph(n, _column_edges(key)) for key in sorted(keys)]
 
 
 # ---------------------------------------------------------------------------

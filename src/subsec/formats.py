@@ -6,36 +6,26 @@ with ``bounds``, which names an edge-list graph by its graph6.
 
 from __future__ import annotations
 
-from .graphs import Graph, GraphError, ParseError, _ASCII_SPACE, make_graph
+from .graphs import Graph, GraphError, ParseError, _ASCII_SPACE, _G6_BITS, _G6_SIZES, make_graph
 
 
-# The graph6 encoding is described above ``graphs.parse_graph6``.
+# graph6 is described above ``graphs._G6_SIZES``.
+_G6_CHARS = {bits: ch for ch, bits in _G6_BITS.items()}
+
+
 def _g6_size_groups(n: int) -> list[int]:
-    if n <= 62:
-        return [n]
-    if n <= 258047:
-        return [63, n >> 12 & 63, n >> 6 & 63, n & 63]
-    if n <= 68719476735:
-        return [63, 63] + [n >> shift & 63 for shift in (30, 24, 18, 12, 6, 0)]
+    for limit, lead, groups in _G6_SIZES:
+        if n <= limit:
+            return [63] * lead + [n >> 6 * i & 63 for i in reversed(range(groups))]
     raise GraphError("graph too large for graph6")
 
 
 def emit_graph6(g: Graph) -> str:
-    groups = _g6_size_groups(g.n)
-    acc = 0
-    nbits = 0
-    for v in range(1, g.n):
-        col = g.adj_masks[v]
-        for u in range(v):
-            acc = acc << 1 | (col >> u & 1)
-            nbits += 1
-            if nbits == 6:
-                groups.append(acc)
-                acc = 0
-                nbits = 0
-    if nbits:
-        groups.append(acc << (6 - nbits))
-    return "".join(chr(x + 63) for x in groups)
+    header = "".join(chr(group + 63) for group in _g6_size_groups(g.n))
+    # Column v is v's adjacency to 0..v-1, read from the top.
+    bits = "".join(f"{mask & ~(-1 << v):0{v}b}"[::-1] for v, mask in enumerate(g.adj_masks) if v)
+    bits += "0" * (-len(bits) % 6)
+    return header + "".join([_G6_CHARS[bits[i:i + 6]] for i in range(0, len(bits), 6)])
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
-"""Immutable simple graphs: construction, invariants and the graph6 reader.
-The graph6 writer and the edge-list codec are in ``formats``, and the named
-generators, canonical forms, enumeration and the bundled corpus in
-``corpus``: a CLI run imports each only when its command or format needs it.
+"""Immutable simple graphs: construction, invariants, the graph6 format and
+its reader. The graph6 writer, which writes from that description, and the
+edge-list codec are in ``formats``, and the named generators, canonical
+forms, enumeration and the bundled corpus in ``corpus``: a CLI run imports
+each only when its command or format needs it.
 
 Vertices are the integers ``0..n-1``. Adjacency is stored as one bitmask per
 vertex, which keeps set operations (coverage, neighborhood unions) cheap for
@@ -241,34 +242,46 @@ def is_star(g: Graph) -> bool:
     return g.n >= 2 and g.m == g.n - 1 and max_degree(g) == g.n - 1
 
 
-def is_connected(g: Graph) -> bool:
-    if g.n <= 1:
-        return True
-    seen = 1
-    frontier = 1
+def _layers(g: Graph, source: int) -> Iterator[int]:
+    """The vertices at distance 0, 1, 2, ... from ``source``, as masks."""
+    seen = frontier = 1 << source
     while frontier:
+        yield frontier
         grow = 0
         for v in _iter_bits(frontier):
             grow |= g.adj_masks[v]
         frontier = grow & ~seen
         seen |= frontier
-    return seen == g.full_mask
+
+
+def is_connected(g: Graph) -> bool:
+    return g.n <= 1 or sum(_layers(g, 0)) == g.full_mask  # the layers are disjoint
 
 
 # ---------------------------------------------------------------------------
-# graph6 reader (the writer is ``formats.emit_graph6``)
+# graph6, read here and written by ``formats.emit_graph6``.
 #
-# Standard encoding: a size header N(n) followed by the upper triangle of the
-# adjacency matrix in column order ((0,1), (0,2), (1,2), (0,3), ...), packed
-# big-endian into 6-bit groups, each printed as chr(group + 63). The header is
-# one byte for n <= 62, four bytes (0x7e prefix) up to 258047, and eight bytes
-# (0x7e 0x7e prefix) beyond that. Padding bits are zero.
+# A size header N(n) is followed by the body: the upper triangle of the
+# adjacency matrix in column order ((0,1), (0,2), (1,2), (0,3), ...), as one
+# bit string zero-padded to whole 6-bit groups. Every group is printed as
+# chr(group + 63). The header is the first row of _G6_SIZES whose n fits:
+# its leading groups of 63, then n in its count of 6-bit groups, big-endian.
 # ---------------------------------------------------------------------------
 
 _G6_HEADER = ">>graph6<<"
+# (largest n, leading 63 groups, 6-bit groups of n) per size-header form.
+_G6_SIZES = ((62, 0, 1), (258047, 1, 3), (68719476735, 2, 6))
+# Each graph6 character and the 6 bits of its group.
+_G6_BITS = {chr(code + 63): f"{code:06b}" for code in range(64)}
 # The text formats strip and split on ASCII whitespace only, as the CLI does;
 # str.strip() and str.split() would also take 0x1c-0x1f, 0x85 and 0xa0.
 _ASCII_SPACE = " \t\n\r\v\f"
+
+
+def _column_edges(columns: Iterable[int]) -> list[tuple[int, int]]:
+    """The edges of an upper triangle given column by column: column j
+    (from 1) holds j bits, and edge (i, j) is bit i counted from the top."""
+    return [(j - 1 - b, j) for j, column in enumerate(columns, start=1) for b in _iter_bits(column)]
 
 
 def parse_graph6(line: str) -> Graph:
@@ -281,52 +294,28 @@ def parse_graph6(line: str) -> Graph:
         text = text[len(_G6_HEADER):]
     if not text:
         raise ParseError("empty graph6 line")
-    values = []
-    for ch in text:
-        code = ord(ch) - 63
-        if not 0 <= code <= 63:
-            raise ParseError(f"byte {ord(ch)} outside graph6 alphabet")
-        values.append(code)
-    pos = 0
-    if values[0] != 63:
-        n = values[0]
-        pos = 1
-    elif len(values) >= 2 and values[1] != 63:
-        if len(values) < 4:
-            raise ParseError("truncated graph6 size header")
-        n = values[1] << 12 | values[2] << 6 | values[3]
-        pos = 4
-    else:
-        if len(values) < 8:
-            raise ParseError("truncated graph6 size header")
-        n = 0
-        for code in values[2:8]:
-            n = n << 6 | code
-        pos = 8
-    nbits = n * (n - 1) // 2
-    body = values[pos:]
-    need = (nbits + 5) // 6
-    if len(body) < need:
-        raise ParseError(f"truncated graph6 body: need {need} bytes, got {len(body)}")
-    if len(body) > need:
-        raise ParseError(f"graph6 body longer than n={n} allows")
-    edges = []
-    idx = 0
-    u, v = 0, 1
-    for code in body:
-        for shift in range(5, -1, -1):
-            bit = code >> shift & 1
-            if idx < nbits:
-                if bit:
-                    edges.append((u, v))
-                u += 1
-                if u == v:
-                    u, v = 0, v + 1
-            elif bit:
-                raise ParseError("nonzero padding in graph6 body")
-            idx += 1
     try:
-        return make_graph(n, edges)
+        bits = "".join([_G6_BITS[ch] for ch in text])
+    except KeyError as exc:
+        raise ParseError(f"byte {ord(exc.args[0])} outside graph6 alphabet") from None
+    # The row is picked by its count of leading 63 groups ('~').
+    _, lead, groups = _G6_SIZES[min(len(text) - len(text.lstrip("~")), 2)]
+    pos = lead + groups
+    if len(text) < pos:
+        raise ParseError("truncated graph6 size header")
+    n = int(bits[6 * lead:6 * pos], 2)
+    nbits = n * (n - 1) // 2
+    need, got = (nbits + 5) // 6, len(text) - pos
+    if got < need:
+        raise ParseError(f"truncated graph6 body: need {need} bytes, got {got}")
+    if got > need:
+        raise ParseError(f"graph6 body longer than n={n} allows")
+    body = bits[6 * pos:]
+    if "1" in body[nbits:]:
+        raise ParseError("nonzero padding in graph6 body")
+    columns = [int(body[j * (j - 1) // 2:j * (j + 1) // 2], 2) for j in range(1, n)]
+    try:
+        return make_graph(n, _column_edges(columns))
     except GraphError as exc:  # the size guard: each edge is in range
         raise ParseError(str(exc)) from None
 

@@ -26,13 +26,9 @@ coverage from scratch and is what the tests cross-validate against.
 
 from __future__ import annotations
 
-from functools import partial
 from itertools import combinations
 
 from .graphs import Graph, GraphError, VertexSet, _Record, _iter_bits
-
-
-ENGINES = ("branch", "naive")
 
 
 class SolverBudget(_Record):
@@ -52,9 +48,6 @@ class SolverBudget(_Record):
             raise ValueError(f"unknown engine {self.engine!r} (choose from {', '.join(ENGINES)})")
         if self.max_vertices <= 0 or self.max_nodes <= 0:
             raise ValueError("budget caps must be positive")
-
-
-DEFAULT_BUDGET = SolverBudget()
 
 
 class SolveResult(_Record):
@@ -325,14 +318,33 @@ def _first_pruned(g: Graph, effort: _Effort, secure: bool):
     return first, -(-n // reach[0]) if n else 0
 
 
+def _first_naive(g: Graph, effort: _Effort, secure: bool):
+    """The naive engine, as ``(first, start)``: ``first(size)`` scans the
+    subsets of exactly ``size`` vertices in lexicographic order and gives
+    the first that passes the definitional (secure) domination check, as a
+    bitmask, or None. ``start`` is 0."""
+
+    def first(size: int) -> int | None:
+        for combo in combinations(range(g.n), size):
+            effort.spend()
+            d = VertexSet.of(g.n, combo)
+            if (is_secure_dominating(g, d, full_recompute=True) if secure else is_dominating(g, d)):
+                return d.mask
+        return None
+
+    return first, 0
+
+
+# Each engine takes (graph, effort, secure) and gives (first, start).
+ENGINES = {"branch": _first_pruned, "naive": _first_naive}
+DEFAULT_BUDGET = SolverBudget()
+
+
 def _exact(g: Graph, budget: SolverBudget, secure: bool) -> SolveResult:
     if g.n > budget.max_vertices:
         return SolveResult(None, None, "skipped", 0, "vertices")
     effort = _Effort(budget.max_nodes)
-    if budget.engine == "naive":
-        first, start = partial(_first_naive, g, effort=effort, secure=secure), 0
-    else:
-        first, start = _first_pruned(g, effort, secure)
+    first, start = ENGINES[budget.engine](g, effort, secure)
     try:
         for size in range(start, g.n + 1):
             mask = first(size)
@@ -341,20 +353,6 @@ def _exact(g: Graph, budget: SolverBudget, secure: bool) -> SolveResult:
     except _BudgetExceeded:
         return SolveResult(None, None, "skipped", effort.nodes, "nodes")
     raise AssertionError("the full vertex set always qualifies")
-
-
-def _first_naive(g: Graph, size: int, effort: _Effort, secure: bool) -> int | None:
-    """The first subset of exactly ``size`` vertices, in lexicographic order,
-    that passes the definitional (secure) domination check, or None."""
-    for combo in combinations(range(g.n), size):
-        effort.spend()
-        d = VertexSet.of(g.n, combo)
-        if secure:
-            if is_secure_dominating(g, d, full_recompute=True):
-                return d.mask
-        elif is_dominating(g, d):
-            return d.mask
-    return None
 
 
 def gamma_exact(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> SolveResult:

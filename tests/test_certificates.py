@@ -4,6 +4,7 @@ from subsec import (
     CONSTRUCTIONS,
     CertificateError,
     SolverBudget,
+    bundled_corpus_lines,
     cert_fifth,
     cert_general,
     cert_half,
@@ -12,7 +13,9 @@ from subsec import (
     cert_third,
     decompose,
     gamma_s_exact,
+    is_secure_dominating,
     make_graph,
+    parse_graph6,
     subdivide,
 )
 from brute_force import brute_is_secure, neighbor_sets
@@ -139,6 +142,21 @@ class TestFifth:
         with pytest.raises(CertificateError):
             cert_fifth(subdivide(make_graph(2, []), 5))
 
+    def test_hub_with_the_largest_id(self):
+        # P3 with hub 2: counted from each smaller end, positions 1, 2, 4
+        # left Internal(0,2,4) without a defender
+        sm = subdivide(parse_graph6("BW"), 5)
+        cert = cert_fifth(sm)
+        assert 2 in cert.vertices and cert.claimed_size == 5
+        assert cert.validated and oracle_validates(sm, cert)
+
+    def test_bundled_sample_passes_the_definitional_check(self):
+        for line in bundled_corpus_lines()[1::12]:
+            sm = subdivide(parse_graph6(line), 5)
+            cert = cert_fifth(sm)
+            assert cert.validated, line
+            assert is_secure_dominating(sm.derived, cert.vertices, full_recompute=True), line
+
 
 class TestDecompose:
     def test_examples(self):
@@ -210,6 +228,40 @@ class TestConstructionTable:
             else:
                 with pytest.raises(CertificateError, match=f"{tid}.* needs"):
                     row.build(sm)
+
+
+# The bundled bases whose certificate fails validation, per construction and
+# parameter; a base the construction does not take is skipped. Every other
+# bundled base must validate, as ``fifth``'s empty set says of every base
+# with an edge.
+BUNDLED_FAILURES = [
+    ("half", None, set()),
+    ("star", 2, set()),
+    ("star", 3, set()),
+    ("third", None, {"@"}),  # K1: claimed 0
+    ("quarter", None, {"@", "A_"}),  # K2^{1/4} = P5 has gamma_s 3 > 2
+    ("fifth", None, set()),
+    ("general", 6, {"@"}),
+    ("general", 8, {"@"}),
+    ("general", 12, {"@"}),
+    ("general", 13, {"@"}),
+]
+
+
+@pytest.mark.parametrize("tid, param, failing", BUNDLED_FAILURES,
+                         ids=[f"{tid}{param or ''}" for tid, param, _ in BUNDLED_FAILURES])
+def test_bundled_corpus_validation_is_pinned(tid, param, failing):
+    row = CONSTRUCTIONS[tid]
+    k = row.resolve(param)
+    failed = set()
+    for line in bundled_corpus_lines():
+        try:
+            built = row.build(subdivide(parse_graph6(line), k))
+        except CertificateError:
+            continue
+        if not all(cert.validated for cert in (built if isinstance(built, tuple) else (built,))):
+            failed.add(line)
+    assert failed == failing
 
 
 class TestCrossCuttingInvariants:

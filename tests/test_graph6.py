@@ -88,6 +88,7 @@ class TestGraph6Emit:
         from subsec.formats import _g6_size_groups
 
         assert _g6_size_groups(62) == [62]
+        assert _g6_size_groups(63) == [63, 0, 0, 63]
         assert _g6_size_groups(258047) == [63, 62, 63, 63]
         assert _g6_size_groups(258048) == [63, 63, 0, 0, 0, 63, 0, 0]
         with pytest.raises(GraphError, match="graph too large for graph6"):
