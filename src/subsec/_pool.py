@@ -1,32 +1,42 @@
 """Ordered fan-out of per-graph work to forked worker processes.
 
 SUBSEC_THREADS caps the worker count; the default, and the ceiling, is the
-machine's CPU count. The calling process is one of the workers: it forks the
-others, which inherit the function and the items, so neither is pickled and
-no worker starts from a fresh import.
+number of CPUs this process may run on. For more than one worker the calling
+process forks them all, and they inherit the function and the items, so
+neither is pickled and no worker starts from a fresh import. The caller
+computes nothing itself: it only waits for results and hands them on, so it
+is free to read a worker's pipe whenever the worker writes.
 
 Items go out in chunks of an eighth of each worker's share, rounded up, so a
 corpus of many small solves costs a few handouts per worker instead of one
 per graph, while the chunks stay small enough to even out unequal solves.
 Each chunk's number is a fixed-size record in one pipe, written before the
-fork; every worker, the caller too, takes the next record whenever it is
-free, until the pipe is empty. A forked worker then sends its chunks'
-results, pickled, through a pipe of its own and exits. Results always come
-back in input order, so reports are byte-identical no matter how many
-workers ran.
+fork; every worker takes the next record whenever it is free, until the pipe
+is empty. A worker sends the results of each chunk it finishes as one
+``marshal`` frame, its length first, through a pipe of its own, so results
+must be values ``marshal`` carries (numbers, strings, None, tuples, lists,
+dicts). The caller waits on those pipes and hands results on in input order
+as soon as every earlier one is in, holding only the chunks that finished
+out of order. So output is byte-identical however many workers ran. With
+one worker, or without ``os.fork``, the items are mapped lazily in the
+calling process.
 
-A worker's exception is raised again in the caller; one that cannot be
-pickled arrives as a RuntimeError naming it, and a worker that ends without
-sending its results raises RuntimeError. On every way out the caller has
-reaped every worker it forked, SIGKILLing those it did not wait for to the
-end. Without ``os.fork`` the work runs in the calling process.
+A worker's exception is raised again in the caller at its chunk's place,
+after the results before it; one that cannot be pickled arrives as a
+RuntimeError naming it, and a worker that ends without sending its results
+raises RuntimeError. ``pickle`` is loaded only to carry an exception. On
+every way out (the last result, an exception, or a consumer that stops
+early and closes the results) the caller has reaped every worker it forked,
+SIGKILLing those it did not see end.
 """
 
 from __future__ import annotations
 
+import marshal
 import os
 
 _RECORD = 4  # bytes per chunk number in the handout pipe
+_LENGTH = 8  # bytes of a result frame's length
 # At most this many chunks, so the whole handout fits in one page, the least
 # a pipe holds, and writing it before any worker reads never blocks. Below
 # 128 workers the eighth-of-a-share rule stays under it.
@@ -34,7 +44,10 @@ _MAX_CHUNKS = 4096 // _RECORD
 
 
 def worker_count() -> int:
-    cpus = os.cpu_count() or 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
     env = os.environ.get("SUBSEC_THREADS")
     if env is not None:
         try:
@@ -44,31 +57,60 @@ def worker_count() -> int:
     return cpus
 
 
-def ordered_map(fn, items, workers: int | None = None) -> list:
+class Results:
+    """What ``ordered_map`` returns. Iterating gives the results one at a
+    time, in input order; ``runs()`` gives the rest of them as lists, one per
+    stretch that came in together, for a consumer that acts once per stretch
+    instead of once per result. ``close()`` stops and reaps the workers of a
+    consumer that stops early."""
+
+    def __init__(self, runs):
+        self._runs = runs
+        self._held = []  # the rest of the current run, last result first
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        while not self._held:
+            self._held = next(self._runs)[::-1]
+        return self._held.pop()
+
+    def runs(self):
+        if self._held:
+            yield self._held[::-1]
+            self._held = []
+        yield from self._runs
+
+    def close(self) -> None:
+        self._runs.close()
+
+
+def ordered_map(fn, items, workers: int | None = None) -> Results:
     items = list(items)
     if workers is None:
         workers = worker_count()
     if workers <= 1 or len(items) <= 1 or not hasattr(os, "fork"):
-        return [fn(item) for item in items]
+        return Results([fn(item)] for item in items)
     workers = min(workers, len(items))
     size = max(-(-len(items) // (8 * workers)), -(-len(items) // _MAX_CHUNKS))
     chunks = [items[start:start + size] for start in range(0, len(items), size)]
-    done = _fan_out(fn, chunks, workers)
-    return [result for index in range(len(chunks)) for result in done[index]]
+    return Results(_fan_out(fn, chunks, workers))
 
 
-def _fan_out(fn, chunks: list[list], workers: int) -> dict[int, list]:
-    """{chunk number: its results} from the caller and ``workers - 1`` forks."""
-    import pickle
+def _fan_out(fn, chunks: list[list], workers: int):
+    """The results of ``chunks`` from ``workers`` forks, one list per stretch
+    of chunks that became complete in input order."""
+    import select
     import signal
 
     handout, feed = os.pipe()
-    forked = {}  # pid -> read end of the pipe its results come back on
+    forked = {}  # read end of a worker's result pipe -> its pid, until reaped
     try:
         # Closed before the fork, so a worker that finds the pipe empty is done.
         with open(feed, "wb") as pipe:
             pipe.write(b"".join(index.to_bytes(_RECORD, "little") for index in range(len(chunks))))
-        for _ in range(workers - 1):
+        for _ in range(workers):
             read_end, write_end = os.pipe()
             try:
                 pid = os.fork()
@@ -77,55 +119,81 @@ def _fan_out(fn, chunks: list[list], workers: int) -> dict[int, list]:
                 os.close(write_end)
                 raise
             if pid == 0:
-                _serve(fn, chunks, handout, write_end)
+                _serve(fn, chunks, handout, write_end, (read_end, *forked))
             os.close(write_end)
-            forked[pid] = read_end
-        done = _work(fn, chunks, handout)
-        for pid, read_end in list(forked.items()):
-            # A worker blocks in its write until the caller reads, so read
-            # to the end before waiting. The pipe ends when the worker exits,
-            # and it exits with 0 only once all it sent was written.
-            with open(read_end, "rb", closefd=False) as pipe:
-                data = pipe.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            os.close(forked.pop(pid))
-            if code != 0:
-                raise RuntimeError(f"pool worker {pid} exited with code {code} before sending its results")
-            sent = pickle.loads(data)
-            if isinstance(sent, BaseException):
-                raise sent
-            done.update(sent)
-        return done
+            forked[read_end] = pid
+        poller = select.poll()
+        for read_end in forked:
+            poller.register(read_end, select.POLLIN)
+        received = {read_end: bytearray() for read_end in forked}
+        done = {}  # chunk number -> its results (or a pickled exception), not yet handed on
+        following = 0  # the first chunk not yet handed on
+        while following < len(chunks):
+            run = []
+            while isinstance(done.get(following), list):
+                run += done.pop(following)
+                following += 1
+            if run:
+                yield run
+                continue
+            if following in done:  # the exception the chunk's worker met
+                import pickle
+
+                raise pickle.loads(done.pop(following))
+            if not forked:
+                raise RuntimeError("the pool workers ended before sending every result")
+            for read_end, _ in poller.poll():
+                data = os.read(read_end, 1 << 16)
+                buffer = received[read_end]
+                if data:
+                    buffer += data
+                    while len(buffer) >= _LENGTH:
+                        end = _LENGTH + int.from_bytes(buffer[:_LENGTH], "little")
+                        if len(buffer) < end:
+                            break
+                        index, sent = marshal.loads(buffer[_LENGTH:end])
+                        done[index] = sent
+                        del buffer[:end]
+                    continue
+                # The pipe ends when its worker exits, which it does with 0
+                # only once all it sent was written.
+                pid = forked.pop(read_end)
+                poller.unregister(read_end)
+                os.close(read_end)
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                if code != 0 or buffer:
+                    raise RuntimeError(f"pool worker {pid} exited with code {code} before sending its results")
     finally:
         os.close(handout)
-        for pid, read_end in forked.items():  # the workers not yet reaped
+        for read_end, pid in forked.items():  # the workers not yet reaped
             os.close(read_end)
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
 
 
-def _work(fn, chunks: list[list], handout: int) -> dict[int, list]:
-    done = {}
-    while record := os.read(handout, _RECORD):
-        index = int.from_bytes(record, "little")
-        done[index] = [fn(item) for item in chunks[index]]
-    return done
-
-
-def _serve(fn, chunks: list[list], handout: int, out: int) -> None:
-    """A forked worker's whole life: work, send what it did or the exception
-    it met, and leave with ``os._exit``, so that nothing of the caller's stack
-    (its ``finally`` blocks, buffered output, exit handlers) runs twice."""
-    import pickle  # already loaded by the caller
-
+def _serve(fn, chunks: list[list], handout: int, out: int, read_ends: tuple[int, ...]) -> None:
+    """A forked worker's whole life: work chunk by chunk, sending each one's
+    results, or the exception it met and then stop, and leave with
+    ``os._exit``, so that nothing of the caller's stack (its ``finally``
+    blocks, buffered output, exit handlers) runs twice. The read ends of the
+    result pipes it inherited are closed first: if the caller dies, the
+    worker's next write fails instead of waiting for a reader for ever."""
     status = 1
     try:
-        try:
-            data = pickle.dumps(_work(fn, chunks, handout))
-        except Exception as exc:
-            data = _pickled_error(exc)
+        for read_end in read_ends:
+            os.close(read_end)
         with open(out, "wb", closefd=False) as pipe:
-            pipe.write(data)
+            failed = False
+            while not failed and (record := os.read(handout, _RECORD)):
+                index = int.from_bytes(record, "little")
+                try:
+                    frame = marshal.dumps((index, [fn(item) for item in chunks[index]]))
+                except Exception as exc:
+                    frame = marshal.dumps((index, _pickled_error(exc)))
+                    failed = True
+                pipe.write(len(frame).to_bytes(_LENGTH, "little"))
+                pipe.write(frame)
+                pipe.flush()
         status = 0
     finally:
         os._exit(status)

@@ -235,6 +235,37 @@ def _normalize(entries):
     return [(emit_graph6(g) if gid is None else gid, g) for gid, g in pairs]
 
 
+def _graded(task, record, entries, workers):
+    """The ``record``s that ``task(graph_id, graph)`` gives for each entry,
+    in input order: one list per run of graphs the pool had done together.
+    A task may run in a forked worker, so its records cross as tuples of
+    the values ``marshal`` carries, a Fraction as its (numerator,
+    denominator) pair, the one tuple a record field holds; they are rebuilt
+    here."""
+
+    def primitives(pair):
+        return [tuple((v.numerator, v.denominator) if isinstance(v, Fraction) else v for v in row._values())
+                for row in task(*pair)]
+
+    results = _pool.ordered_map(primitives, _normalize(entries), workers)
+    try:
+        for run in results.runs():
+            yield [record._make(Fraction(*v) if type(v) is tuple else v for v in values)
+                   for rows in run for values in rows]
+    finally:
+        results.close()
+
+
+def _check_runs(entries, theorem_ids, n, budget, workers):
+    tids = tuple(theorem_ids)
+    resolve_claims(tids, n)  # raise before any work is dispatched
+
+    def checks(gid, g):
+        return [check_theorem(g, tid, n=n, budget=budget, graph_id=gid) for tid in tids]
+
+    return _graded(checks, BoundCheck, entries, workers)
+
+
 def run_corpus(
     entries,
     theorem_ids,
@@ -246,18 +277,10 @@ def run_corpus(
 
     Entries are Graphs or (graph_id, Graph) pairs; a None id means the
     emitted graph6. Work may fan out to ``workers`` processes (default:
-    SUBSEC_THREADS or machine parallelism); the output is identical
-    regardless of worker count.
+    SUBSEC_THREADS or the CPUs this process may run on); the output is
+    identical regardless of worker count.
     """
-    tids = tuple(theorem_ids)
-    resolve_claims(tids, n)  # raise before any work is dispatched
-
-    def checks(pair):
-        gid, g = pair
-        return [check_theorem(g, tid, n=n, budget=budget, graph_id=gid) for tid in tids]
-
-    grouped = _pool.ordered_map(checks, _normalize(entries), workers)
-    return [check for group in grouped for check in group]
+    return [check for run in _check_runs(entries, theorem_ids, n, budget, workers) for check in run]
 
 
 def summarize(checks) -> dict[str, int]:
@@ -265,6 +288,33 @@ def summarize(checks) -> dict[str, int]:
     for check in checks:
         counts[check.status] += 1
     return counts
+
+
+def _tallied(runs, add):
+    """``runs`` unchanged, with ``add(record)`` called on each record as it passes."""
+    for run in runs:
+        for record in run:
+            add(record)
+        yield run
+
+
+def stream_checks(
+    entries,
+    theorem_ids,
+    fmt: str = "tsv",
+    n: int | None = None,
+    budget: SolverBudget = DEFAULT_BUDGET,
+    workers: int | None = None,
+):
+    """``render_checks(run_corpus(...), fmt)`` while it is made, and the
+    status counts of its summary, which fill in as the lines are made.
+
+    The lines come in blocks: the rows of each run of graphs that finished
+    in input order (the first under the header), then the summary. No list
+    of the corpus's checks or lines is kept. Unknown ids and out-of-range
+    parameters raise here, before any work.
+    """
+    return _check_report(_check_runs(entries, theorem_ids, n, budget, workers), fmt)
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +341,36 @@ class ConjectureReport(_Record):
 _CONJ_STATUS = {"violated": "counterexample", "skipped": "skipped"}
 
 
+class _ConjectureTally:
+    """The summary fields of a ConjectureReport, kept up to date as rows pass."""
+
+    def __init__(self):
+        self.min_ratio = None
+        self.witnesses, self.counterexamples, self.skipped = [], [], []
+
+    def add(self, row: ConjectureRow) -> None:
+        if row.ratio is not None:
+            if self.min_ratio is None or row.ratio < self.min_ratio:
+                self.min_ratio, self.witnesses = row.ratio, []
+            if row.ratio == self.min_ratio:
+                self.witnesses.append(row.graph_id)
+        if row.status == "counterexample":
+            self.counterexamples.append(row.graph_id)
+        elif row.status == "skipped":
+            self.skipped.append(row.graph_id)
+
+
+def _conjecture_runs(entries, budget, workers):
+    """Runs of ConjectureRows, in input order, each from grading ``conj``."""
+
+    def row(gid, g):
+        check = check_theorem(g, "conj", budget=budget, graph_id=gid)
+        return [ConjectureRow(gid, g.n, check.exact, _conj_ratio(g, check.exact),
+                              _CONJ_STATUS.get(check.status, "ok"))]
+
+    return _graded(row, ConjectureRow, entries, workers)
+
+
 def conjecture_scan(
     entries,
     budget: SolverBudget = DEFAULT_BUDGET,
@@ -303,19 +383,21 @@ def conjecture_scan(
     budget reasons. Each graph's row comes from grading the ``conj`` claim:
     a violation is a counterexample.
     """
-    pairs = _normalize(entries)
-    checks = run_corpus(pairs, ("conj",), budget=budget, workers=workers)
-    rows = tuple(
-        ConjectureRow(check.graph_id, g.n, check.exact, _conj_ratio(g, check.exact),
-                      _CONJ_STATUS.get(check.status, "ok"))
-        for (_, g), check in zip(pairs, checks)
-    )
-    ratios = [row.ratio for row in rows if row.ratio is not None]
-    min_ratio = min(ratios) if ratios else None
-    witnesses = tuple(row.graph_id for row in rows if row.ratio == min_ratio and min_ratio is not None)
-    counterexamples = tuple(row.graph_id for row in rows if row.status == "counterexample")
-    skipped = tuple(row.graph_id for row in rows if row.status == "skipped")
-    return ConjectureReport(rows, min_ratio, witnesses, counterexamples, skipped)
+    tally = _ConjectureTally()
+    rows = tuple(row for run in _tallied(_conjecture_runs(entries, budget, workers), tally.add)
+                 for row in run)
+    return ConjectureReport(rows, tally.min_ratio, tuple(tally.witnesses),
+                            tuple(tally.counterexamples), tuple(tally.skipped))
+
+
+def stream_conjecture(entries, fmt: str = "tsv", budget: SolverBudget = DEFAULT_BUDGET,
+                      workers: int | None = None):
+    """``render_conjecture(conjecture_scan(...), fmt)`` while it is made, in
+    blocks as ``stream_checks`` gives them, the summary last. Only the
+    summary's own lists are kept."""
+    tally = _ConjectureTally()
+    runs = _tallied(_conjecture_runs(entries, budget, workers), tally.add)
+    return _report(fmt, CONJECTURE_COLUMNS, _conjecture_text, runs, lambda: _conjecture_summary(tally))
 
 
 # ---------------------------------------------------------------------------
@@ -346,20 +428,31 @@ def _json(record) -> str:
     return _JSON.encode(record)
 
 
-def _report(fmt: str, columns, records, text, summary: dict[str, list[str]]) -> list[str]:
-    """Records as TSV under a header row of ``columns``, one name per field
-    in declaration order, as JSON lines under the same names, or as
-    ``text(record)`` lines; then ``summary[fmt]``."""
+def _report(fmt: str, columns, text, runs, summary):
+    """A report in blocks of lines, one block per run of records in
+    ``runs`` and then ``summary()[fmt]``, made once every run is out. Records
+    are TSV under a header row of ``columns`` (in the first block), one name
+    per field in declaration order, JSON lines under the same names, or
+    ``text(record)`` lines."""
     if fmt == "tsv":
-        lines = ["\t".join(columns)]
-        lines.extend("\t".join(map(_fmt, record._values())) for record in records)
+        block = ["\t".join(columns)]
+
+        def row(record):
+            return "\t".join(map(_fmt, record._values()))
     elif fmt == "jsonl":
-        lines = [_json(dict(zip(columns, record._values()))) for record in records]
+        block = []
+
+        def row(record):
+            return _json(dict(zip(columns, record._values())))
     elif fmt == "text":
-        lines = [text(record) for record in records]
+        block, row = [], text
     else:
         raise ValueError(f"unknown report format {fmt!r}")
-    return lines + summary[fmt]
+    for run in runs:
+        block.extend(map(row, run))
+        yield block
+        block = []
+    yield block + summary()[fmt]
 
 
 def _check_text(c: BoundCheck) -> str:
@@ -375,15 +468,28 @@ def _check_text(c: BoundCheck) -> str:
     return f"{c.graph_id} {c.theorem_id}: {' '.join(terms)} -> {c.status}{extra}"
 
 
+def _check_report(runs, fmt: str):
+    """A verify report in blocks, one per run of checks and then the
+    summary, and the status counts, which fill in as the blocks are made."""
+    counts = summarize(())
+
+    def count(check):
+        counts[check.status] += 1
+
+    def summary():
+        line = " ".join(f"{status}={counts[status]}" for status in _STATUSES)
+        return {
+            "tsv": [f"# summary: {line}"],
+            "jsonl": [_json({"summary": counts})],
+            "text": [f"summary: {line}"],
+        }
+
+    return _report(fmt, CHECK_COLUMNS, _check_text, _tallied(runs, count), summary), counts
+
+
 def render_checks(checks, fmt: str = "tsv") -> list[str]:
-    checks = list(checks)
-    counts = summarize(checks)
-    summary = " ".join(f"{status}={counts[status]}" for status in _STATUSES)
-    return _report(fmt, CHECK_COLUMNS, checks, _check_text, {
-        "tsv": [f"# summary: {summary}"],
-        "jsonl": [_json({"summary": counts})],
-        "text": [f"summary: {summary}"],
-    })
+    blocks, _ = _check_report([checks], fmt)
+    return [line for block in blocks for line in block]
 
 
 # One column per ConjectureRow field, in order; "gamma_s_half" is value.
@@ -395,9 +501,10 @@ def _conjecture_text(row: ConjectureRow) -> str:
             f" -> {row.status}")
 
 
-def render_conjecture(report: ConjectureReport, fmt: str = "tsv") -> list[str]:
+def _conjecture_summary(report) -> dict[str, list[str]]:
+    """The summary lines, by format, of a ConjectureReport or a _ConjectureTally."""
     witnesses = report.witnesses
-    return _report(fmt, CONJECTURE_COLUMNS, report.rows, _conjecture_text, {
+    return {
         "tsv": [
             f"# min_ratio: {_fmt(report.min_ratio)} witnesses: {','.join(witnesses) or '-'}",
             f"# counterexamples: {len(report.counterexamples)} skipped: {len(report.skipped)}",
@@ -414,4 +521,10 @@ def render_conjecture(report: ConjectureReport, fmt: str = "tsv") -> list[str]:
             f"minimum ratio {_fmt(report.min_ratio)} attained by: {', '.join(witnesses) or '-'}",
             f"counterexamples: {len(report.counterexamples)}, skipped: {len(report.skipped)}",
         ],
-    })
+    }
+
+
+def render_conjecture(report: ConjectureReport, fmt: str = "tsv") -> list[str]:
+    blocks = _report(fmt, CONJECTURE_COLUMNS, _conjecture_text, [report.rows],
+                     lambda: _conjecture_summary(report))
+    return [line for block in blocks for line in block]

@@ -1,10 +1,12 @@
 """Command-line entry point.
 
 One graph per line throughout: a graph6 corpus holds one graph per line, an
-edge-list file holds a single graph. Each command reads all its input, as
-bytes split at LF, CR or CRLF with no locale consulted, before it prints.
-All subcommands are deterministic for fixed inputs and flags; corpus work
-fans out to SUBSEC_THREADS workers without changing the output.
+edge-list file holds a single graph. Each command reads and parses all its
+input, as bytes split at LF, CR or CRLF with no locale consulted, before it
+prints. All subcommands are deterministic for fixed inputs and flags; corpus
+work fans out to SUBSEC_THREADS workers without changing the output, and
+``verify`` and ``conjecture`` write each run of rows finished in input order
+with one write and a flush, the summary last.
 
 Exit codes: 0 done, 2 violations found under --fail-on-violation, 64 usage
 error, 65 parse error (reported with its line number), 141 stdout closed by

@@ -23,6 +23,18 @@ def _emit_graph(g: Graph, fmt: str, out) -> None:
         out.write(emit_edgelist(g))
 
 
+def _write_blocks(blocks, out) -> None:
+    """Each block of report lines with one write, then a flush, so a run of
+    rows reaches the reader as soon as it is done. The blocks' workers are
+    stopped on every way out, a closed pipe included."""
+    try:
+        for block in blocks:
+            out.write("".join(line + "\n" for line in block))
+            out.flush()
+    finally:
+        blocks.close()
+
+
 # Each command is a function that builds its flag rows, so a row can name
 # choices from a module that only that command loads, and a runner.
 
@@ -143,12 +155,9 @@ def _cmd_verify(args, out) -> int:
     if args.n is not None and all(isinstance(claim.k, int) for claim, _ in claims):
         raise ValueError(f"--theorem {','.join(tids)} takes no -n")
     pairs = _read_graphs(args.corpus, args.format)
-    checks = bounds.run_corpus(pairs, tids, n=args.n, budget=_budget(args))
-    for line in bounds.render_checks(checks, args.output):
-        print(line, file=out)
-    if args.fail_on_violation and any(c.status == "violated" for c in checks):
-        return 2
-    return 0
+    blocks, counts = bounds.stream_checks(pairs, tids, args.output, n=args.n, budget=_budget(args))
+    _write_blocks(blocks, out)
+    return 2 if args.fail_on_violation and counts["violated"] else 0
 
 
 def _conjecture_flags():
@@ -159,9 +168,7 @@ def _cmd_conjecture(args, out) -> int:
     from . import bounds
 
     pairs = _read_graphs(args.corpus, args.format)
-    report = bounds.conjecture_scan(pairs, budget=_budget(args))
-    for line in bounds.render_conjecture(report, args.output):
-        print(line, file=out)
+    _write_blocks(bounds.stream_conjecture(pairs, args.output, budget=_budget(args)), out)
     return 0
 
 

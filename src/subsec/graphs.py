@@ -74,8 +74,17 @@ class _Record:
     def _check(self) -> None:
         """Raise if the fields do not make a valid record."""
 
+    @classmethod
+    def _make(cls, values):
+        """The record whose fields, in declaration order, are ``values``: the
+        inverse of ``_values``, without ``__init__``'s argument binding."""
+        self = cls.__new__(cls)
+        self.__dict__.update(zip(cls._fields, values))
+        self._check()
+        return self
+
     def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
+        return tuple(map(self.__dict__.__getitem__, self._fields))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

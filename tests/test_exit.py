@@ -92,6 +92,34 @@ def test_closed_stdout_at_the_last_flush_is_141(argv, stdin, err):
     assert proc.returncode == 141 and proc.stderr == err
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("argv", [["verify", "--theorem", "prop1,g12,star2,conj"], ["conjecture"]],
+                         ids=["verify", "conjecture"])
+def test_a_pipe_closed_after_the_first_row_is_141(argv, threads):
+    # Rows leave as they finish, so the reader has the first one while the
+    # rest of the corpus (ten copies of the bundled one) is still being
+    # graded; its next write then meets the closed pipe. The run is its own
+    # process group, which is empty once the run has reaped every worker.
+    read_end, write_end = os.pipe()
+    proc = subprocess.Popen([sys.executable, "-m", "subsec", *argv], stdin=subprocess.PIPE,
+                            stdout=write_end, stderr=subprocess.PIPE,
+                            env=ENV | {"SUBSEC_THREADS": threads}, start_new_session=True)
+    os.close(write_end)
+    try:
+        proc.stdin.write(CORPUS * 10)
+        proc.stdin.close()
+        with open(read_end, "rb") as reader:
+            assert reader.readline().startswith(b"graph_id\t")
+        assert proc.wait(timeout=60) == 141
+        assert proc.stderr.read() == b""
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
+
+
 @pytest.mark.parametrize("fd", [1, 2], ids=["stdout", "stderr"])
 def test_a_stream_closed_at_start_keeps_the_exit_status(fd):
     # Python sets sys.stdout or sys.stderr to None when its descriptor is

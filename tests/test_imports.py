@@ -114,12 +114,13 @@ def test_commands_that_make_graphs_load_the_corpus_module(args):
 
 
 def test_a_pooled_verify_imports_no_pool_library():
+    # Forked workers send their results as marshal data; pickle would load
+    # only to carry a worker's exception.
     corpus = "".join(line + "\n" for line in subsec.bundled_corpus_lines())
-    modules = imported("-m", "subsec", "verify", "--theorem", "prop1", stdin=corpus,
-                       env={**ENV, "SUBSEC_THREADS": "2"})
-    assert not {m for m in modules if m.partition(".")[0] in ("concurrent", "multiprocessing")}
-    if (os.cpu_count() or 1) >= 2:
-        assert "pickle" in modules  # the results of a forked worker came back
+    for args in (("verify", "--theorem", "prop1"), ("conjecture",)):
+        modules = imported("-m", "subsec", *args, stdin=corpus, env={**ENV, "SUBSEC_THREADS": "2"})
+        assert "subsec._pool" in modules
+        assert not {m for m in modules if m.partition(".")[0] in ("concurrent", "multiprocessing", "pickle")}
 
 
 def test_import_subsec_loads_no_submodule():

@@ -169,6 +169,18 @@ def test_positional_keyword_and_default_construction():
     assert repr(Graph(2, (2, 1))) == "Graph(n=2, adj_masks=(2, 1))"
 
 
+@pytest.mark.parametrize("cls, fields, _", RECORDS, ids=IDS)
+def test_make_is_the_inverse_of_values(cls, fields, _):
+    record = cls(**fields)
+    assert record._values() == tuple(fields.values())
+    assert cls._make(record._values()) == record
+
+
+def test_make_validates():
+    with pytest.raises(GraphError, match="^adjacency length 2 != n=3$"):
+        Graph._make((3, (0, 0)))
+
+
 @pytest.mark.parametrize("build, error, message", [
     (lambda: SolverBudget(engine="dp"), ValueError, "unknown engine 'dp' (choose from branch, naive)"),
     (lambda: SolverBudget(max_nodes=0), ValueError, "budget caps must be positive"),
