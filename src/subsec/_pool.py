@@ -1,11 +1,14 @@
 """Ordered fan-out of per-graph work to forked worker processes.
 
-SUBSEC_THREADS caps the worker count; the default, and the ceiling, is the
-number of CPUs this process may run on. For more than one worker the calling
-process forks them all, and they inherit the function and the items, so
-neither is pickled and no worker starts from a fresh import. The caller
-computes nothing itself: it only waits for results and hands them on, so it
-is free to read a worker's pipe whenever the worker writes.
+``ordered_map(fn, items, workers)`` gives the results of ``fn`` on
+``items`` as a generator of lists, whose concatenation is the results in
+input order. SUBSEC_THREADS caps the worker count; the default, and the
+ceiling, is the number of CPUs this process may run on. For more than one
+worker the calling process forks them all, and they inherit the function
+and the items, so neither is pickled and no worker starts from a fresh
+import. The caller computes nothing itself: it only waits for results and
+hands them on, so it is free to read a worker's pipe whenever the worker
+writes.
 
 Items go out in chunks of an eighth of each worker's share, rounded up, so a
 corpus of many small solves costs a few handouts per worker instead of one
@@ -15,19 +18,22 @@ fork; every worker takes the next record whenever it is free, until the pipe
 is empty. A worker sends the results of each chunk it finishes as one
 ``marshal`` frame, its length first, through a pipe of its own, so results
 must be values ``marshal`` carries (numbers, strings, None, tuples, lists,
-dicts). The caller waits on those pipes and hands results on in input order
-as soon as every earlier one is in, holding only the chunks that finished
+dicts). The caller waits on those pipes and reads a frame whole as soon as
+its pipe is readable. It hands on one list per chunk, in input order, as
+soon as every earlier chunk is in, holding only the chunks that finished
 out of order. So output is byte-identical however many workers ran. With
 one worker, or without ``os.fork``, the items are mapped lazily in the
-calling process.
+calling process, one list per item, and the results are passed through
+unchecked.
 
-A worker's exception is raised again in the caller at its chunk's place,
-after the results before it; one that cannot be pickled arrives as a
-RuntimeError naming it, and a worker that ends without sending its results
-raises RuntimeError. ``pickle`` is loaded only to carry an exception. On
-every way out (the last result, an exception, or a consumer that stops
-early and closes the results) the caller has reaped every worker it forked,
-SIGKILLing those it did not see end.
+A worker's exception, a result ``marshal`` cannot carry included, is raised
+again in the caller at its chunk's place, after the results before it; one
+that cannot be pickled arrives as a RuntimeError naming it, and a worker
+that ends without sending its results raises RuntimeError. ``pickle`` is
+loaded only to carry an exception. On every way out (the last result, an
+exception, or a consumer that stops early and closes the generator) the
+caller has reaped every worker it forked, SIGKILLing those it did not see
+end.
 """
 
 from __future__ import annotations
@@ -57,50 +63,21 @@ def worker_count() -> int:
     return cpus
 
 
-class Results:
-    """What ``ordered_map`` returns. Iterating gives the results one at a
-    time, in input order; ``runs()`` gives the rest of them as lists, one per
-    stretch that came in together, for a consumer that acts once per stretch
-    instead of once per result. ``close()`` stops and reaps the workers of a
-    consumer that stops early."""
-
-    def __init__(self, runs):
-        self._runs = runs
-        self._held = []  # the rest of the current run, last result first
-
-    def __iter__(self):
-        return self
-
-    def __next__(self):
-        while not self._held:
-            self._held = next(self._runs)[::-1]
-        return self._held.pop()
-
-    def runs(self):
-        if self._held:
-            yield self._held[::-1]
-            self._held = []
-        yield from self._runs
-
-    def close(self) -> None:
-        self._runs.close()
-
-
-def ordered_map(fn, items, workers: int | None = None) -> Results:
+def ordered_map(fn, items, workers: int | None = None):
     items = list(items)
     if workers is None:
         workers = worker_count()
     if workers <= 1 or len(items) <= 1 or not hasattr(os, "fork"):
-        return Results([fn(item)] for item in items)
+        return ([fn(item)] for item in items)
     workers = min(workers, len(items))
     size = max(-(-len(items) // (8 * workers)), -(-len(items) // _MAX_CHUNKS))
     chunks = [items[start:start + size] for start in range(0, len(items), size)]
-    return Results(_fan_out(fn, chunks, workers))
+    return _fan_out(fn, chunks, workers)
 
 
 def _fan_out(fn, chunks: list[list], workers: int):
-    """The results of ``chunks`` from ``workers`` forks, one list per stretch
-    of chunks that became complete in input order."""
+    """The results of ``chunks`` from ``workers`` forks, one list per chunk,
+    in input order."""
     import select
     import signal
 
@@ -125,50 +102,49 @@ def _fan_out(fn, chunks: list[list], workers: int):
         poller = select.poll()
         for read_end in forked:
             poller.register(read_end, select.POLLIN)
-        received = {read_end: bytearray() for read_end in forked}
         done = {}  # chunk number -> its results (or a pickled exception), not yet handed on
-        following = 0  # the first chunk not yet handed on
-        while following < len(chunks):
-            run = []
-            while isinstance(done.get(following), list):
-                run += done.pop(following)
-                following += 1
-            if run:
-                yield run
-                continue
-            if following in done:  # the exception the chunk's worker met
+        for index in range(len(chunks)):
+            while index not in done:
+                if not forked:
+                    raise RuntimeError("the pool workers ended before sending every result")
+                for read_end, _ in poller.poll():
+                    # A worker writes each frame whole, once its chunk is
+                    # done, so reading one to its end waits on no solve.
+                    length = _read(read_end, _LENGTH)
+                    if len(length) == _LENGTH:
+                        frame = _read(read_end, size := int.from_bytes(length, "little"))
+                        if len(frame) == size:
+                            chunk, sent = marshal.loads(frame)
+                            done[chunk] = sent
+                            continue
+                    # The pipe ends when its worker exits, which it does with
+                    # 0 only once all it sent was written.
+                    pid = forked.pop(read_end)
+                    poller.unregister(read_end)
+                    os.close(read_end)
+                    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                    if code != 0 or length:
+                        raise RuntimeError(f"pool worker {pid} exited with code {code} before sending its results")
+            sent = done.pop(index)
+            if not isinstance(sent, list):  # the exception the chunk's worker met
                 import pickle
 
-                raise pickle.loads(done.pop(following))
-            if not forked:
-                raise RuntimeError("the pool workers ended before sending every result")
-            for read_end, _ in poller.poll():
-                data = os.read(read_end, 1 << 16)
-                buffer = received[read_end]
-                if data:
-                    buffer += data
-                    while len(buffer) >= _LENGTH:
-                        end = _LENGTH + int.from_bytes(buffer[:_LENGTH], "little")
-                        if len(buffer) < end:
-                            break
-                        index, sent = marshal.loads(buffer[_LENGTH:end])
-                        done[index] = sent
-                        del buffer[:end]
-                    continue
-                # The pipe ends when its worker exits, which it does with 0
-                # only once all it sent was written.
-                pid = forked.pop(read_end)
-                poller.unregister(read_end)
-                os.close(read_end)
-                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                if code != 0 or buffer:
-                    raise RuntimeError(f"pool worker {pid} exited with code {code} before sending its results")
+                raise pickle.loads(sent)
+            yield sent
     finally:
         os.close(handout)
         for read_end, pid in forked.items():  # the workers not yet reaped
             os.close(read_end)
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+
+
+def _read(fd: int, size: int) -> bytearray:
+    """``size`` bytes from ``fd``, or fewer if the pipe ends first."""
+    data = bytearray()
+    while len(data) < size and (part := os.read(fd, size - len(data))):
+        data += part
+    return data
 
 
 def _serve(fn, chunks: list[list], handout: int, out: int, read_ends: tuple[int, ...]) -> None:

@@ -237,7 +237,7 @@ def _normalize(entries):
 
 def _graded(task, record, entries, workers):
     """The ``record``s that ``task(graph_id, graph)`` gives for each entry,
-    in input order: one list per run of graphs the pool had done together.
+    in input order: one list per chunk of graphs the pool handed on.
     A task may run in a forked worker, so its records cross as tuples of
     the values ``marshal`` carries, a Fraction as its (numerator,
     denominator) pair, the one tuple a record field holds; they are rebuilt
@@ -247,13 +247,13 @@ def _graded(task, record, entries, workers):
         return [tuple((v.numerator, v.denominator) if isinstance(v, Fraction) else v for v in row._values())
                 for row in task(*pair)]
 
-    results = _pool.ordered_map(primitives, _normalize(entries), workers)
+    chunks = _pool.ordered_map(primitives, _normalize(entries), workers)
     try:
-        for run in results.runs():
+        for chunk in chunks:
             yield [record._make(Fraction(*v) if type(v) is tuple else v for v in values)
-                   for rows in run for values in rows]
+                   for rows in chunk for values in rows]
     finally:
-        results.close()
+        chunks.close()
 
 
 def _check_runs(entries, theorem_ids, n, budget, workers):
@@ -309,8 +309,8 @@ def stream_checks(
     """``render_checks(run_corpus(...), fmt)`` while it is made, and the
     status counts of its summary, which fill in as the lines are made.
 
-    The lines come in blocks: the rows of each run of graphs that finished
-    in input order (the first under the header), then the summary. No list
+    The lines come in blocks: the rows of each chunk of graphs the pool
+    hands on (the first under the header), then the summary. No list
     of the corpus's checks or lines is kept. Unknown ids and out-of-range
     parameters raise here, before any work.
     """

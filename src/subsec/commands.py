@@ -24,9 +24,9 @@ def _emit_graph(g: Graph, fmt: str, out) -> None:
 
 
 def _write_blocks(blocks, out) -> None:
-    """Each block of report lines with one write, then a flush, so a run of
-    rows reaches the reader as soon as it is done. The blocks' workers are
-    stopped on every way out, a closed pipe included."""
+    """Each block of report lines with one write, then a flush, so each
+    chunk's rows reach the reader as soon as they are done. The blocks'
+    workers are stopped on every way out, a closed pipe included."""
     try:
         for block in blocks:
             out.write("".join(line + "\n" for line in block))

@@ -3,6 +3,7 @@ import signal
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -52,6 +53,11 @@ class _Unpicklable(Exception):
         super().__init__(f"{a}-{b}")
 
 
+def flat(chunks):
+    """The results that ``ordered_map`` gives as lists, in one list."""
+    return [result for chunk in chunks for result in chunk]
+
+
 def uneven(x):
     # Some items take longer, so later chunks can finish before earlier ones.
     time.sleep(0.002 if x % 7 < 3 else 0)
@@ -62,11 +68,11 @@ class TestOrderedMap:
     @pytest.mark.parametrize("count, workers", [(57, 2), (57, 4), (3, 4)])
     def test_input_order_kept_over_many_chunks(self, deadline, count, workers):
         items = list(range(count))
-        assert list(_pool.ordered_map(uneven, items, workers)) == [-i for i in items]
+        assert flat(_pool.ordered_map(uneven, items, workers)) == [-i for i in items]
         assert_no_child_left()
 
     def test_a_lambda_runs_in_the_forks(self, deadline):
-        assert list(_pool.ordered_map(lambda x: x * 10, range(20), 2)) == [x * 10 for x in range(20)]
+        assert flat(_pool.ordered_map(lambda x: x * 10, range(20), 2)) == [x * 10 for x in range(20)]
         assert_no_child_left()
 
     def test_the_forks_do_all_the_work(self, deadline):
@@ -74,7 +80,7 @@ class TestOrderedMap:
             time.sleep(0.005)
             return os.getpid()
 
-        pids = set(_pool.ordered_map(pid, range(50), 2))
+        pids = set(flat(_pool.ordered_map(pid, range(50), 2)))
         assert PARENT not in pids and len(pids) == 2
         assert_no_child_left()
 
@@ -91,9 +97,10 @@ class TestOrderedMap:
 
         try:
             results = _pool.ordered_map(fn, range(50), 2)
-            assert next(results) == 0
+            first = next(results)
+            assert first[0] == 0 and 49 not in first
             os.write(release, b"!")
-            assert list(results) == list(range(1, 50))
+            assert first + flat(results) == list(range(50))
         finally:
             os.close(gate)
             os.close(release)
@@ -117,9 +124,31 @@ class TestOrderedMap:
 
         got = []
         with pytest.raises(ValueError, match="^item 30$"):
-            for result in _pool.ordered_map(fail_at_30, range(48), 2):
-                got.append(result)
+            for chunk in _pool.ordered_map(fail_at_30, range(48), 2):
+                got.extend(chunk)
         assert got == [-x for x in range(30)]
+        assert_no_child_left()
+
+    def test_a_result_marshal_cannot_carry_raises_at_its_place(self, deadline):
+        # As above, item 30 starts a chunk of 3; its Fraction cannot cross
+        # the worker's pipe.
+        def fraction_at_30(x):
+            return Fraction(x, 7) if x == 30 else uneven(x)
+
+        got = []
+        with pytest.raises(ValueError, match="unmarshallable object"):
+            for chunk in _pool.ordered_map(fraction_at_30, range(48), 2):
+                got.extend(chunk)
+        assert got == [-x for x in range(30)]
+        assert_no_child_left()
+
+    def test_results_larger_than_a_pipe_arrive_whole_and_in_order(self, deadline):
+        # Each chunk's frame outgrows a 64 KiB pipe, so the caller must read
+        # it while its worker is still writing.
+        def large(x):
+            return uneven(x), bytes([x]) * 100_000
+
+        assert flat(_pool.ordered_map(large, range(40), 2)) == [(-x, bytes([x]) * 100_000) for x in range(40)]
         assert_no_child_left()
 
     def test_an_unpicklable_exception_arrives_named(self, deadline):
@@ -187,7 +216,7 @@ class TestOrderedMap:
 
         monkeypatch.setattr(os, "fork", no_fork)
         results = _pool.ordered_map(lambda x: x * 10, items, workers=workers)
-        assert list(results) == [x * 10 for x in items]
+        assert flat(results) == [x * 10 for x in items]
 
     def test_in_process_is_lazy(self):
         done = []
