@@ -10,6 +10,9 @@ A violated claim is a result, not an error: several equality claims fail on
 degenerate bases (single edges, disconnected graphs) and surfacing that
 honestly is the point. "skipped" is reserved for unmet preconditions and
 budget exhaustion, where no exact value exists.
+
+A corpus's report is made a chunk of rows at a time; one tally per report
+kind counts each row as it is rendered and gives the summary that ends it.
 """
 
 from __future__ import annotations
@@ -283,19 +286,27 @@ def run_corpus(
     return [check for run in _check_runs(entries, theorem_ids, n, budget, workers) for check in run]
 
 
+class _CheckTally:
+    """A verify report's status counts, kept as checks are added, and its summary line."""
+
+    def __init__(self):
+        self.counts = {status: 0 for status in _STATUSES}
+
+    def add(self, check: BoundCheck) -> None:
+        self.counts[check.status] += 1
+
+    def summary(self, fmt: str) -> list[str]:
+        if fmt == "jsonl":
+            return [_json({"summary": self.counts})]
+        line = " ".join(f"{status}={self.counts[status]}" for status in _STATUSES)
+        return [f"# summary: {line}" if fmt == "tsv" else f"summary: {line}"]
+
+
 def summarize(checks) -> dict[str, int]:
-    counts = {status: 0 for status in _STATUSES}
+    tally = _CheckTally()
     for check in checks:
-        counts[check.status] += 1
-    return counts
-
-
-def _tallied(runs, add):
-    """``runs`` unchanged, with ``add(record)`` called on each record as it passes."""
-    for run in runs:
-        for record in run:
-            add(record)
-        yield run
+        tally.add(check)
+    return tally.counts
 
 
 def stream_checks(
@@ -314,7 +325,9 @@ def stream_checks(
     of the corpus's checks or lines is kept. Unknown ids and out-of-range
     parameters raise here, before any work.
     """
-    return _check_report(_check_runs(entries, theorem_ids, n, budget, workers), fmt)
+    tally = _CheckTally()
+    runs = _check_runs(entries, theorem_ids, n, budget, workers)
+    return _report(fmt, CHECK_COLUMNS, _check_text, runs, tally), tally.counts
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +355,8 @@ _CONJ_STATUS = {"violated": "counterexample", "skipped": "skipped"}
 
 
 class _ConjectureTally:
-    """The summary fields of a ConjectureReport, kept up to date as rows pass."""
+    """The summary fields of a ConjectureReport, kept up to date as rows are
+    added, and the summary lines they give."""
 
     def __init__(self):
         self.min_ratio = None
@@ -358,6 +372,27 @@ class _ConjectureTally:
             self.counterexamples.append(row.graph_id)
         elif row.status == "skipped":
             self.skipped.append(row.graph_id)
+
+    def summary(self, fmt: str) -> list[str]:
+        witnesses, counterexamples, skipped = self.witnesses, self.counterexamples, self.skipped
+        if fmt == "jsonl":
+            return [_json({"summary": {"min_ratio": self.min_ratio, "witnesses": witnesses,
+                                       "counterexamples": counterexamples, "skipped": skipped}})]
+        if fmt == "tsv":
+            return [f"# min_ratio: {_fmt(self.min_ratio)} witnesses: {','.join(witnesses) or '-'}",
+                    f"# counterexamples: {len(counterexamples)} skipped: {len(skipped)}"]
+        return [f"minimum ratio {_fmt(self.min_ratio)} attained by: {', '.join(witnesses) or '-'}",
+                f"counterexamples: {len(counterexamples)}, skipped: {len(skipped)}"]
+
+
+class _FinishedTally(_ConjectureTally):
+    """A finished ConjectureReport's own summary fields; its rows add nothing."""
+
+    def __init__(self, report: ConjectureReport):
+        _, self.min_ratio, self.witnesses, self.counterexamples, self.skipped = report._values()
+
+    def add(self, row: ConjectureRow) -> None:
+        pass
 
 
 def _conjecture_runs(entries, budget, workers):
@@ -383,9 +418,10 @@ def conjecture_scan(
     budget reasons. Each graph's row comes from grading the ``conj`` claim:
     a violation is a counterexample.
     """
+    rows = tuple(row for run in _conjecture_runs(entries, budget, workers) for row in run)
     tally = _ConjectureTally()
-    rows = tuple(row for run in _tallied(_conjecture_runs(entries, budget, workers), tally.add)
-                 for row in run)
+    for row in rows:
+        tally.add(row)
     return ConjectureReport(rows, tally.min_ratio, tuple(tally.witnesses),
                             tuple(tally.counterexamples), tuple(tally.skipped))
 
@@ -395,9 +431,8 @@ def stream_conjecture(entries, fmt: str = "tsv", budget: SolverBudget = DEFAULT_
     """``render_conjecture(conjecture_scan(...), fmt)`` while it is made, in
     blocks as ``stream_checks`` gives them, the summary last. Only the
     summary's own lists are kept."""
-    tally = _ConjectureTally()
-    runs = _tallied(_conjecture_runs(entries, budget, workers), tally.add)
-    return _report(fmt, CONJECTURE_COLUMNS, _conjecture_text, runs, lambda: _conjecture_summary(tally))
+    return _report(fmt, CONJECTURE_COLUMNS, _conjecture_text, _conjecture_runs(entries, budget, workers),
+                   _ConjectureTally())
 
 
 # ---------------------------------------------------------------------------
@@ -418,21 +453,25 @@ def _fmt(value) -> str:
     return str(value)
 
 
-# One encoder for every row: json.dumps with a ``default`` builds a new one
-# per call.
-_JSON = json.JSONEncoder(default=_fmt)
+# One encoder for every row, built once (json.dumps and JSONEncoder.encode
+# build one per call); a row holds no cycles, so none is looked for.
+_JSON = json.JSONEncoder(default=_fmt, check_circular=False)
+_ENCODE = json.encoder.c_make_encoder and json.encoder.c_make_encoder(
+    None, _JSON.default, json.encoder.encode_basestring_ascii, _JSON.indent, _JSON.key_separator,
+    _JSON.item_separator, _JSON.sort_keys, _JSON.skipkeys, _JSON.allow_nan)
 
 
 def _json(record) -> str:
     """One JSON line; a Fraction is written as its _fmt string."""
-    return _JSON.encode(record)
+    return "".join(_ENCODE(record, 0)) if _ENCODE else _JSON.encode(record)
 
 
-def _report(fmt: str, columns, text, runs, summary):
+def _report(fmt: str, columns, text, runs, tally):
     """A report in blocks of lines, one block per run of records in
-    ``runs`` and then ``summary()[fmt]``, made once every run is out. Records
-    are TSV under a header row of ``columns`` (in the first block), one name
-    per field in declaration order, JSON lines under the same names, or
+    ``runs``, each record added to ``tally`` as its line is made, and then
+    ``tally.summary(fmt)``, made once every run is out. Records are TSV
+    under a header row of ``columns`` (in the first block), one name per
+    field in declaration order, JSON lines under the same names, or
     ``text(record)`` lines."""
     if fmt == "tsv":
         block = ["\t".join(columns)]
@@ -449,10 +488,12 @@ def _report(fmt: str, columns, text, runs, summary):
     else:
         raise ValueError(f"unknown report format {fmt!r}")
     for run in runs:
-        block.extend(map(row, run))
+        for record in run:
+            tally.add(record)
+            block.append(row(record))
         yield block
         block = []
-    yield block + summary()[fmt]
+    yield block + tally.summary(fmt)
 
 
 def _check_text(c: BoundCheck) -> str:
@@ -468,28 +509,9 @@ def _check_text(c: BoundCheck) -> str:
     return f"{c.graph_id} {c.theorem_id}: {' '.join(terms)} -> {c.status}{extra}"
 
 
-def _check_report(runs, fmt: str):
-    """A verify report in blocks, one per run of checks and then the
-    summary, and the status counts, which fill in as the blocks are made."""
-    counts = summarize(())
-
-    def count(check):
-        counts[check.status] += 1
-
-    def summary():
-        line = " ".join(f"{status}={counts[status]}" for status in _STATUSES)
-        return {
-            "tsv": [f"# summary: {line}"],
-            "jsonl": [_json({"summary": counts})],
-            "text": [f"summary: {line}"],
-        }
-
-    return _report(fmt, CHECK_COLUMNS, _check_text, _tallied(runs, count), summary), counts
-
-
 def render_checks(checks, fmt: str = "tsv") -> list[str]:
-    blocks, _ = _check_report([checks], fmt)
-    return [line for block in blocks for line in block]
+    return [line for block in _report(fmt, CHECK_COLUMNS, _check_text, [checks], _CheckTally())
+            for line in block]
 
 
 # One column per ConjectureRow field, in order; "gamma_s_half" is value.
@@ -501,30 +523,7 @@ def _conjecture_text(row: ConjectureRow) -> str:
             f" -> {row.status}")
 
 
-def _conjecture_summary(report) -> dict[str, list[str]]:
-    """The summary lines, by format, of a ConjectureReport or a _ConjectureTally."""
-    witnesses = report.witnesses
-    return {
-        "tsv": [
-            f"# min_ratio: {_fmt(report.min_ratio)} witnesses: {','.join(witnesses) or '-'}",
-            f"# counterexamples: {len(report.counterexamples)} skipped: {len(report.skipped)}",
-        ],
-        "jsonl": [_json({
-            "summary": {
-                "min_ratio": report.min_ratio,
-                "witnesses": list(witnesses),
-                "counterexamples": list(report.counterexamples),
-                "skipped": list(report.skipped),
-            }
-        })],
-        "text": [
-            f"minimum ratio {_fmt(report.min_ratio)} attained by: {', '.join(witnesses) or '-'}",
-            f"counterexamples: {len(report.counterexamples)}, skipped: {len(report.skipped)}",
-        ],
-    }
-
-
 def render_conjecture(report: ConjectureReport, fmt: str = "tsv") -> list[str]:
-    blocks = _report(fmt, CONJECTURE_COLUMNS, _conjecture_text, [report.rows],
-                     lambda: _conjecture_summary(report))
+    """The report's rows and its own summary fields."""
+    blocks = _report(fmt, CONJECTURE_COLUMNS, _conjecture_text, [report.rows], _FinishedTally(report))
     return [line for block in blocks for line in block]

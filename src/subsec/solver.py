@@ -27,8 +27,16 @@ coverage from scratch and is what the tests cross-validate against.
 from __future__ import annotations
 
 from itertools import combinations
+import sys
 
 from .graphs import Graph, GraphError, VertexSet, _Record, _iter_bits
+
+
+# The branch search recurses once per pick, so a solve can go as many calls
+# deep as its graph has vertices; ``_exact`` lifts the recursion limit to
+# match. Python 3.10 also spends C stack on each Python call: at a few
+# hundred bytes a call, this many stay well inside the usual 8 MB stack.
+_MAX_DEPTH = 5000
 
 
 class SolverBudget(_Record):
@@ -36,7 +44,8 @@ class SolverBudget(_Record):
     or "naive", the definitional subset scan) and its caps, the graph's order
     ``max_vertices`` and the search effort ``max_nodes``. A solve past a cap
     gives status "skipped". The class attributes are the defaults, which
-    the CLI's flags read.
+    the CLI's flags read. ``max_vertices`` is at most 5000, a search depth
+    sized for the stack of every supported Python.
     """
 
     max_vertices: int = 26
@@ -48,6 +57,8 @@ class SolverBudget(_Record):
             raise ValueError(f"unknown engine {self.engine!r} (choose from {', '.join(ENGINES)})")
         if self.max_vertices <= 0 or self.max_nodes <= 0:
             raise ValueError("budget caps must be positive")
+        if self.max_vertices > _MAX_DEPTH:
+            raise ValueError(f"max_vertices {self.max_vertices} is past the search's depth limit {_MAX_DEPTH}")
 
 
 class SolveResult(_Record):
@@ -345,6 +356,10 @@ def _exact(g: Graph, budget: SolverBudget, secure: bool) -> SolveResult:
         return SolveResult(None, None, "skipped", 0, "vertices")
     effort = _Effort(budget.max_nodes)
     first, start = ENGINES[budget.engine](g, effort, secure)
+    # A search of n vertices may stack n + 1 calls of its own, and a check
+    # and a node count below the last, on top of its caller's.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + g.n + 3)
     try:
         for size in range(start, g.n + 1):
             mask = first(size)
@@ -352,6 +367,8 @@ def _exact(g: Graph, budget: SolverBudget, secure: bool) -> SolveResult:
                 return SolveResult(size, VertexSet.from_mask(g.n, mask), "exact", effort.nodes)
     except _BudgetExceeded:
         return SolveResult(None, None, "skipped", effort.nodes, "nodes")
+    finally:
+        sys.setrecursionlimit(limit)
     raise AssertionError("the full vertex set always qualifies")
 
 

@@ -25,6 +25,8 @@ from subsec.bounds import (
     BoundCheck,
     ConjectureReport,
     ConjectureRow,
+    stream_checks,
+    stream_conjecture,
 )
 from conftest import complete, cycle, path, star, wheel_rim6
 
@@ -301,6 +303,60 @@ class TestRendering:
         }
 
 
+# P11^{1/2} has 21 vertices, past this budget's cap, so its rows are
+# skipped; the conj rows' lower bound 4n/5 is a Fraction.
+STREAM_CORPUS = [path(4), star(4), path(11)]
+STREAM_BUDGET = SolverBudget(max_vertices=12)
+
+
+def assert_streamed(blocks, rendered, header, rows):
+    """``blocks`` join to ``rendered``: the header only at the start of the
+    first block, ``rows`` record lines, then a last block that is the
+    summary alone."""
+    blocks = list(blocks)
+    assert [line for block in blocks for line in block] == rendered
+    heads = [header] if header else []
+    assert [line for block in blocks for line in block if line == header] == heads
+    assert blocks[0][:len(heads)] == heads
+    assert blocks[-1] == rendered[len(heads) + rows:] != []
+
+
+class TestStreams:
+    """A stream is its whole report, made a block at a time."""
+
+    @pytest.mark.parametrize("fmt", ["tsv", "jsonl", "text"])
+    def test_checks(self, fmt):
+        tids = ["g13", "conj"]
+        checks = run_corpus(STREAM_CORPUS, tids, budget=STREAM_BUDGET, workers=1)
+        assert {"skipped", "holds"} <= {c.status for c in checks}
+        assert any(isinstance(c.lower, Fraction) and c.lower.denominator > 1 for c in checks)
+        blocks, counts = stream_checks(STREAM_CORPUS, tids, fmt, budget=STREAM_BUDGET, workers=1)
+        made, lines = [], 0
+        for block in blocks:
+            made.append(block)
+            lines += len(block)
+            # the counts cover every row made so far, all of them at the end
+            assert counts == summarize(checks[:min(lines - (fmt == "tsv"), len(checks))])
+        assert counts == summarize(checks)
+        header = "\t".join(CHECK_COLUMNS) if fmt == "tsv" else None
+        assert_streamed(made, render_checks(checks, fmt), header, len(checks))
+
+    @pytest.mark.parametrize("fmt", ["tsv", "jsonl", "text"])
+    def test_conjecture(self, fmt):
+        report = conjecture_scan(STREAM_CORPUS, budget=STREAM_BUDGET, workers=1)
+        assert report.skipped and report.min_ratio.denominator > 1
+        blocks = stream_conjecture(STREAM_CORPUS, fmt, budget=STREAM_BUDGET, workers=1)
+        header = "\t".join(CONJECTURE_COLUMNS) if fmt == "tsv" else None
+        assert_streamed(blocks, render_conjecture(report, fmt), header, len(report.rows))
+
+    def test_a_report_renders_its_own_summary(self):
+        # Rows and summary fields that disagree: the fields are printed.
+        row = ConjectureRow("Dhc", 5, 4, Fraction(4, 5), "counterexample")
+        report = ConjectureReport((row,), Fraction(1, 2), ("Bw",), (), ("Ch",))
+        assert render_conjecture(report, "tsv")[-2:] == [
+            "# min_ratio: 1/2 witnesses: Bw", "# counterexamples: 0 skipped: 1"]
+
+
 def render_check_row(fmt):
     return render_checks([BoundCheck("Ch", "g13", Fraction(7, 2), 5, 6, 4, "violated", "a detail")], fmt)
 
@@ -308,6 +364,12 @@ def render_check_row(fmt):
 def render_conjecture_row(fmt):
     row = ConjectureRow("Dhc", 5, 4, Fraction(4, 5), "counterexample")
     return render_conjecture(ConjectureReport((row,), row.ratio, ("Dhc",), ("Dhc",), ()), fmt)
+
+
+def test_json_lines_without_the_c_encoder(monkeypatch):
+    lines = render_check_row("jsonl") + render_conjecture_row("jsonl")
+    monkeypatch.setattr(bounds, "_ENCODE", None)
+    assert render_check_row("jsonl") + render_conjecture_row("jsonl") == lines
 
 
 # Each record with distinct field values: its renderer, columns, and field

@@ -381,6 +381,25 @@ class TestErrorsAndExitCodes:
                                      monkeypatch=monkeypatch, capsys=capsys)
             assert code == 64 and out == "" and err.startswith("usage error:")
 
+    @pytest.mark.parametrize("args, stdin, value", [
+        (["gamma", "--format", "edges"], "p 2000\n", 2000),
+        (["gamma-s", "--format", "edges"], "p 2000\n", 2000),
+        (["gamma"], emit_graph6(generate("path", 3000)) + "\n", 1000),
+    ], ids=["gamma", "gamma-s", "gamma-path"])
+    def test_search_past_the_recursion_limit_is_exact(self, capsys, monkeypatch, args, stdin, value):
+        # The branch search recurses once per pick, deeper here than the
+        # default recursion limit of 1000 calls.
+        code, out, err = run_cli([*args, "--max-vertices", "5000"], stdin_text=stdin,
+                                 monkeypatch=monkeypatch, capsys=capsys)
+        assert (code, err) == (0, "") and out.startswith(f"value={value} status=exact witness=")
+
+    @pytest.mark.parametrize("command", ["gamma", "gamma-s", "verify --theorem g13", "conjecture"])
+    def test_order_cap_past_the_search_depth_is_64(self, capsys, monkeypatch, command):
+        code, out, err = run_cli([*command.split(), "--max-vertices", "5001"], stdin_text="A_\n",
+                                 monkeypatch=monkeypatch, capsys=capsys)
+        assert (code, out) == (64, "")
+        assert err == "usage error: max_vertices 5001 is past the search's depth limit 5000\n"
+
     def test_parse_error_is_65_with_line(self, capsys, monkeypatch):
         code, _, err = run_cli(["gamma"], stdin_text="A_\nA__\n",
                                monkeypatch=monkeypatch, capsys=capsys)

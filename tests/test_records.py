@@ -185,6 +185,8 @@ def test_make_validates():
     (lambda: SolverBudget(engine="dp"), ValueError, "unknown engine 'dp' (choose from branch, naive)"),
     (lambda: SolverBudget(max_nodes=0), ValueError, "budget caps must be positive"),
     (lambda: SolverBudget(max_vertices=-1), ValueError, "budget caps must be positive"),
+    (lambda: SolverBudget(max_vertices=5001), ValueError,
+     "max_vertices 5001 is past the search's depth limit 5000"),
     (lambda: Graph(3, (0, 0)), GraphError, "adjacency length 2 != n=3"),
     (lambda: Graph(-1, ()), GraphError, "adjacency length 0 != n=-1"),
     (lambda: Graph(2, (4, 0)), GraphError, "neighbor id out of range at vertex 0"),

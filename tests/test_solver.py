@@ -1,3 +1,4 @@
+import sys
 import time
 
 import pytest
@@ -286,6 +287,18 @@ class TestBudgets:
         # the engine is checked with the caps
         with pytest.raises(ValueError, match="unknown engine 'dp'"):
             SolverBudget(engine="dp")
+
+    def test_search_deeper_than_the_recursion_limit(self):
+        # The search recurses once per pick: 1500 picks on an edgeless
+        # graph, and 1000 on P3000, pass the default limit of 1000 calls,
+        # which holds again once the solve is over.
+        limit = sys.getrecursionlimit()
+        budget = SolverBudget(max_vertices=3000)
+        edgeless = gamma_s_exact(make_graph(1500, []), budget)
+        assert (edgeless.value, edgeless.witness.sorted()) == (1500, tuple(range(1500)))
+        dominated = gamma_exact(path(3000), budget)
+        assert (dominated.value, dominated.witness.sorted()) == (1000, tuple(range(1, 3000, 3)))
+        assert sys.getrecursionlimit() == limit
 
     def test_default_solve_never_reads_the_clock(self, monkeypatch):
         def no_clock():
