@@ -453,17 +453,14 @@ def _fmt(value) -> str:
     return str(value)
 
 
-# One encoder for every row, built once (json.dumps and JSONEncoder.encode
-# build one per call); a row holds no cycles, so none is looked for.
+# One encoder for every row: json.dumps with a ``default`` builds a new one
+# per call. A row holds no cycles, so none is looked for.
 _JSON = json.JSONEncoder(default=_fmt, check_circular=False)
-_ENCODE = json.encoder.c_make_encoder and json.encoder.c_make_encoder(
-    None, _JSON.default, json.encoder.encode_basestring_ascii, _JSON.indent, _JSON.key_separator,
-    _JSON.item_separator, _JSON.sort_keys, _JSON.skipkeys, _JSON.allow_nan)
 
 
 def _json(record) -> str:
     """One JSON line; a Fraction is written as its _fmt string."""
-    return "".join(_ENCODE(record, 0)) if _ENCODE else _JSON.encode(record)
+    return _JSON.encode(record)
 
 
 def _report(fmt: str, columns, text, runs, tally):

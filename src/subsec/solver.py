@@ -35,7 +35,8 @@ from .graphs import Graph, GraphError, VertexSet, _Record, _iter_bits
 # The branch search recurses once per pick, so a solve can go as many calls
 # deep as its graph has vertices; ``_exact`` lifts the recursion limit to
 # match. Python 3.10 also spends C stack on each Python call: at a few
-# hundred bytes a call, this many stay well inside the usual 8 MB stack.
+# hundred bytes a call, this many stay well inside the usual 8 MB stack,
+# and a CLI test searches this deep.
 _MAX_DEPTH = 5000
 
 

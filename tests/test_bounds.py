@@ -366,12 +366,6 @@ def render_conjecture_row(fmt):
     return render_conjecture(ConjectureReport((row,), row.ratio, ("Dhc",), ("Dhc",), ()), fmt)
 
 
-def test_json_lines_without_the_c_encoder(monkeypatch):
-    lines = render_check_row("jsonl") + render_conjecture_row("jsonl")
-    monkeypatch.setattr(bounds, "_ENCODE", None)
-    assert render_check_row("jsonl") + render_conjecture_row("jsonl") == lines
-
-
 # Each record with distinct field values: its renderer, columns, and field
 # values as TSV writes them and as JSON reads them back.
 REPORT_ROWS = [

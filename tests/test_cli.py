@@ -382,13 +382,14 @@ class TestErrorsAndExitCodes:
             assert code == 64 and out == "" and err.startswith("usage error:")
 
     @pytest.mark.parametrize("args, stdin, value", [
-        (["gamma", "--format", "edges"], "p 2000\n", 2000),
-        (["gamma-s", "--format", "edges"], "p 2000\n", 2000),
+        (["gamma", "--format", "edges"], "p 5000\n", 5000),
+        (["gamma-s", "--format", "edges"], "p 5000\n", 5000),
         (["gamma"], emit_graph6(generate("path", 3000)) + "\n", 1000),
     ], ids=["gamma", "gamma-s", "gamma-path"])
     def test_search_past_the_recursion_limit_is_exact(self, capsys, monkeypatch, args, stdin, value):
         # The branch search recurses once per pick, deeper here than the
-        # default recursion limit of 1000 calls.
+        # default recursion limit of 1000 calls: 5000 picks on the edgeless
+        # graph at the order cap, the deepest search a budget allows.
         code, out, err = run_cli([*args, "--max-vertices", "5000"], stdin_text=stdin,
                                  monkeypatch=monkeypatch, capsys=capsys)
         assert (code, err) == (0, "") and out.startswith(f"value={value} status=exact witness=")
