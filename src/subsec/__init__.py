@@ -50,14 +50,12 @@ _MODULES = {
         "CONSTRUCTIONS",
         "Certificate",
         "CertificateError",
-        "Decomposition",
         "cert_fifth",
         "cert_general",
         "cert_half",
         "cert_quarter",
         "cert_star",
         "cert_third",
-        "decompose",
     ),
     "bounds": (
         "BoundCheck",

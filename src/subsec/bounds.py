@@ -5,6 +5,8 @@ k-subdivision to closed-form quantities of the base graph. The catalog is
 the ``CLAIMS`` table, one row per claim. ``check_theorem`` looks a row up,
 solves the required subdivision exactly, and grades the row's bound terms
 against the exact value. The claims graded on one graph share each solve.
+The claims on G^{1/n} take k from ``subdivision.seventh``, as ``general``
+does, so grading never loads ``certificates``.
 
 A violated claim is a result, not an error: several equality claims fail on
 degenerate bases (single edges, disconnected graphs) and surfacing that
@@ -25,7 +27,7 @@ import json
 from . import _pool
 from .graphs import Graph, _Record, is_star, max_degree
 from .solver import DEFAULT_BUDGET, SolverBudget, gamma_exact, gamma_s_exact, path_secure_formula
-from .subdivision import subdivide
+from .subdivision import seventh, subdivide
 
 _STATUSES = ("holds", "tight", "violated", "skipped")
 
@@ -70,19 +72,6 @@ class Claim(_Record):
     skip: str | None = None
 
 
-def _seventh(what: str, covered: bool) -> Callable[[int | None], int]:
-    """The k rule ``certificates.seventh(what, covered)``. Only the claims on
-    G^{1/n} use it, so ``certificates`` is imported when one is resolved,
-    not by every run that grades claims."""
-
-    def k(n: int | None) -> int:
-        from .certificates import seventh
-
-        return seventh(what, covered)(n)
-
-    return k
-
-
 def _conj_ratio(g: Graph, value: int | None) -> Fraction | None:
     """gamma_s(G^{1/2}) / n_G, or None when the value is missing or G is empty."""
     return Fraction(value, g.n) if value is not None and g.n else None
@@ -113,10 +102,10 @@ CLAIMS = (
           lower=lambda g, n, _: 2 * g.m + 1,
           upper=lambda g, n, _: 3 * g.m - max_degree(g) + 1,
           text="2m+1 ≤ γ_s(G^{1/5}) ≤ 3m − Δ + 1"),
-    Claim("g16", _seventh("g16", True),
+    Claim("g16", seventh("g16", True),
           equality=lambda g, n, _: path_secure_formula(n + 1) * g.m,
           text="γ_s(G^{1/n}) = pathval(n+1)·m for n = 7k+r, r ∈ {−1,1,3,5} (`-n`)"),
-    Claim("r024", _seventh("r024", False),
+    Claim("r024", seventh("r024", False),
           lower=lambda g, n, _: g.n + path_secure_formula(n - 3) * g.m,
           upper=lambda g, n, _: path_secure_formula(n + 1) * g.m,
           text="n_G + pathval(n−3)·m ≤ γ_s(G^{1/n}) ≤ pathval(n+1)·m (`-n`)"),

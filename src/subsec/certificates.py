@@ -11,7 +11,8 @@ check actually said, and a certificate that fails is a first-class result
 
 ``CONSTRUCTIONS`` has one row per ``subsec cert --theorem`` id: the k the
 construction is stated for (fixed, or a rule on ``--k``/``-n``) and its
-builder. The CLI resolves k from a row before it reads input, and each
+builder. ``general``'s rule is ``subdivision.seventh``, which the ``g16``
+claim shares. The CLI resolves k from a row before it reads input, and each
 builder checks its map against its own row.
 
 Interior positions are counted from the smaller endpoint of each base edge,
@@ -26,7 +27,7 @@ from collections.abc import Callable
 
 from .graphs import VertexSet, _Record, _iter_bits, _layers, is_star, max_degree
 from .solver import is_secure_dominating, path_secure_formula
-from .subdivision import SubdivisionMap
+from .subdivision import SubdivisionMap, seventh
 
 
 class CertificateError(ValueError):
@@ -45,50 +46,6 @@ class Certificate(_Record):
                 f"{self.theorem_id}: built {len(self.vertices)} vertices, "
                 f"formula says {self.claimed_size}"
             )
-
-
-class Decomposition(_Record):
-    """n = 7k + r. ``covered`` is True for the residues r in {-1, 1, 3, 5}
-    handled by the closed-form construction; otherwise r is n mod 7
-    (0, 2 or 4) and only two-sided bounds apply."""
-
-    n: int
-    k: int
-    r: int
-    covered: bool
-
-    @property
-    def marker(self) -> str:
-        return f"r={self.r}" if self.covered else "r024"
-
-
-def decompose(n: int) -> Decomposition:
-    if n < 6:
-        raise CertificateError("decomposition needs n >= 6")
-    residue = n % 7
-    mapping = {6: -1, 1: 1, 3: 3, 5: 5}
-    if residue in mapping:
-        r = mapping[residue]
-        return Decomposition(n=n, k=(n - r) // 7, r=r, covered=True)
-    return Decomposition(n=n, k=n // 7, r=residue, covered=False)
-
-
-def seventh(what: str, covered: bool) -> Callable[[int | None], int]:
-    """The k of a construction or claim ``what`` on G^{1/n}: n itself, which
-    must be at least 6 and be ``covered`` or not, as ``decompose`` says."""
-    needs = "n = 7k + r with r in (-1, 1, 3, 5)" if covered else "n mod 7 in (0, 2, 4)"
-
-    def k(n: int | None) -> int:
-        if n is None:
-            raise CertificateError(f"{what} needs the subdivision parameter -n")
-        if n < 6:
-            raise CertificateError(f"{what} needs -n >= 6, got {n}")
-        dec = decompose(n)
-        if dec.covered != covered:
-            raise CertificateError(f"{what} needs {needs}; n={n} is {dec.marker}")
-        return n
-
-    return k
 
 
 def _interior(sm: SubdivisionMap, distances) -> list[int]:
@@ -172,9 +129,10 @@ def cert_general(sm: SubdivisionMap) -> Certificate:
     ({} / {n-1} / {n-3, n-1} / {n-5, n-3, n-1}), indexed from the smaller
     endpoint. Size per edge is the path value for n+1 vertices."""
     CONSTRUCTIONS["general"].check(sm)
-    n, dec = sm.k, decompose(sm.k)
-    positions = [7 * i + off for i in range(dec.k) for off in (1, 3, 5)]
-    positions += [n - t for t in range(dec.r, 0, -2)]  # the residue tail
+    n = sm.k
+    k, r = divmod(n + 1, 7)  # n = 7k + (r - 1)
+    positions = [7 * i + off for i in range(k) for off in (1, 3, 5)]
+    positions += [n - t for t in range(r - 1, 0, -2)]  # the residue tail
     claimed = path_secure_formula(n + 1) * sm.base.m
     return _build("general", sm, _interior(sm, positions), claimed)
 
@@ -201,7 +159,11 @@ class Construction(_Record):
 
     def check(self, sm: SubdivisionMap) -> None:
         """Raise CertificateError unless ``sm`` has a k this row takes."""
-        if self.resolve(sm.k) != sm.k:
+        try:
+            k = self.resolve(sm.k)
+        except ValueError as exc:  # a k rule's own message
+            raise CertificateError(*exc.args) from None
+        if k != sm.k:
             raise CertificateError(f"{self.id} certificate needs a {self.k}-subdivision, got k={sm.k}")
 
 

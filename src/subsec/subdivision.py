@@ -4,11 +4,13 @@ The derived graph keeps the original vertex ids 0..n-1; the k-1 new interior
 vertices of each replaced edge are appended after them, edges processed in
 sorted (u, v) order and interior vertices in increasing distance from the
 smaller endpoint. This makes id assignment (and everything downstream:
-certificates, witnesses, reports) byte-stable across runs.
+certificates, witnesses, reports) byte-stable across runs. ``seventh`` is
+the n = 7k + r rule that the claims and constructions on G^{1/n} share.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from functools import cached_property
 from itertools import chain, pairwise
 
@@ -118,3 +120,22 @@ def subdivide(g: Graph, k: int) -> SubdivisionMap:
             yield from pairwise(path)
 
     return SubdivisionMap(base=g, k=k, derived=make_graph(g.n + (k - 1) * g.m, path_edges()))
+
+
+def seventh(what: str, covered: bool) -> Callable[[int | None], int]:
+    """The k of a claim or construction ``what`` on G^{1/n}: n >= 6 itself, if
+    ``covered`` is whether r = (n + 1) % 7 - 1 in n = 7k + r is -1, 1, 3 or 5,
+    where gamma_s(P_n) = ceil(3n/7) gives a closed form; else ValueError."""
+    needs = "n = 7k + r with r in (-1, 1, 3, 5)" if covered else "n mod 7 in (0, 2, 4)"
+
+    def k(n: int | None) -> int:
+        if n is None:
+            raise ValueError(f"{what} needs the subdivision parameter -n")
+        if n < 6:
+            raise ValueError(f"{what} needs -n >= 6, got {n}")
+        r = (n + 1) % 7 - 1
+        if (r in (-1, 1, 3, 5)) != covered:
+            raise ValueError(f"{what} needs {needs}; n={n} is {'r024' if covered else f'r={r}'}")
+        return n
+
+    return k

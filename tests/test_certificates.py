@@ -11,13 +11,13 @@ from subsec import (
     cert_quarter,
     cert_star,
     cert_third,
-    decompose,
     gamma_s_exact,
     is_secure_dominating,
     make_graph,
     parse_graph6,
     subdivide,
 )
+from subsec.subdivision import seventh
 from brute_force import brute_is_secure, neighbor_sets
 from conftest import cycle, path, star
 
@@ -158,24 +158,23 @@ class TestFifth:
             assert is_secure_dominating(sm.derived, cert.vertices, full_recompute=True), line
 
 
-class TestDecompose:
-    def test_examples(self):
-        assert (decompose(6).k, decompose(6).r) == (1, -1)
-        assert (decompose(13).k, decompose(13).r) == (2, -1)
-        nine = decompose(9)
-        assert not nine.covered and nine.marker == "r024"
-
-    def test_residue_partition(self):
-        for n in range(6, 60):
-            dec = decompose(n)
-            assert dec.n == 7 * dec.k + dec.r
-            assert dec.covered == (n % 7 in (6, 1, 3, 5))
-            if dec.covered:
-                assert dec.r in (-1, 1, 3, 5) and dec.k >= 1
-
-    def test_too_small(self):
-        with pytest.raises(CertificateError):
-            decompose(5)
+def test_seventh_takes_n_by_its_residue():
+    g16, r024 = seventh("g16", True), seventh("r024", False)
+    for n in range(6, 60):
+        covered = n % 7 in (1, 3, 5, 6)
+        assert (g16 if covered else r024)(n) == n
+        with pytest.raises(ValueError) as exc:
+            (r024 if covered else g16)(n)
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == (f"r024 needs n mod 7 in (0, 2, 4); n={n} is r={(n + 1) % 7 - 1}"
+                                  if covered else
+                                  f"g16 needs n = 7k + r with r in (-1, 1, 3, 5); n={n} is r024")
+    for what, rule in (("g16", g16), ("r024", r024)):
+        for n in (None, -1, 0, 5):
+            with pytest.raises(ValueError) as exc:
+                rule(n)
+            assert str(exc.value) == (f"{what} needs the subdivision parameter -n" if n is None
+                                      else f"{what} needs -n >= 6, got {n}")
 
 
 class TestGeneral:
@@ -198,11 +197,11 @@ class TestGeneral:
         assert cert.claimed_size == 6 and cert.validated
 
     def test_uncovered_residue_rejected(self):
-        with pytest.raises(CertificateError):
+        with pytest.raises(CertificateError, match=r"^general needs n = 7k \+ r .*; n=9 is r024$"):
             cert_general(subdivide(path(2), 9))
 
     def test_small_n_rejected(self):
-        with pytest.raises(CertificateError):
+        with pytest.raises(CertificateError, match="^general needs -n >= 6, got 5$"):
             cert_general(subdivide(path(2), 5))
 
 

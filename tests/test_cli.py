@@ -58,7 +58,8 @@ class TestGenEnum:
         (["--family", "wheel", "--n", "2"], "wheel needs rim size n >= 3"),
         (["--family", "random", "--n", "5", "--p", "2", "--seed", "1"],
          "random family needs p in [0,1]"),
-    ], ids=["path-n", "wheel-rim", "random-p"])
+        (["--family", "star", "--n", "1"], "star needs n >= 2"),
+    ], ids=["path-n", "wheel-rim", "random-p", "star-n"])
     def test_gen_parameter_out_of_range_is_usage_error(self, capsys, args, message):
         code, out, err = run_cli(["gen", *args], capsys=capsys)
         assert (code, out, err) == (64, "", f"usage error: {message}\n")

@@ -101,7 +101,8 @@ def test_annotations_need_no_typing(args):
 
 
 @pytest.mark.parametrize("args", [("gamma",), ("gamma-s",), ("verify", "--theorem", "prop1"),
-                                  ("conjecture",)])
+                                  ("verify", "--theorem", "g16", "-n", "6"),
+                                  ("verify", "--theorem", "r024", "-n", "7"), ("conjecture",)])
 def test_commands_that_read_graphs_load_no_generators_or_certificates(args):
     modules = imported("-m", "subsec", *args)
     assert "subsec.solver" in modules
@@ -135,7 +136,7 @@ def test_every_export_resolves_lazily():
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=ENV, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == f"{len(subsec.__all__)} []\n"
-    assert len(subsec.__all__) == len(set(subsec.__all__)) == 53
+    assert len(subsec.__all__) == len(set(subsec.__all__)) == 51
     assert subsec.Graph is subsec.graphs.Graph and subsec.run_corpus is subsec.bounds.run_corpus
 
 

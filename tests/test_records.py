@@ -10,8 +10,7 @@ import pytest
 
 from subsec import Graph, GraphError, SolveResult, SolverBudget, VertexSet
 from subsec.bounds import BoundCheck, Claim, ConjectureReport, ConjectureRow
-from subsec.certificates import (Certificate, CertificateError, Construction, Decomposition,
-                                 cert_third)
+from subsec.certificates import Certificate, CertificateError, Construction, cert_third
 from subsec.graphs import is_star
 from subsec.subdivision import Internal, Original, SubdivisionMap, subdivide
 
@@ -47,8 +46,6 @@ RECORDS = [
                    "claimed_size": 2, "validated": True},
      {"theorem_id": "third", "vertices": VertexSet(4, frozenset({2, 3})),
       "claimed_size": 2, "validated": False}),
-    (Decomposition, {"n": 13, "k": 2, "r": -1, "covered": True},
-     {"n": 13, "k": 2, "r": -1, "covered": False}),
     (Construction, {"id": "third", "k": 3, "build": cert_third, "param": None},
      {"id": "third", "k": 4, "build": cert_third, "param": None}),
     (Original, {"u": 1}, {"u": 2}),
@@ -128,7 +125,6 @@ def test_arguments_bind_to_fields_once(cls, fields, _):
 def test_record_reprs():
     assert repr(Original(1)) == "Original(u=1)" and str(Original(1)) == "Original(1)"
     assert repr(Internal(0, 2, 1)) == "Internal(u=0, v=2, l=1)"
-    assert repr(Decomposition(13, 2, -1, True)) == "Decomposition(n=13, k=2, r=-1, covered=True)"
     assert repr(ROW) == "ConjectureRow(graph_id='Bw', n=3, value=2, ratio=Fraction(2, 3), status='counterexample')"
     assert repr(subdivide(P2, 1)) == ("SubdivisionMap(base=Graph(n=2, adj_masks=(2, 1)), k=1, "
                                       "derived=Graph(n=2, adj_masks=(2, 1)))")

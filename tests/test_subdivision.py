@@ -141,6 +141,7 @@ class TestSuperedgeVertex:
     def test_agrees_with_the_superedge_walk(self, base, k):
         sm = subdivide(base, k)
         for u, v in base.edges():
+            assert sm.superedge(v, u) == sm.superedge(u, v)[::-1]
             for l in range(1, k):
                 assert sm.superedge_vertex(u, v, l) == sm.superedge(u, v)[l]
                 assert sm.superedge_vertex(u, v, l) == sm.superedge_vertex(v, u, k - l)
