@@ -158,23 +158,37 @@ class TestFifth:
             assert is_secure_dominating(sm.derived, cert.vertices, full_recompute=True), line
 
 
-def test_seventh_takes_n_by_its_residue():
-    g16, r024 = seventh("g16", True), seventh("r024", False)
-    for n in range(6, 60):
-        covered = n % 7 in (1, 3, 5, 6)
-        assert (g16 if covered else r024)(n) == n
-        with pytest.raises(ValueError) as exc:
-            (r024 if covered else g16)(n)
-        assert type(exc.value) is ValueError
-        assert str(exc.value) == (f"r024 needs n mod 7 in (0, 2, 4); n={n} is r={(n + 1) % 7 - 1}"
-                                  if covered else
-                                  f"g16 needs n = 7k + r with r in (-1, 1, 3, 5); n={n} is r024")
-    for what, rule in (("g16", g16), ("r024", r024)):
-        for n in (None, -1, 0, 5):
+class TestDecompose:
+    """The n = 7k + r rule, ``subdivision.seventh``: g16 takes n with r in
+    (-1, 1, 3, 5), r024 takes the rest, and both need n >= 6."""
+
+    g16, r024 = staticmethod(seventh("g16", True)), staticmethod(seventh("r024", False))
+
+    def test_examples(self):
+        assert self.g16(6) == 6 and self.g16(13) == 13 and self.r024(9) == 9
+        with pytest.raises(ValueError, match=r"^g16 needs n = 7k \+ r .*; n=9 is r024$"):
+            self.g16(9)
+        with pytest.raises(ValueError, match=r"^r024 needs n mod 7 in \(0, 2, 4\); n=6 is r=-1$"):
+            self.r024(6)
+
+    def test_residue_partition(self):
+        for n in range(6, 60):
+            covered = n % 7 in (1, 3, 5, 6)
+            assert (self.g16 if covered else self.r024)(n) == n
             with pytest.raises(ValueError) as exc:
-                rule(n)
-            assert str(exc.value) == (f"{what} needs the subdivision parameter -n" if n is None
-                                      else f"{what} needs -n >= 6, got {n}")
+                (self.r024 if covered else self.g16)(n)
+            assert type(exc.value) is ValueError
+            assert str(exc.value) == (
+                f"r024 needs n mod 7 in (0, 2, 4); n={n} is r={(n + 1) % 7 - 1}" if covered
+                else f"g16 needs n = 7k + r with r in (-1, 1, 3, 5); n={n} is r024")
+
+    def test_too_small(self):
+        for what, rule in (("g16", self.g16), ("r024", self.r024)):
+            for n in (None, -1, 0, 5):
+                with pytest.raises(ValueError) as exc:
+                    rule(n)
+                assert str(exc.value) == (f"{what} needs the subdivision parameter -n" if n is None
+                                          else f"{what} needs -n >= 6, got {n}")
 
 
 class TestGeneral:
