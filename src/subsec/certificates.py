@@ -15,10 +15,11 @@ builder. ``general``'s rule is ``subdivision.seventh``, which the ``g16``
 claim shares. The CLI resolves k from a row before it reads input, and each
 builder checks its map against its own row.
 
+Each builder takes an interior vertex's id from ``superedge_vertex``.
 Interior positions are counted from the smaller endpoint of each base edge,
-matching the subdivision labeling, except in the two constructions built
-around a hub: ``star`` takes the interior vertex next to each leaf, and
-``fifth`` counts each superedge from its end nearer its hub.
+as in the ``Internal(u,v,l)`` labels ``cert`` prints, except in the two
+constructions built around a hub: ``star`` takes the interior vertex next to
+each leaf, and ``fifth`` counts each superedge from its end nearer its hub.
 """
 
 from __future__ import annotations

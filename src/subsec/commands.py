@@ -123,7 +123,7 @@ def _cmd_cert(args, out) -> int:
             continue
         for cert in built if isinstance(built, tuple) else (built,):
             ids = cert.vertices.sorted()
-            labels = ",".join(str(sm.label(v)) for v in ids)
+            labels = ",".join(map(sm.label, ids))
             verdict = "true" if cert.validated else "false"
             print(f"theorem={cert.theorem_id} claimed={cert.claimed_size} "
                   f"size={len(cert.vertices)} validated={verdict}", file=out)

@@ -4,8 +4,11 @@ The derived graph keeps the original vertex ids 0..n-1; the k-1 new interior
 vertices of each replaced edge are appended after them, edges processed in
 sorted (u, v) order and interior vertices in increasing distance from the
 smaller endpoint. This makes id assignment (and everything downstream:
-certificates, witnesses, reports) byte-stable across runs. ``seventh`` is
-the n = 7k + r rule that the claims and constructions on G^{1/n} share.
+certificates, witnesses, reports) byte-stable across runs. A position on a
+superedge goes to its id through ``SubdivisionMap.superedge_vertex``, and an
+id's label is the text it is printed as, ``Original(u)`` or
+``Internal(u,v,l)``. ``seventh`` is the n = 7k + r rule that the claims and
+constructions on G^{1/n} share.
 """
 
 from __future__ import annotations
@@ -17,50 +20,25 @@ from itertools import chain, pairwise
 from .graphs import Graph, GraphError, _Record, make_graph
 
 
-class Original(_Record):
-    """A vertex of the derived graph that was already a vertex of the base."""
-
-    u: int
-
-    def __str__(self) -> str:
-        return f"Original({self.u})"
-
-
-class Internal(_Record):
-    """Interior vertex of the path replacing base edge (u, v), u < v, at
-    distance l from u (1 <= l <= k-1)."""
-
-    u: int
-    v: int
-    l: int
-
-    def __str__(self) -> str:
-        return f"Internal({self.u},{self.v},{self.l})"
-
-
-SubdividedVertex = Original | Internal
-
-
 class SubdivisionMap(_Record):
-    """The derived graph of a k-subdivision plus the bidirectional labeling
-    between derived ids and base vertices/edge interiors."""
+    """The derived graph of a k-subdivision and its two formulas:
+    ``superedge_vertex`` gives the id at a position on a superedge, and
+    ``label`` gives the text an id is printed as."""
 
     base: Graph
     k: int
     derived: Graph
 
-    def label(self, derived_id: int) -> SubdividedVertex:
-        """The base vertex or edge interior that derived_id stands for."""
+    def label(self, derived_id: int) -> str:
+        """``Original(u)`` for a base vertex u, or ``Internal(u,v,l)`` for the
+        interior vertex of base edge uv, u < v, at distance l from u."""
         if not 0 <= derived_id < self.derived.n:
             raise GraphError(f"vertex {derived_id} outside 0..{self.derived.n - 1}")
         if derived_id < self.base.n:
-            return Original(derived_id)
+            return f"Original({derived_id})"
         rank, offset = divmod(derived_id - self.base.n, self.k - 1)
-        return Internal(*self._edges[rank], offset + 1)
-
-    @cached_property
-    def labels(self) -> tuple[SubdividedVertex, ...]:
-        return tuple(map(self.label, range(self.derived.n)))
+        u, v = self._edges[rank]
+        return f"Internal({u},{v},{offset + 1})"
 
     @cached_property
     def _edges(self) -> tuple[tuple[int, int], ...]:
@@ -70,24 +48,6 @@ class SubdivisionMap(_Record):
     def _edge_ranks(self) -> dict[tuple[int, int], int]:
         return {edge: rank for rank, edge in enumerate(self._edges)}
 
-    def _edge_rank(self, u: int, v: int) -> int:
-        if u > v:
-            u, v = v, u
-        rank = self._edge_ranks.get((u, v))
-        if rank is None:
-            raise GraphError(f"({u},{v}) is not an edge of the base graph")
-        return rank
-
-    def superedge(self, u: int, v: int) -> tuple[int, ...]:
-        """Derived-id sequence [u, x_1, ..., x_{k-1}, v] walking from u to v
-        along the path that replaced base edge uv."""
-        rank = self._edge_rank(u, v)
-        base = self.base.n + rank * (self.k - 1)
-        interior = list(range(base, base + self.k - 1))
-        if u > v:
-            interior.reverse()
-        return (u, *interior, v)
-
     def superedge_vertex(self, u: int, v: int, l: int) -> int:
         """Derived id of the interior vertex at distance l from u along the
         superedge for base edge uv. Passing the endpoints in either order
@@ -95,8 +55,11 @@ class SubdivisionMap(_Record):
         if not 1 <= l <= self.k - 1:
             raise GraphError(f"interior distance l={l} outside 1..{self.k - 1}")
         if u > v:
-            l = self.k - l
-        return self.base.n + self._edge_rank(u, v) * (self.k - 1) + l - 1
+            u, v, l = v, u, self.k - l
+        rank = self._edge_ranks.get((u, v))
+        if rank is None:
+            raise GraphError(f"({u},{v}) is not an edge of the base graph")
+        return self.base.n + rank * (self.k - 1) + l - 1
 
 
 def subdivide(g: Graph, k: int) -> SubdivisionMap:

@@ -136,7 +136,7 @@ def test_every_export_resolves_lazily():
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=ENV, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == f"{len(subsec.__all__)} []\n"
-    assert len(subsec.__all__) == len(set(subsec.__all__)) == 51
+    assert len(subsec.__all__) == len(set(subsec.__all__)) == 49
     assert subsec.Graph is subsec.graphs.Graph and subsec.run_corpus is subsec.bounds.run_corpus
 
 

@@ -12,7 +12,7 @@ from subsec import Graph, GraphError, SolveResult, SolverBudget, VertexSet
 from subsec.bounds import BoundCheck, Claim, ConjectureReport, ConjectureRow
 from subsec.certificates import Certificate, CertificateError, Construction, cert_third
 from subsec.graphs import is_star
-from subsec.subdivision import Internal, Original, SubdivisionMap, subdivide
+from subsec.subdivision import SubdivisionMap, subdivide
 
 P2 = Graph(2, (2, 1))
 ROW = ConjectureRow("Bw", 3, 2, Fraction(2, 3), "counterexample")
@@ -48,8 +48,6 @@ RECORDS = [
       "claimed_size": 2, "validated": False}),
     (Construction, {"id": "third", "k": 3, "build": cert_third, "param": None},
      {"id": "third", "k": 4, "build": cert_third, "param": None}),
-    (Original, {"u": 1}, {"u": 2}),
-    (Internal, {"u": 0, "v": 2, "l": 1}, {"u": 0, "v": 2, "l": 2}),
     (SubdivisionMap, {"base": P2, "k": 1, "derived": P2},
      {"base": P2, "k": 2, "derived": Graph(3, (4, 4, 3))}),
 ]
@@ -123,8 +121,6 @@ def test_arguments_bind_to_fields_once(cls, fields, _):
 
 
 def test_record_reprs():
-    assert repr(Original(1)) == "Original(u=1)" and str(Original(1)) == "Original(1)"
-    assert repr(Internal(0, 2, 1)) == "Internal(u=0, v=2, l=1)"
     assert repr(ROW) == "ConjectureRow(graph_id='Bw', n=3, value=2, ratio=Fraction(2, 3), status='counterexample')"
     assert repr(subdivide(P2, 1)) == ("SubdivisionMap(base=Graph(n=2, adj_masks=(2, 1)), k=1, "
                                       "derived=Graph(n=2, adj_masks=(2, 1)))")

@@ -1,9 +1,18 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subsec import GraphError, Internal, Original, generate, make_graph, subdivide
+from subsec import GraphError, bundled_corpus, generate, make_graph, subdivide
 from conftest import complete, graphs, path, star, wheel_rim6
+
+BASES = bundled_corpus()
+
+
+def walk(sm, u, v):
+    """The superedge of base edge uv as ids, from u to v, by superedge_vertex."""
+    return [u, *(sm.superedge_vertex(u, v, l) for l in range(1, sm.k)), v]
 
 
 class TestCounts:
@@ -21,7 +30,7 @@ class TestCounts:
         g = wheel_rim6()
         sm = subdivide(g, 1)
         assert sm.derived is g
-        assert all(isinstance(sm.label(v), Original) for v in range(g.n))
+        assert [sm.label(v) for v in range(g.n)] == [f"Original({v})" for v in range(g.n)]
 
     def test_k_must_be_positive(self):
         with pytest.raises(GraphError):
@@ -59,7 +68,8 @@ class TestStructure:
     def test_determinism(self, g, k):
         first, second = subdivide(g, k), subdivide(g, k)
         assert first.derived == second.derived
-        assert first.labels == second.labels
+        assert [first.label(v) for v in range(first.derived.n)] == \
+            [second.label(v) for v in range(second.derived.n)]
 
     @pytest.mark.parametrize("k", range(1, 6))
     @given(g=graphs(max_n=8))
@@ -87,10 +97,9 @@ class TestStructure:
         g = make_graph(3, [(0, 2), (0, 1)])
         sm = subdivide(g, 3)
         # edges sorted: (0,1) first, then (0,2); interiors by distance
-        assert sm.label(3) == Internal(0, 1, 1)
-        assert sm.label(4) == Internal(0, 1, 2)
-        assert sm.label(5) == Internal(0, 2, 1)
-        assert sm.label(6) == Internal(0, 2, 2)
+        assert [sm.label(v) for v in range(7)] == [
+            "Original(0)", "Original(1)", "Original(2)",
+            "Internal(0,1,1)", "Internal(0,1,2)", "Internal(0,2,1)", "Internal(0,2,2)"]
 
     def test_label_out_of_range(self):
         sm = subdivide(path(3), 2)
@@ -98,25 +107,31 @@ class TestStructure:
             with pytest.raises(GraphError):
                 sm.label(vid)
 
-    @given(graphs(max_n=6), st.integers(1, 5))
-    @settings(max_examples=60, deadline=None)
-    def test_labels_follow_superedges(self, g, k):
-        sm = subdivide(g, k)
-        assert sm.labels == tuple(map(sm.label, range(sm.derived.n)))
-        for u, v in g.edges():
-            walk = sm.superedge(u, v)
-            assert sm.label(walk[0]) == Original(u) and sm.label(walk[-1]) == Original(v)
-            assert [sm.label(x) for x in walk[1:-1]] == [Internal(u, v, l) for l in range(1, k)]
+    # The two formulas are inverse: label(superedge_vertex(u, v, l)) names
+    # base edge uv and position l, counted from the smaller end, and the
+    # superedges' interiors are exactly the ids after the originals.
+    def test_labels_follow_superedges(self):
+        for g, k in product(BASES, range(1, 6)):
+            sm = subdivide(g, k)
+            assert [sm.label(v) for v in range(g.n)] == [f"Original({v})" for v in range(g.n)]
+            interiors = []
+            for u, v in g.edges():
+                for l in range(1, k):
+                    interiors.append(sm.superedge_vertex(u, v, l))
+                    assert sm.label(interiors[-1]) == f"Internal({u},{v},{l})"
+                    assert sm.superedge_vertex(v, u, k - l) == interiors[-1]
+                    assert sm.label(sm.superedge_vertex(v, u, l)) == f"Internal({u},{v},{k - l})"
+            assert sorted(interiors) == list(range(g.n, sm.derived.n))
 
     def test_superedge_is_induced_path(self):
-        sm = subdivide(wheel_rim6(), 3)
-        for u, v in sm.base.edges():
-            seq = sm.superedge(u, v)
-            assert len(seq) == sm.k + 1
-            for a, b in zip(seq, seq[1:]):
-                assert sm.derived.has_edge(a, b)
-            for w in seq[1:-1]:
-                assert sm.derived.degree(w) == 2
+        for g, k in product(BASES, range(1, 6)):
+            sm = subdivide(g, k)
+            for u, v in g.edges():
+                seq = walk(sm, u, v)
+                inside = set(seq)
+                chords = {(a, b) for a in seq for b in sm.derived.neighbors(a) if b in inside and a < b}
+                assert chords == {tuple(sorted(pair)) for pair in zip(seq, seq[1:])}
+                assert all(sm.derived.degree(w) == 2 for w in seq[1:-1])
 
 
 class TestSuperedgeVertex:
@@ -139,12 +154,10 @@ class TestSuperedgeVertex:
     @pytest.mark.parametrize("base", [complete(4), star(5)], ids=["K4", "star"])
     @pytest.mark.parametrize("k", range(2, 7))
     def test_agrees_with_the_superedge_walk(self, base, k):
+        # Walked from either end, a superedge passes the same ids.
         sm = subdivide(base, k)
         for u, v in base.edges():
-            assert sm.superedge(v, u) == sm.superedge(u, v)[::-1]
-            for l in range(1, k):
-                assert sm.superedge_vertex(u, v, l) == sm.superedge(u, v)[l]
-                assert sm.superedge_vertex(u, v, l) == sm.superedge_vertex(v, u, k - l)
+            assert walk(sm, v, u) == walk(sm, u, v)[::-1]
 
     def test_errors(self):
         sm = subdivide(path(3), 4)
