@@ -242,7 +242,7 @@ def _graded(task, record, entries, workers):
     chunks = _pool.ordered_map(primitives, _normalize(entries), workers)
     try:
         for chunk in chunks:
-            yield [record._make(Fraction(*v) if type(v) is tuple else v for v in values)
+            yield [record(*[Fraction(*v) if type(v) is tuple else v for v in values])
                    for rows in chunk for values in rows]
     finally:
         chunks.close()

@@ -9,8 +9,9 @@ work fans out to SUBSEC_THREADS workers without changing the output, and
 with one write and a flush, the summary last.
 
 Exit codes: 0 done, 2 violations found under --fail-on-violation, 64 usage
-error, 65 parse error (reported with its line number), 141 stdout closed by
-its reader (as by ``| head``; nothing is printed).
+error, 65 parse error (reported with its line number; a closed or unreadable
+input is one too), 74 output could not be written (as to a full disk), 141
+stdout closed by its reader (as by ``| head``; nothing is printed).
 
 Each command's flags are rows of ``_Flag``, read by ``_parse``, and its help
 is printed from the same rows. ``gamma`` and ``gamma-s`` run from this
@@ -29,6 +30,7 @@ from .solver import ENGINES, SolverBudget, gamma_exact, gamma_s_exact
 
 EX_USAGE = 64
 EX_DATAERR = 65
+EX_IOERR = 74
 EX_PIPE = 128 + 13  # as if killed by SIGPIPE
 
 
@@ -147,12 +149,18 @@ def _usage() -> str:
 
 
 def _read_lines(path: str) -> list[str]:
-    """Stripped lines, one character per byte: a bad byte keeps its value."""
-    if path == "-":
-        data = sys.stdin.buffer.read()
-    else:
-        with open(path, "rb") as handle:
-            data = handle.read()
+    """Stripped lines, one character per byte: a bad byte keeps its value.
+    An input that cannot be read is a ParseError."""
+    if path == "-" and sys.stdin is None:  # the process started with fd 0 closed
+        raise ParseError("standard input is closed")
+    try:
+        if path == "-":
+            data = sys.stdin.buffer.read()
+        else:
+            with open(path, "rb") as handle:
+                data = handle.read()
+    except OSError as exc:
+        raise ParseError(str(exc)) from None
     return [line.strip().decode("latin-1") for line in data.splitlines()]
 
 
@@ -243,9 +251,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # usage errors, GraphError, CertificateError and other bad values
         print(f"usage error: {exc}", file=sys.stderr)
         return EX_USAGE
-    except OSError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EX_DATAERR
+    except OSError as exc:  # input errors are ParseErrors, so output failed
+        print(f"error: {exc}", file=sys.stderr)
+        return EX_IOERR
 
 
 def run() -> None:
@@ -263,6 +271,10 @@ def run() -> None:
                 stream.flush()
         except BrokenPipeError:  # its reader is gone, as in main
             code = EX_PIPE
+        except OSError as exc:  # an earlier error keeps its code; stderr's is dropped
+            if stream is sys.stdout and code == 0:
+                print(f"error: {exc}", file=sys.stderr)
+                code = EX_IOERR
     os._exit(code)
 
 

@@ -74,15 +74,6 @@ class _Record:
     def _check(self) -> None:
         """Raise if the fields do not make a valid record."""
 
-    @classmethod
-    def _make(cls, values):
-        """The record whose fields, in declaration order, are ``values``: the
-        inverse of ``_values``, without ``__init__``'s argument binding."""
-        self = cls.__new__(cls)
-        self.__dict__.update(zip(cls._fields, values))
-        self._check()
-        return self
-
     def _values(self) -> tuple:
         return tuple(map(self.__dict__.__getitem__, self._fields))
 
@@ -157,42 +148,39 @@ class Graph(_Record):
 
 
 class VertexSet(_Record):
-    """A subset of the vertices of a graph with ``universe`` vertices."""
+    """A subset of the vertices of a graph with ``universe`` vertices, as a
+    bitmask: vertex v is a member iff bit v of ``mask`` is set."""
 
     universe: int
-    members: frozenset[int]
+    mask: int
 
     def _check(self) -> None:
-        for v in self.members:
-            if not 0 <= v < self.universe:
-                raise GraphError(f"vertex {v} outside universe 0..{self.universe - 1}")
+        if self.mask < 0:
+            raise GraphError("vertex set mask must be nonnegative")
+        top = self.mask.bit_length()
+        if top > self.universe:
+            raise GraphError(f"vertex {top - 1} outside universe 0..{self.universe - 1}")
 
     @classmethod
     def of(cls, universe: int, members: Iterable[int]) -> "VertexSet":
-        return cls(universe, frozenset(members))
-
-    @classmethod
-    def from_mask(cls, universe: int, mask: int) -> "VertexSet":
-        return cls(universe, frozenset(_iter_bits(mask)))
-
-    @cached_property
-    def mask(self) -> int:
-        out = 0
-        for v in self.members:
-            out |= 1 << v
-        return out
+        mask = 0
+        for v in members:
+            if not 0 <= v < universe:
+                raise GraphError(f"vertex {v} outside universe 0..{universe - 1}")
+            mask |= 1 << v
+        return cls(universe, mask)
 
     def sorted(self) -> tuple[int, ...]:
-        return tuple(sorted(self.members))
+        return tuple(_iter_bits(self.mask))
 
     def __len__(self) -> int:
-        return len(self.members)
+        return self.mask.bit_count()
 
     def __contains__(self, v: int) -> bool:
-        return v in self.members
+        return v >= 0 and bool(self.mask >> v & 1)
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self.sorted())
+        return _iter_bits(self.mask)
 
 
 def _iter_bits(mask: int) -> Iterator[int]:

@@ -365,7 +365,7 @@ def _exact(g: Graph, budget: SolverBudget, secure: bool) -> SolveResult:
         for size in range(start, g.n + 1):
             mask = first(size)
             if mask is not None:
-                return SolveResult(size, VertexSet.from_mask(g.n, mask), "exact", effort.nodes)
+                return SolveResult(size, VertexSet(g.n, mask), "exact", effort.nodes)
     except _BudgetExceeded:
         return SolveResult(None, None, "skipped", effort.nodes, "nodes")
     finally:

@@ -441,9 +441,10 @@ class TestErrorsAndExitCodes:
         assert err == "parse error: line 2: byte 255 outside graph6 alphabet\n"
 
     def test_missing_file_is_65(self, capsys, monkeypatch):
-        code, _, err = run_cli(["verify", "--theorem", "g13", "--corpus", "/no/such/file"],
-                               capsys=capsys)
-        assert code == 65
+        code, out, err = run_cli(["verify", "--theorem", "g13", "--corpus", "/no/such/file"],
+                                 capsys=capsys)
+        assert (code, out) == (65, "")
+        assert err == "parse error: [Errno 2] No such file or directory: '/no/such/file'\n"
 
     def test_closed_stdout_is_141_and_quiet(self):
         # The read end is closed before the child starts, so its first write

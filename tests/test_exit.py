@@ -162,3 +162,42 @@ def test_console_script_is_the_entry_main_module_calls():
     called = [imported[node.func.id] for node in ast.walk(tree)
               if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
     assert called == [script] == ["subsec.cli:run"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["gamma-s"], ["verify", "--theorem", "prop1,conj"], ["conjecture"], ["subdivide", "--k", "2"],
+    ["cert", "--theorem", "half"],
+], ids=["gamma-s", "verify", "conjecture", "subdivide", "cert"])
+def test_a_closed_stdin_is_a_parse_error(argv):
+    proc = subprocess.run([sys.executable, "-m", "subsec", *argv], stdin=subprocess.DEVNULL,
+                          capture_output=True, env=ENV, timeout=60, preexec_fn=lambda: os.close(0))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        65, b"", b"parse error: standard input is closed\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv, threads", [
+    (["gen", "--family", "path", "--n", "4"], "1"),
+    (["enum", "--n", "5"], "1"),
+    (["verify", "--theorem", "prop1,conj"], "1"),
+    (["verify", "--theorem", "prop1,conj"], "2"),
+    (["conjecture"], "1"),
+    (["conjecture"], "2"),
+], ids=["gen", "enum", "verify-1", "verify-2", "conjecture-1", "conjecture-2"])
+def test_a_failed_write_is_one_error_line(argv, threads):
+    # /dev/full refuses every write with ENOSPC. The run is its own process
+    # group, which is empty once the run has reaped every worker.
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.Popen([sys.executable, "-m", "subsec", *argv], stdin=subprocess.PIPE,
+                                stdout=full, stderr=subprocess.PIPE,
+                                env=ENV | {"SUBSEC_THREADS": threads}, start_new_session=True)
+    try:
+        _, err = proc.communicate(CORPUS, timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 74
+    assert err.count(b"\n") == 1 and b"[Errno 28]" in err and err.startswith(b"error: ")
+    assert b"Traceback" not in err
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)

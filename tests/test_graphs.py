@@ -158,13 +158,20 @@ class TestStructuralInvariants:
 
 class TestVertexSet:
     def test_members_must_fit_universe(self):
-        with pytest.raises(GraphError):
+        with pytest.raises(GraphError, match=r"^vertex 5 outside universe 0\.\.2$"):
             VertexSet.of(3, {5})
+        with pytest.raises(GraphError, match=r"^vertex 6 outside universe 0\.\.5$"):
+            VertexSet.of(6, [1, 6])
+        with pytest.raises(GraphError, match=r"^vertex -1 outside universe 0\.\.5$"):
+            VertexSet.of(6, [-1, 1])
 
     def test_mask_and_iteration(self):
         s = VertexSet.of(6, {4, 1})
-        assert s.mask == 0b010010
+        assert s == VertexSet(6, 0b010010) and s.mask == 0b010010
         assert s.sorted() == (1, 4)
         assert list(s) == [1, 4]
-        assert 4 in s and 0 not in s
-        assert VertexSet.from_mask(6, 0b010010) == s
+        assert len(s) == 2
+        assert 4 in s and 0 not in s and 6 not in s and -1 not in s
+        # ascending whatever the order ids were given in
+        s = VertexSet.of(40, [37, 0, 12, 5, 12])
+        assert s.sorted() == tuple(s) == (0, 5, 12, 37) and len(s) == 4
