@@ -11,17 +11,19 @@ does, so grading never loads ``certificates``.
 A violated claim is a result, not an error: several equality claims fail on
 degenerate bases (single edges, disconnected graphs) and surfacing that
 honestly is the point. "skipped" is reserved for unmet preconditions and
-budget exhaustion, where no exact value exists.
+budget exhaustion, where no exact value exists; a budget skip's detail is
+that of the solve that stopped, for every claim.
 
 A corpus's report is made a chunk of rows at a time; one tally per report
 kind counts each row as it is rendered and gives the summary that ends it.
+A ConjectureReport is its rows: its summary fields are that tally's.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 import json
 
 from . import _pool
@@ -56,8 +58,8 @@ class Claim(_Record):
     entry, as the README lists it.
 
     ``note`` gives the start of a graded row's detail from (G, lower,
-    exact). ``skip``, when set, is the whole detail of a budget skip, which
-    then shows no bound terms.
+    exact). A skipped row's detail is the skip of the solve that stopped,
+    and it keeps every term that solved before it.
     """
 
     id: str
@@ -69,7 +71,6 @@ class Claim(_Record):
     strict: bool = False
     text: str = ""
     note: Callable[[Graph, Fraction | int, int], str] | None = None
-    skip: str | None = None
 
 
 def _conj_ratio(g: Graph, value: int | None) -> Fraction | None:
@@ -81,7 +82,6 @@ CLAIMS = (
     Claim("prop1", 1,
           lower=lambda g, n, solve: solve(gamma_exact, 1),
           note=lambda g, lower, exact: f"gamma={lower} gamma_s={exact}",
-          skip="budget: exhausted",
           text="γ(G) ≤ γ_s(G)"),
     Claim("g12", 2,
           upper=lambda g, n, _: min(g.m, g.n),
@@ -205,8 +205,6 @@ def check_theorem(
         terms = [term(g, n, solve) if term else None for term in (claim.lower, claim.upper, claim.equality)]
         exact = solve(gamma_s_exact, k)
     except _Unsolved as exc:
-        if claim.skip:
-            return BoundCheck(gid, claim.id, None, None, None, None, "skipped", claim.skip)
         return BoundCheck(gid, claim.id, *terms, None, "skipped", str(exc))
     lower, upper, equality = terms
     status, detail = _grade(exact, lower, upper, equality, strict_lower=claim.strict)
@@ -332,20 +330,12 @@ class ConjectureRow(_Record):
     status: str  # "ok" | "counterexample" | "skipped"
 
 
-class ConjectureReport(_Record):
-    rows: tuple[ConjectureRow, ...]
-    min_ratio: Fraction | None
-    witnesses: tuple[str, ...]
-    counterexamples: tuple[str, ...]
-    skipped: tuple[str, ...]
-
-
 _CONJ_STATUS = {"violated": "counterexample", "skipped": "skipped"}
 
 
 class _ConjectureTally:
-    """The summary fields of a ConjectureReport, kept up to date as rows are
-    added, and the summary lines they give."""
+    """A conjecture report's summary, kept up to date as rows are added, and
+    the summary lines it gives."""
 
     def __init__(self):
         self.min_ratio = None
@@ -374,14 +364,22 @@ class _ConjectureTally:
                 f"counterexamples: {len(counterexamples)}, skipped: {len(skipped)}"]
 
 
-class _FinishedTally(_ConjectureTally):
-    """A finished ConjectureReport's own summary fields; its rows add nothing."""
+class ConjectureReport(_Record):
+    """A conjecture scan's rows; the summary fields are read from them."""
 
-    def __init__(self, report: ConjectureReport):
-        _, self.min_ratio, self.witnesses, self.counterexamples, self.skipped = report._values()
+    rows: tuple[ConjectureRow, ...]
 
-    def add(self, row: ConjectureRow) -> None:
-        pass
+    @cached_property
+    def _tally(self) -> _ConjectureTally:
+        tally = _ConjectureTally()
+        for row in self.rows:
+            tally.add(row)
+        return tally
+
+    min_ratio = property(lambda self: self._tally.min_ratio)
+    witnesses = property(lambda self: tuple(self._tally.witnesses))
+    counterexamples = property(lambda self: tuple(self._tally.counterexamples))
+    skipped = property(lambda self: tuple(self._tally.skipped))
 
 
 def _conjecture_runs(entries, budget, workers):
@@ -402,17 +400,12 @@ def conjecture_scan(
 ) -> ConjectureReport:
     """Hunt for counterexamples to the strict bound gamma_s(G^{1/2}) > 4n/5.
 
-    Reports every graph's exact ratio, the minimum ratio with its attaining
-    graphs, all counterexamples (ratio <= 4/5), and the graphs skipped for
-    budget reasons. Each graph's row comes from grading the ``conj`` claim:
-    a violation is a counterexample.
+    The report is one row per graph, from grading the ``conj`` claim: its
+    exact ratio, and a violation is a counterexample. The minimum ratio with
+    its attaining graphs, all counterexamples (ratio <= 4/5) and the graphs
+    skipped for budget reasons are read from the rows.
     """
-    rows = tuple(row for run in _conjecture_runs(entries, budget, workers) for row in run)
-    tally = _ConjectureTally()
-    for row in rows:
-        tally.add(row)
-    return ConjectureReport(rows, tally.min_ratio, tuple(tally.witnesses),
-                            tuple(tally.counterexamples), tuple(tally.skipped))
+    return ConjectureReport(tuple(row for run in _conjecture_runs(entries, budget, workers) for row in run))
 
 
 def stream_conjecture(entries, fmt: str = "tsv", budget: SolverBudget = DEFAULT_BUDGET,
@@ -510,6 +503,6 @@ def _conjecture_text(row: ConjectureRow) -> str:
 
 
 def render_conjecture(report: ConjectureReport, fmt: str = "tsv") -> list[str]:
-    """The report's rows and its own summary fields."""
-    blocks = _report(fmt, CONJECTURE_COLUMNS, _conjecture_text, [report.rows], _FinishedTally(report))
+    """The report's rows, then the summary they give."""
+    blocks = _report(fmt, CONJECTURE_COLUMNS, _conjecture_text, [report.rows], _ConjectureTally())
     return [line for block in blocks for line in block]

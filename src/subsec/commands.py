@@ -52,6 +52,9 @@ def _gen_flags():
 def _cmd_gen(args, out) -> int:
     from .corpus import generate
 
+    for flag, value in (("--p", args.p), ("--seed", args.seed)):
+        if value is not None and args.family != "random":  # only random draws
+            raise ValueError(f"--family {args.family} takes no {flag}")
     g = generate(args.family, args.n, p=args.p, seed=args.seed)
     _emit_graph(g, args.format, out)
     return 0

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import re
 from fractions import Fraction
@@ -10,6 +12,7 @@ from subsec import (
     THEOREM_IDS,
     check_theorem,
     conjecture_scan,
+    emit_graph6,
     enumerate_connected,
     path_secure_formula,
     render_checks,
@@ -28,6 +31,7 @@ from subsec.bounds import (
     stream_checks,
     stream_conjecture,
 )
+from subsec.cli import main
 from conftest import complete, cycle, path, star, wheel_rim6
 
 
@@ -145,6 +149,17 @@ class TestCheckTheorem:
         assert check.status == "skipped"
         assert check.detail == "budget: derived graph has 4200004 vertices, cap 26"
         assert check.equality == path_secure_formula(700002) * 6
+
+    def test_prop1_skip_names_the_vertex_cap(self):
+        check = check_theorem(path(30), "prop1")
+        assert check.status == "skipped"
+        assert check.detail == "budget: derived graph has 30 vertices, cap 26"
+        assert (check.lower, check.upper, check.equality, check.exact) == (None, None, None, None)
+
+    def test_prop1_skip_keeps_the_gamma_that_solved(self):
+        check = check_theorem(path(20), "prop1", budget=SolverBudget(max_nodes=200))
+        assert (check.lower, check.exact, check.status) == (7, None, "skipped")
+        assert check.detail == "budget: exhausted after 201 nodes"
 
     def test_graph_id_defaults_to_graph6(self):
         assert check_theorem(path(2), "g13").graph_id == "A_"
@@ -349,12 +364,21 @@ class TestStreams:
         header = "\t".join(CONJECTURE_COLUMNS) if fmt == "tsv" else None
         assert_streamed(blocks, render_conjecture(report, fmt), header, len(report.rows))
 
-    def test_a_report_renders_its_own_summary(self):
-        # Rows and summary fields that disagree: the fields are printed.
-        row = ConjectureRow("Dhc", 5, 4, Fraction(4, 5), "counterexample")
-        report = ConjectureReport((row,), Fraction(1, 2), ("Bw",), (), ("Ch",))
+    def test_a_report_is_its_rows(self):
+        # The minimum 2/3 is tied, after a larger ratio was the minimum.
+        report = ConjectureReport((
+            ConjectureRow("Ch", 4, 4, Fraction(1), "ok"),
+            ConjectureRow("Dhc", 5, 4, Fraction(4, 5), "counterexample"),
+            ConjectureRow("Bw", 3, 2, Fraction(2, 3), "counterexample"),
+            ConjectureRow("ShCGG", 20, None, None, "skipped"),
+            ConjectureRow("EhEG", 6, 4, Fraction(2, 3), "counterexample"),
+        ))
+        assert report.min_ratio == Fraction(2, 3)
+        assert report.witnesses == ("Bw", "EhEG")
+        assert report.counterexamples == ("Dhc", "Bw", "EhEG")
+        assert report.skipped == ("ShCGG",)
         assert render_conjecture(report, "tsv")[-2:] == [
-            "# min_ratio: 1/2 witnesses: Bw", "# counterexamples: 0 skipped: 1"]
+            "# min_ratio: 2/3 witnesses: Bw,EhEG", "# counterexamples: 3 skipped: 1"]
 
 
 def render_check_row(fmt):
@@ -363,7 +387,7 @@ def render_check_row(fmt):
 
 def render_conjecture_row(fmt):
     row = ConjectureRow("Dhc", 5, 4, Fraction(4, 5), "counterexample")
-    return render_conjecture(ConjectureReport((row,), row.ratio, ("Dhc",), ("Dhc",), ()), fmt)
+    return render_conjecture(ConjectureReport((row,)), fmt)
 
 
 # Each record with distinct field values: its renderer, columns, and field
@@ -396,6 +420,30 @@ class TestReportRows:
     def test_jsonl_row_is_the_fields_in_order(self, render, columns, _, values):
         row = json.loads(render("jsonl")[0])
         assert list(row.items()) == list(zip(columns, values))
+
+
+# Every claim, at a -n it is stated for where it needs one.
+VERIFY_RUNS = [["prop1,g12,star2,g13,g14,g15,conj"], ["g16", "-n", "6"], ["r024", "-n", "7"]]
+SKIP_DETAIL = re.compile(r"precondition: .+|budget: derived graph has \d+ vertices, cap \d+"
+                         r"|budget: exhausted after \d+ nodes")
+
+
+class TestSkipDetails:
+    """A skipped verify row names the precondition it fails or the cap that fired."""
+
+    @pytest.mark.parametrize("theorems", VERIFY_RUNS, ids=["fixed-k", "g16", "r024"])
+    def test_every_skip_names_its_cause(self, tmp_path, theorems):
+        p30 = tmp_path / "p30.g6"
+        p30.write_text(emit_graph6(path(30)) + "\n", encoding="ascii")
+        for corpus in (Path(__file__).parent / "golden" / "budget.g6", p30):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(["verify", "--theorem", *theorems, "--max-nodes", "200", "--corpus", str(corpus)])
+            assert code == 0
+            rows = [line.split("\t") for line in out.getvalue().splitlines()[1:-1]]
+            details = [detail for *_, status, detail in rows if status == "skipped"]
+            assert details
+            assert [d for d in details if not SKIP_DETAIL.fullmatch(d)] == []
 
 
 class TestCatalog:

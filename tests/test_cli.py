@@ -59,7 +59,9 @@ class TestGenEnum:
         (["--family", "random", "--n", "5", "--p", "2", "--seed", "1"],
          "random family needs p in [0,1]"),
         (["--family", "star", "--n", "1"], "star needs n >= 2"),
-    ], ids=["path-n", "wheel-rim", "random-p", "star-n"])
+        (["--family", "path", "--n", "4", "--p", "0.5"], "--family path takes no --p"),
+        (["--family", "cycle", "--n", "4", "--seed", "1"], "--family cycle takes no --seed"),
+    ], ids=["path-n", "wheel-rim", "random-p", "star-n", "path-p", "cycle-seed"])
     def test_gen_parameter_out_of_range_is_usage_error(self, capsys, args, message):
         code, out, err = run_cli(["gen", *args], capsys=capsys)
         assert (code, out, err) == (64, "", f"usage error: {message}\n")

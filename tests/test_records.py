@@ -31,16 +31,13 @@ RECORDS = [
      {"graph_id": "Ch", "theorem_id": "g13", "lower": Fraction(7, 2), "upper": 4,
       "equality": None, "exact": 5, "status": "violated", "detail": "exact 5 > upper 4"}),
     (Claim, {"id": "t", "k": 2, "lower": None, "upper": None, "equality": None,
-             "precondition": is_star, "strict": True, "text": "γ", "note": None, "skip": None},
+             "precondition": is_star, "strict": True, "text": "γ", "note": None},
      {"id": "t", "k": 3, "lower": None, "upper": None, "equality": None,
-      "precondition": is_star, "strict": True, "text": "γ", "note": None, "skip": None}),
+      "precondition": is_star, "strict": True, "text": "γ", "note": None}),
     (ConjectureRow, {"graph_id": "Bw", "n": 3, "value": 2, "ratio": Fraction(2, 3),
                      "status": "counterexample"},
      {"graph_id": "Bw", "n": 3, "value": None, "ratio": None, "status": "skipped"}),
-    (ConjectureReport, {"rows": (ROW,), "min_ratio": Fraction(2, 3), "witnesses": ("Bw",),
-                        "counterexamples": ("Bw",), "skipped": ()},
-     {"rows": (ROW,), "min_ratio": Fraction(2, 3), "witnesses": ("Bw",),
-      "counterexamples": (), "skipped": ()}),
+    (ConjectureReport, {"rows": (ROW,)}, {"rows": ()}),
     (Certificate, {"theorem_id": "third", "vertices": VertexSet(4, 0b1100),
                    "claimed_size": 2, "validated": True},
      {"theorem_id": "third", "vertices": VertexSet(4, 0b1100),

@@ -343,3 +343,30 @@ class TestBudgets:
         assert gamma_exact(subdivide(wheel_rim6(), 2).derived).nodes == 54
         assert gamma_exact(wheel_rim6()).nodes == 2
         assert gamma_exact(make_graph(0, [])).nodes == 1
+
+
+# G^{1/(k+7)} puts seven more vertices on each edge's chain than G^{1/k}.
+CHAIN_BUDGET = SolverBudget(max_vertices=64, max_nodes=200_000)
+
+
+def chain_value(g, k):
+    res = gamma_s_exact(subdivide(g, k).derived, CHAIN_BUDGET)
+    assert res.status == "exact", (g, k, res)
+    return res.value
+
+
+class TestChainLaw:
+    """gamma_s(G^{1/(k+7)}) = gamma_s(G^{1/k}) + 3m for k >= 2, as observed
+    here by branch search on both sides; not a claim of the paper, and no
+    row is graded by it."""
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("g", [path(3), star(4), cycle(3), path(4), cycle(4)],
+                             ids=["P3", "K1,3", "C3", "P4", "C4"])
+    def test_seven_more_chain_vertices_cost_three_per_edge(self, g, k):
+        assert chain_value(g, k + 7) == chain_value(g, k) + 3 * g.m
+
+    def test_the_law_needs_k_at_least_2(self):
+        # C3 is its own 1-subdivision: one vertex dominates it securely.
+        low, high = chain_value(cycle(3), 1), chain_value(cycle(3), 8)
+        assert (low, high) == (1, 11) and high != low + 3 * cycle(3).m
