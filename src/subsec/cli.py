@@ -11,7 +11,10 @@ with one write and a flush, the summary last.
 Exit codes: 0 done, 2 violations found under --fail-on-violation, 64 usage
 error, 65 parse error (reported with its line number; a closed or unreadable
 input is one too), 74 output could not be written (as to a full disk), 141
-stdout closed by its reader (as by ``| head``; nothing is printed).
+stdout or stderr closed by its reader (as by ``| head``; nothing more is
+printed). ``main`` flushes stdout on every way out and maps each failed
+write to its code; a stdout closed at start sends output nowhere and the
+run keeps its status.
 
 Each command's flags are rows of ``_Flag``, read by ``_parse``, and its help
 is printed from the same rows. ``gamma`` and ``gamma-s`` run from this
@@ -234,49 +237,39 @@ def _run(argv: list[str], out) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command line and return its exit code; ``--help`` returns 0."""
+    """Run one command line and return its exit code (0 for ``--help``), with
+    stdout flushed. A write that fails, an error line's too, gives the code."""
     argv = sys.argv[1:] if argv is None else argv
     try:
-        code = _run(argv, sys.stdout)
-        sys.stdout.flush()
-        return code
-    except BrokenPipeError:
-        # Stdout is the only pipe written. Its reader is gone, so stop like
-        # a process killed by SIGPIPE.
+        try:
+            return _run(argv, sys.stdout)
+        except ParseError as exc:
+            where = f"line {exc.line_number}: " if exc.line_number else ""
+            print(f"parse error: {where}{exc}", file=sys.stderr)
+            return EX_DATAERR
+        except ValueError as exc:  # usage errors, GraphError, CertificateError and other bad values
+            print(f"usage error: {exc}", file=sys.stderr)
+            return EX_USAGE
+        finally:
+            sys.stdout.flush()
+    except BrokenPipeError:  # a reader of stdout or stderr is gone: stop as SIGPIPE would
         return EX_PIPE
-    except ParseError as exc:
-        where = f"line {exc.line_number}: " if exc.line_number else ""
-        print(f"parse error: {where}{exc}", file=sys.stderr)
-        return EX_DATAERR
-    except ValueError as exc:  # usage errors, GraphError, CertificateError and other bad values
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EX_USAGE
     except OSError as exc:  # input errors are ParseErrors, so output failed
-        print(f"error: {exc}", file=sys.stderr)
+        try:
+            print(f"error: {exc}", file=sys.stderr)
+        except OSError:  # stderr failed too; the first failure gives the code
+            pass
         return EX_IOERR
 
 
 def run() -> None:
     """The process entry of ``python -m subsec`` and the ``subsec`` script:
-    run ``main``, flush what it printed and leave with ``os._exit``, as
-    ``_pool`` workers do. Freeing every module and object at interpreter
-    teardown would only delay the exit status (10-20 ms a run on a 2-core
-    host). Only an uncaught exception takes Python's own exit."""
-    code = main()
-    # An error exit leaves what it printed in the buffers. A stream is None
-    # if the process started with its descriptor closed.
-    for stream in (sys.stdout, sys.stderr):
-        try:
-            if stream is not None:
-                stream.flush()
-        except BrokenPipeError:  # its reader is gone, as in main
-            code = EX_PIPE
-        except OSError as exc:  # an earlier error keeps its code; stderr's is dropped
-            if stream is sys.stdout and code == 0:
-                print(f"error: {exc}", file=sys.stderr)
-                code = EX_IOERR
-    os._exit(code)
-
-
-if __name__ == "__main__":
-    run()
+    run ``main`` and leave with ``os._exit``, as ``_pool`` workers do, since
+    interpreter teardown would only delay the exit status (10-20 ms a run on
+    a 2-core host). A stdout closed at start (None) becomes os.devnull, so
+    output goes nowhere, as ``print`` sends it, and the run keeps its status.
+    Stderr needs no flush: it is line-buffered, so each error line was
+    written, or failed, at its print."""
+    if sys.stdout is None:
+        sys.stdout = open(os.devnull, "w", encoding="utf-8")
+    os._exit(main())

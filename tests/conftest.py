@@ -1,9 +1,20 @@
+import os
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
+import subsec
 from subsec import generate, is_connected, make_graph
+
+# The directory that holds the package under test, and the environment of a
+# test's subsec process: that directory first on PYTHONPATH, and without
+# PYTHONUNBUFFERED, so printed rows wait in the stdout buffer until a flush,
+# as they do for a user.
+SRC = Path(subsec.__file__).resolve().parents[1]
+ENV = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"} | {
+    "PYTHONPATH": os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
 
 
 def path(n):

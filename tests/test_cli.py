@@ -13,6 +13,8 @@ from subsec import emit_graph6, gamma_s_exact, generate, parse_graph6, subdivide
 from subsec.bounds import CLAIMS
 from subsec.cli import main
 
+from conftest import ENV
+
 
 def run_cli(args, stdin_text="", monkeypatch=None, capsys=None):
     if monkeypatch is not None:
@@ -26,7 +28,7 @@ def run_cli(args, stdin_text="", monkeypatch=None, capsys=None):
 def run_proc(args, stdin_text=""):
     proc = subprocess.run(
         [sys.executable, "-m", "subsec", *args],
-        input=stdin_text, capture_output=True, text=True,
+        input=stdin_text, capture_output=True, text=True, env=ENV,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -455,7 +457,7 @@ class TestErrorsAndExitCodes:
         os.close(read_end)
         try:
             proc = subprocess.run([sys.executable, "-m", "subsec", "enum", "--n", "5"],
-                                  stdout=write_end, stderr=subprocess.PIPE)
+                                  stdout=write_end, stderr=subprocess.PIPE, env=ENV)
         finally:
             os.close(write_end)
         assert proc.returncode == 141
@@ -559,7 +561,7 @@ class TestFlagParsing:
         expected = capsys.readouterr().out.encode()
         for columns in ("20", "300"):
             proc = subprocess.run([sys.executable, "-m", "subsec", *args], capture_output=True,
-                                  env={**os.environ, "COLUMNS": columns})
+                                  env=ENV | {"COLUMNS": columns})
             assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, b"")
 
 
@@ -571,7 +573,7 @@ class TestInputBytes:
         data = b"Ch\n\xff\n"
         corpus = tmp_path / "bad.g6"
         corpus.write_bytes(data)
-        env = {**os.environ, "PYTHONIOENCODING": "utf-8"}
+        env = ENV | {"PYTHONIOENCODING": "utf-8"}
         base = [sys.executable, "-m", "subsec", "verify", "--theorem", "g13"]
         piped = subprocess.run(base, input=data, capture_output=True, env=env)
         named = subprocess.run([*base, "--corpus", str(corpus)], capture_output=True, env=env)
@@ -667,7 +669,8 @@ class TestSubprocessPipeline:
         # Graph validation must stay linear in the order: work quadratic in
         # n takes minutes on a million vertices.
         proc = subprocess.run([sys.executable, "-m", "subsec", "gamma", "--format", "edges"],
-                              input="p 1000000\n", capture_output=True, text=True, timeout=30)
+                              input="p 1000000\n", capture_output=True, text=True, env=ENV,
+                              timeout=30)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "value=- status=skipped witness=- cap=vertices\n"
 
@@ -696,10 +699,26 @@ class TestSubprocessPipeline:
             resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
         proc = subprocess.run([sys.executable, "-m", "subsec", *args], input=stdin,
-                              capture_output=True, text=True, timeout=60,
+                              capture_output=True, text=True, env=ENV, timeout=60,
                               preexec_fn=limit_memory)
         assert proc.returncode == code and proc.stdout == ""
         assert proc.stderr.startswith(message) and "Traceback" not in proc.stderr
+
+    def test_a_graph_past_the_memory_limit_is_a_parse_error(self):
+        # An edgeless p 33000000 is under the adjacency bound (64 bits a
+        # vertex), yet building it takes over 500 MiB here, so under a
+        # 400 MiB address-space limit make_graph runs out of memory and
+        # parse_edgelist reports it on the p line. At 600 MiB it is built.
+        import resource
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
+
+        proc = subprocess.run([sys.executable, "-m", "subsec", "gamma", "--format", "edges"],
+                              input="p 33000000\n", capture_output=True, text=True, env=ENV,
+                              timeout=60, preexec_fn=limit_memory)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            65, "", "parse error: line 1: vertex count 33000000 is too large to build\n")
 
     @pytest.mark.parametrize("args, stdin", [
         (["subdivide", "--k", "100000"], "Ch\n"),
@@ -713,7 +732,7 @@ class TestSubprocessPipeline:
                    "code = subprocess.call(sys.argv[1:], stderr=subprocess.DEVNULL)\n"
                    "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
         proc = subprocess.run([sys.executable, "-c", measure, sys.executable, "-m", "subsec", *args],
-                              input=stdin, capture_output=True, text=True, timeout=60)
+                              input=stdin, capture_output=True, text=True, env=ENV, timeout=60)
         code, peak_kb = map(int, proc.stdout.split())
         assert code == 64
         assert peak_kb < 384 * 1024
@@ -727,7 +746,7 @@ class TestSubprocessPipeline:
         # 400,000, far under the bound, though their edges' ids sum past it:
         # the bound counts mask widths.
         proc = subprocess.run([sys.executable, "-m", "subsec", *args],
-                              capture_output=True, text=True, timeout=120)
+                              capture_output=True, text=True, env=ENV, timeout=120)
         assert proc.returncode == 0 and proc.stderr == ""
         assert proc.stdout.count("\n") == lines
 
@@ -735,7 +754,7 @@ class TestSubprocessPipeline:
         cmd = (f"{sys.executable} -m subsec gen --family path --n 4 | "
                f"{sys.executable} -m subsec subdivide --k 2 | "
                f"{sys.executable} -m subsec gamma-s")
-        proc = subprocess.run(["sh", "-c", cmd], capture_output=True, text=True)
+        proc = subprocess.run(["sh", "-c", cmd], capture_output=True, text=True, env=ENV)
         assert proc.returncode == 0
         assert proc.stdout == "value=3 status=exact witness=4,5,6\n"
 
@@ -744,12 +763,10 @@ class TestSubprocessPipeline:
         stdin = "\n".join(emit_graph6(generate("path", n)) for n in sizes) + "\n"
         outs = []
         for threads in ("1", "4"):
-            # Inherit the caller's environment (PYTHONPATH included) and
-            # override only the variable under test.
             proc = subprocess.run(
                 [sys.executable, "-m", "subsec", "verify", "--theorem", "g13,prop1,conj"],
                 input=stdin, capture_output=True, text=True,
-                env={**os.environ, "SUBSEC_THREADS": threads},
+                env=ENV | {"SUBSEC_THREADS": threads},
             )
             assert proc.returncode == 0, proc.stderr
             outs.append(proc.stdout)
@@ -767,14 +784,14 @@ class TestSubprocessPipeline:
         corpus = "".join(line + "\n" for line in subsec.bundled_corpus_lines())
         proc = subprocess.run([sys.executable, "-m", "subsec", "verify", "--theorem", "prop1"],
                               input=corpus, capture_output=True, text=True,
-                              env={**os.environ, "SUBSEC_THREADS": "abc"})
+                              env=ENV | {"SUBSEC_THREADS": "abc"})
         assert (proc.returncode, proc.stdout, proc.stderr) == (
             64, "", "usage error: SUBSEC_THREADS='abc' is not an integer\n")
 
     def test_identical_invocations_byte_identical(self):
         args = [sys.executable, "-m", "subsec", "conjecture"]
         stdin = "Ch\nBw\n"
-        a = subprocess.run(args, input=stdin, capture_output=True, text=True)
-        b = subprocess.run(args, input=stdin, capture_output=True, text=True)
+        a = subprocess.run(args, input=stdin, capture_output=True, text=True, env=ENV)
+        b = subprocess.run(args, input=stdin, capture_output=True, text=True, env=ENV)
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout

@@ -9,21 +9,15 @@ import os
 import re
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import subsec
 from subsec import cli
 
+from conftest import ENV, SRC
 from test_enumeration import ENUM7_SHA256
 
-SRC = Path(subsec.__file__).resolve().parents[1]
 CORPUS = (SRC / "subsec" / "data" / "connected_upto6.g6").read_bytes()
-# Without PYTHONUNBUFFERED, printed rows wait in the stdout buffer until a
-# flush.
-ENV = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"} | {
-    "PYTHONPATH": os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
 
 
 def in_process(argv, stdin, monkeypatch):
@@ -120,13 +114,56 @@ def test_a_pipe_closed_after_the_first_row_is_141(argv, threads):
         os.killpg(proc.pid, 0)
 
 
-@pytest.mark.parametrize("fd", [1, 2], ids=["stdout", "stderr"])
-def test_a_stream_closed_at_start_keeps_the_exit_status(fd):
+VIOLATIONS = ["verify", "--theorem", "g14", "--fail-on-violation"]
+
+
+@pytest.mark.parametrize("fd, argv, stdin, threads, code, printed", [
+    (1, ["subdivide", "--k", "0"], b"Ch\n", "1", 64, b"usage error: subdivide needs --k >= 1, got 0\n"),
+    (2, ["subdivide", "--k", "0"], b"Ch\n", "1", 64, b"usage error: subdivide needs --k >= 1, got 0\n"),
+    (1, ["gen", "--family", "path", "--n", "4"], b"", "1", 0, b""),
+    (1, ["--help"], b"", "1", 0, b""),
+    (1, VIOLATIONS, CORPUS, "1", 2, b""),
+    (1, VIOLATIONS, CORPUS, "2", 2, b""),
+], ids=["stdout", "stderr", "stdout-gen", "stdout-help", "stdout-violations-1",
+        "stdout-violations-2"])
+def test_a_stream_closed_at_start_keeps_the_exit_status(fd, argv, stdin, threads, code, printed):
     # Python sets sys.stdout or sys.stderr to None when its descriptor is
-    # closed at start; print then writes an error message to the other one.
-    proc = in_a_process(["subdivide", "--k", "0"], b"Ch\n", preexec_fn=lambda: os.close(fd))
-    assert proc.returncode == 64
-    assert proc.stdout + proc.stderr == b"usage error: subdivide needs --k >= 1, got 0\n"
+    # closed at start. An error message printed to a None stderr goes to
+    # stdout, and the run's output to a None stdout goes nowhere. The run is
+    # its own process group, which is empty once the run has reaped every
+    # worker.
+    proc = subprocess.Popen([sys.executable, "-m", "subsec", *argv], stdin=subprocess.PIPE,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=ENV | {"SUBSEC_THREADS": threads},
+                            preexec_fn=lambda: os.close(fd), start_new_session=True)
+    try:
+        out, err = proc.communicate(stdin, timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == code
+    assert out + err == printed
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv, code", [
+    (["subdivide", "--k", "0"], 141),
+    (["gen", "--family", "path", "--n", "4"], 74),
+], ids=["usage-error", "failed-write"])
+def test_an_error_line_into_a_closed_stderr_keeps_the_first_failure(argv, code):
+    # The reader of stderr is gone, so no error line can be written. A usage
+    # error, which prints nothing to stdout, stops as if killed by SIGPIPE;
+    # gen's write to /dev/full fails first, with ENOSPC, and keeps its code.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        with open("/dev/full", "wb") as full:
+            proc = in_a_process(argv, b"Ch\n", stdout=full, stderr=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == code
 
 
 # An exit handler that runs only if the interpreter tears down, which no

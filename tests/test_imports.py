@@ -3,17 +3,15 @@ exports its public names lazily. Each check starts a fresh ``python -S``
 process: without ``site`` nothing is imported before the code under test,
 so every module the run loads shows in its ``-X importtime`` report."""
 
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 import subsec
 
-SRC = str(Path(subsec.__file__).resolve().parents[1])
-ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
+from conftest import ENV
+
 # What grading, certificates, subdivision, the pool, the other commands and
 # the graph writers need, and a solve does not.
 NOT_FOR_A_SOLVE = {

@@ -4,16 +4,14 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-import subsec
 from subsec import _pool, bounds, bundled_corpus, run_corpus
 
+from conftest import ENV
+
 PARENT = os.getpid()
-SRC = str(Path(subsec.__file__).resolve().parents[1])
-ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
 CALLER = """
 import time
 from subsec import _pool
