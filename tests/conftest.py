@@ -1,4 +1,9 @@
+import contextlib
+import io
 import os
+import signal
+import subprocess
+import sys
 from itertools import combinations
 from pathlib import Path
 
@@ -6,7 +11,7 @@ import pytest
 from hypothesis import strategies as st
 
 import subsec
-from subsec import generate, is_connected, make_graph
+from subsec import cli, generate, is_connected, make_graph
 
 # The directory that holds the package under test, and the environment of a
 # test's subsec process: that directory first on PYTHONPATH, and without
@@ -15,6 +20,79 @@ from subsec import generate, is_connected, make_graph
 SRC = Path(subsec.__file__).resolve().parents[1]
 ENV = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"} | {
     "PYTHONPATH": os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
+# The seconds a test gives a run of the CLI, in-process or as a child, so a
+# hang fails the test instead of stalling the suite.
+LIMIT = 60
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the body once ``seconds`` have passed, and again
+    on the way out if the body caught it (``cli.main`` turns every OSError
+    into an exit code). Inside another limit the outer alarm stays alone."""
+    if signal.getitimer(signal.ITIMER_REAL)[0]:
+        yield
+        return
+    expired = []
+
+    def expire(signum, frame):
+        expired.append(signum)
+        raise TimeoutError(f"no return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    if expired:
+        raise TimeoutError(f"no return within {seconds} s")
+
+
+@pytest.fixture
+def deadline():
+    """Fail a test that has not finished within 30 s instead of letting it hang."""
+    with time_limit(30):
+        yield
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def run_main(argv, stdin=b""):
+    """``cli.main(argv)`` on ``stdin`` (bytes, or text sent as UTF-8) with
+    its three streams backed by bytes, bounded to LIMIT seconds: the exit
+    code, stdout and stderr as text. The run must leave no child process."""
+    if isinstance(stdin, str):
+        stdin = stdin.encode()
+    out, err = io.BytesIO(), io.BytesIO()
+    streams = sys.stdin, sys.stdout, sys.stderr
+    sys.stdin = io.TextIOWrapper(io.BytesIO(stdin), encoding="utf-8")
+    sys.stdout = io.TextIOWrapper(out, encoding="utf-8")
+    sys.stderr = io.TextIOWrapper(err, encoding="utf-8")
+    try:
+        with time_limit(LIMIT):
+            code = cli.main(argv)
+        sys.stdout.flush()
+        sys.stderr.flush()
+        # before the wrappers are dropped, which closes the buffers
+        printed = out.getvalue().decode(), err.getvalue().decode()
+    finally:
+        sys.stdin, sys.stdout, sys.stderr = streams
+    assert_no_child_left()
+    return code, *printed
+
+
+def python(*args, stdin=b"", **kwargs):
+    """``python *args`` run in ENV on ``stdin``, bounded to LIMIT seconds, with
+    stdout and stderr captured; a str ``stdin`` makes it a text-mode run.
+    ``kwargs`` go to ``subprocess.run`` and override those defaults."""
+    defaults = {"env": ENV, "stdout": subprocess.PIPE, "stderr": subprocess.PIPE,
+                "text": isinstance(stdin, str), "timeout": LIMIT}
+    return subprocess.run([sys.executable, *args], input=stdin, **(defaults | kwargs))
 
 
 def path(n):

@@ -28,7 +28,7 @@ from subsec import (
     subdivide,
 )
 from brute_force import brute_gamma_s, neighbor_sets
-from conftest import cycle, path, star, wheel_rim6
+from conftest import assert_no_child_left, cycle, path, star, wheel_rim6
 
 
 def report(criterion, ok, detail):
@@ -137,7 +137,7 @@ def test_criterion_6_general_theorem_spot_check():
            elapsed < 600, f"exact = pathval(n+1)*m throughout, {elapsed:.1f}s")
 
 
-def test_criterion_7_conjecture_scan(small_connected_corpus):
+def test_criterion_7_conjecture_scan(small_connected_corpus, deadline):
     start = time.monotonic()
     corpus = small_connected_corpus
     assert len(corpus) == 31  # 1 + 1 + 2 + 6 + 21
@@ -160,9 +160,10 @@ def test_criterion_7_conjecture_scan(small_connected_corpus):
            elapsed < 900,
            f"0 skips, min ratio {scan.min_ratio} at {','.join(scan.witnesses)}, "
            f"{len(scan.counterexamples)} counterexamples, P_11 ratio 9/11, {elapsed:.1f}s")
+    assert_no_child_left()
 
 
-def test_criterion_8_invariant_suites(small_connected_corpus):
+def test_criterion_8_invariant_suites(small_connected_corpus, deadline):
     start = time.monotonic()
     # ordering gamma <= gamma_s on every corpus graph
     checks = run_corpus(small_connected_corpus, ["prop1"], workers=1)
@@ -196,3 +197,4 @@ def test_criterion_8_invariant_suites(small_connected_corpus):
     elapsed = time.monotonic() - start
     report("criterion 8 (invariant suites)", True,
            f"prop ordering, count laws, 143-line round trip, determinism, {elapsed:.1f}s")
+    assert_no_child_left()

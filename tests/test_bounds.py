@@ -1,5 +1,3 @@
-import contextlib
-import io
 import json
 import re
 from fractions import Fraction
@@ -31,8 +29,7 @@ from subsec.bounds import (
     stream_checks,
     stream_conjecture,
 )
-from subsec.cli import main
-from conftest import complete, cycle, path, star, wheel_rim6
+from conftest import assert_no_child_left, complete, cycle, path, run_main, star, wheel_rim6
 
 
 def assert_invariants(check):
@@ -185,11 +182,12 @@ class TestRunCorpus:
         for c in checks:
             assert_invariants(c)
 
-    def test_workers_do_not_change_output(self):
+    def test_workers_do_not_change_output(self, deadline):
         corpus = [path(4), cycle(4), star(4), path(5)]
         lone = run_corpus(corpus, ["g13", "prop1", "conj"], workers=1)
         pooled = run_corpus(corpus, ["g13", "prop1", "conj"], workers=3)
         assert lone == pooled
+        assert_no_child_left()
 
     def test_unknown_id_rejected(self):
         with pytest.raises(ValueError):
@@ -226,13 +224,14 @@ class TestRunCorpus:
         assert g12.status == conj.status == "skipped"
         assert g12.detail == conj.detail == "budget: exhausted after 21 nodes"
 
-    def test_engine_crosses_the_pool(self):
+    def test_engine_crosses_the_pool(self, deadline):
         # C5^{1/2} = C10 takes 72 branch nodes and 387 naive ones.
         for engine, detail in (("naive", "budget: exhausted after 301 nodes"), ("branch", "ratio 1")):
             budget = SolverBudget(max_nodes=300, engine=engine)
             c5, p3 = run_corpus([cycle(5), path(3)], ["conj"], budget=budget, workers=2)
             assert c5.detail == detail
             assert p3.exact == 3
+        assert_no_child_left()
 
     def test_certificate_consistency(self):
         # wherever a construction validates, the matching check's exact value
@@ -436,11 +435,10 @@ class TestSkipDetails:
         p30 = tmp_path / "p30.g6"
         p30.write_text(emit_graph6(path(30)) + "\n", encoding="ascii")
         for corpus in (Path(__file__).parent / "golden" / "budget.g6", p30):
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
-                code = main(["verify", "--theorem", *theorems, "--max-nodes", "200", "--corpus", str(corpus)])
+            code, out, _ = run_main(["verify", "--theorem", *theorems, "--max-nodes", "200",
+                                     "--corpus", str(corpus)])
             assert code == 0
-            rows = [line.split("\t") for line in out.getvalue().splitlines()[1:-1]]
+            rows = [line.split("\t") for line in out.splitlines()[1:-1]]
             details = [detail for *_, status, detail in rows if status == "skipped"]
             assert details
             assert [d for d in details if not SKIP_DETAIL.fullmatch(d)] == []

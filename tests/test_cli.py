@@ -1,4 +1,3 @@
-import io
 import json
 import math
 import os
@@ -11,48 +10,27 @@ import pytest
 import subsec
 from subsec import emit_graph6, gamma_s_exact, generate, parse_graph6, subdivide
 from subsec.bounds import CLAIMS
-from subsec.cli import main
 
-from conftest import ENV
-
-
-def run_cli(args, stdin_text="", monkeypatch=None, capsys=None):
-    if monkeypatch is not None:
-        data = stdin_text if isinstance(stdin_text, bytes) else stdin_text.encode()
-        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
-    code = main(args)
-    out, err = capsys.readouterr()
-    return code, out, err
-
-
-def run_proc(args, stdin_text=""):
-    proc = subprocess.run(
-        [sys.executable, "-m", "subsec", *args],
-        input=stdin_text, capture_output=True, text=True, env=ENV,
-    )
-    return proc.returncode, proc.stdout, proc.stderr
+from conftest import ENV, python, run_main
 
 
 class TestGenEnum:
-    def test_gen_path_g6(self, capsys, monkeypatch):
-        code, out, _ = run_cli(["gen", "--family", "path", "--n", "4", "--format", "g6"],
-                               capsys=capsys)
+    def test_gen_path_g6(self):
+        code, out, _ = run_main(["gen", "--family", "path", "--n", "4", "--format", "g6"])
         assert code == 0 and out == "Ch\n"
 
-    def test_gen_edges(self, capsys, monkeypatch):
-        code, out, _ = run_cli(["gen", "--family", "path", "--n", "3", "--format", "edges"],
-                               capsys=capsys)
+    def test_gen_edges(self):
+        code, out, _ = run_main(["gen", "--family", "path", "--n", "3", "--format", "edges"])
         assert code == 0 and out == "p 3\ne 0 1\ne 1 2\n"
 
-    def test_gen_random_seeded(self, capsys, monkeypatch):
+    def test_gen_random_seeded(self):
         args = ["gen", "--family", "random", "--n", "9", "--p", "0.5", "--seed", "11"]
-        code, first, _ = run_cli(args, capsys=capsys)
-        code2, second, _ = run_cli(args, capsys=capsys)
+        code, first, _ = run_main(args)
+        code2, second, _ = run_main(args)
         assert code == code2 == 0 and first == second
 
-    def test_gen_random_without_seed_is_usage_error(self, capsys, monkeypatch):
-        code, _, err = run_cli(["gen", "--family", "random", "--n", "5", "--p", "0.5"],
-                               capsys=capsys)
+    def test_gen_random_without_seed_is_usage_error(self):
+        code, _, err = run_main(["gen", "--family", "random", "--n", "5", "--p", "0.5"])
         assert code == 64 and "seed" in err
 
     @pytest.mark.parametrize("args, message", [
@@ -64,54 +42,49 @@ class TestGenEnum:
         (["--family", "path", "--n", "4", "--p", "0.5"], "--family path takes no --p"),
         (["--family", "cycle", "--n", "4", "--seed", "1"], "--family cycle takes no --seed"),
     ], ids=["path-n", "wheel-rim", "random-p", "star-n", "path-p", "cycle-seed"])
-    def test_gen_parameter_out_of_range_is_usage_error(self, capsys, args, message):
-        code, out, err = run_cli(["gen", *args], capsys=capsys)
+    def test_gen_parameter_out_of_range_is_usage_error(self, args, message):
+        code, out, err = run_main(["gen", *args])
         assert (code, out, err) == (64, "", f"usage error: {message}\n")
 
-    def test_enum(self, capsys, monkeypatch):
-        code, out, _ = run_cli(["enum", "--n", "4"], capsys=capsys)
+    def test_enum(self):
+        code, out, _ = run_main(["enum", "--n", "4"])
         lines = out.splitlines()
         assert code == 0 and len(lines) == 6
         assert all(parse_graph6(line).n == 4 for line in lines)
 
 
 class TestSolveCommands:
-    def test_gamma_s_on_path7(self, capsys, monkeypatch):
-        code, out, _ = run_cli(["gamma-s"], stdin_text=emit_graph6(generate("path", 7)) + "\n",
-                               monkeypatch=monkeypatch, capsys=capsys)
+    def test_gamma_s_on_path7(self):
+        code, out, _ = run_main(["gamma-s"], emit_graph6(generate("path", 7)) + "\n")
         assert code == 0
         assert out == "value=3 status=exact witness=1,3,5\n"
 
-    def test_gamma_batch_lines(self, capsys, monkeypatch):
+    def test_gamma_batch_lines(self):
         stdin = "\n".join(emit_graph6(generate("path", n)) for n in (4, 5, 6)) + "\n"
-        code, out, _ = run_cli(["gamma"], stdin_text=stdin, monkeypatch=monkeypatch, capsys=capsys)
+        code, out, _ = run_main(["gamma"], stdin)
         values = [line.split()[0] for line in out.splitlines()]
         assert code == 0 and values == ["value=2", "value=2", "value=2"]
 
-    def test_skipped_row(self, capsys, monkeypatch):
-        code, out, _ = run_cli(["gamma-s", "--max-vertices", "3"],
-                               stdin_text=emit_graph6(generate("path", 7)) + "\n",
-                               monkeypatch=monkeypatch, capsys=capsys)
+    def test_skipped_row(self):
+        code, out, _ = run_main(["gamma-s", "--max-vertices", "3"],
+                                emit_graph6(generate("path", 7)) + "\n")
         assert code == 0 and out == "value=- status=skipped witness=- cap=vertices\n"
 
-    def test_skipped_row_names_the_node_cap(self, capsys, monkeypatch):
-        code, out, _ = run_cli(["gamma", "--max-nodes", "1"],
-                               stdin_text=emit_graph6(generate("path", 7)) + "\n",
-                               monkeypatch=monkeypatch, capsys=capsys)
+    def test_skipped_row_names_the_node_cap(self):
+        code, out, _ = run_main(["gamma", "--max-nodes", "1"],
+                                emit_graph6(generate("path", 7)) + "\n")
         assert code == 0 and out == "value=- status=skipped witness=- cap=nodes\n"
 
-    def test_edges_input(self, capsys, monkeypatch):
-        code, out, _ = run_cli(["gamma-s", "--format", "edges"],
-                               stdin_text="p 5\ne 0 1\ne 1 2\ne 2 3\ne 3 4\n",
-                               monkeypatch=monkeypatch, capsys=capsys)
+    def test_edges_input(self):
+        code, out, _ = run_main(["gamma-s", "--format", "edges"],
+                                "p 5\ne 0 1\ne 1 2\ne 2 3\ne 3 4\n")
         assert code == 0 and out.startswith("value=3 ")
 
-    def test_naive_matches_default(self, capsys, monkeypatch):
+    def test_naive_matches_default(self):
         stdin = "\n".join(emit_graph6(g) for g in
                           [generate("path", 6), generate("cycle", 5), generate("star", 4)]) + "\n"
-        _, fast, _ = run_cli(["gamma-s"], stdin_text=stdin, monkeypatch=monkeypatch, capsys=capsys)
-        _, slow, _ = run_cli(["gamma-s", "--engine", "naive"], stdin_text=stdin,
-                             monkeypatch=monkeypatch, capsys=capsys)
+        _, fast, _ = run_main(["gamma-s"], stdin)
+        _, slow, _ = run_main(["gamma-s", "--engine", "naive"], stdin)
         assert fast == slow
 
 
@@ -119,15 +92,13 @@ class TestEngineFlag:
     # C5^{1/2} = C10 takes 72 branch nodes and 387 naive ones, so a 300-node
     # cap shows which engine each solving command ran.
     @pytest.mark.parametrize("engine", ["naive", "branch"])
-    def test_engine_reaches_the_solver(self, capsys, monkeypatch, engine):
+    def test_engine_reaches_the_solver(self, engine):
         flags = ["--engine", engine, "--max-nodes", "300"]
         half = emit_graph6(subdivide(parse_graph6("Dhc"), 2).derived) + "\n"
-        _, solved, _ = run_cli(["gamma-s", *flags], stdin_text=half,
-                               monkeypatch=monkeypatch, capsys=capsys)
-        _, verified, _ = run_cli(["verify", "--theorem", "conj", "--output", "jsonl", *flags],
-                                 stdin_text="Dhc\n", monkeypatch=monkeypatch, capsys=capsys)
-        _, scanned, _ = run_cli(["conjecture", "--output", "jsonl", *flags],
-                                stdin_text="Dhc\n", monkeypatch=monkeypatch, capsys=capsys)
+        _, solved, _ = run_main(["gamma-s", *flags], half)
+        _, verified, _ = run_main(["verify", "--theorem", "conj", "--output", "jsonl", *flags],
+                                  "Dhc\n")
+        _, scanned, _ = run_main(["conjecture", "--output", "jsonl", *flags], "Dhc\n")
         check = json.loads(verified.splitlines()[0])
         row = json.loads(scanned.splitlines()[0])
         if engine == "naive":
@@ -141,92 +112,79 @@ class TestEngineFlag:
 
 
 class TestSubdivideCommand:
-    def test_pipe_composability(self, capsys, monkeypatch):
+    def test_pipe_composability(self):
         base = generate("path", 4)
-        code, mid, _ = run_cli(["subdivide", "--k", "2"], stdin_text=emit_graph6(base) + "\n",
-                               monkeypatch=monkeypatch, capsys=capsys)
+        code, mid, _ = run_main(["subdivide", "--k", "2"], emit_graph6(base) + "\n")
         assert code == 0
-        code, out, _ = run_cli(["gamma-s"], stdin_text=mid, monkeypatch=monkeypatch, capsys=capsys)
+        code, out, _ = run_main(["gamma-s"], mid)
         assert code == 0
         direct = gamma_s_exact(subdivide(base, 2).derived)
         witness = ",".join(str(v) for v in direct.witness.sorted())
         assert out == f"value={direct.value} status=exact witness={witness}\n"
 
-    def test_labels_in_edges_format(self, capsys, monkeypatch):
-        code, out, _ = run_cli(
-            ["subdivide", "--k", "3", "--format", "edges", "--labels"],
-            stdin_text="p 2\ne 0 1\n", monkeypatch=monkeypatch, capsys=capsys)
+    def test_labels_in_edges_format(self):
+        code, out, _ = run_main(["subdivide", "--k", "3", "--format", "edges", "--labels"],
+                                "p 2\ne 0 1\n")
         assert code == 0
         assert "# label 2\tInternal(0,1,1)" in out
         assert "# label 0\tOriginal(0)" in out
         # the label comments stay parseable as an edge list
-        code, out2, _ = run_cli(["gamma-s", "--format", "edges"], stdin_text=out,
-                                monkeypatch=monkeypatch, capsys=capsys)
+        code, out2, _ = run_main(["gamma-s", "--format", "edges"], out)
         assert code == 0 and out2.startswith("value=2 ")
 
-    def test_labels_need_edges_format(self, capsys, monkeypatch):
-        code, _, err = run_cli(["subdivide", "--k", "2", "--labels"], stdin_text="A_\n",
-                               monkeypatch=monkeypatch, capsys=capsys)
+    def test_labels_need_edges_format(self):
+        code, _, err = run_main(["subdivide", "--k", "2", "--labels"], "A_\n")
         assert code == 64 and "--labels" in err
 
     @pytest.mark.parametrize("k, stdin", [("0", "A_\n"), ("0", ""), ("-2", ""),
                                           ("0", "not graph6 !!\n")])
-    def test_bad_k_is_usage_error_before_input(self, capsys, monkeypatch, k, stdin):
-        code, out, err = run_cli(["subdivide", "--k", k], stdin_text=stdin,
-                                 monkeypatch=monkeypatch, capsys=capsys)
+    def test_bad_k_is_usage_error_before_input(self, k, stdin):
+        code, out, err = run_main(["subdivide", "--k", k], stdin)
         assert code == 64 and out == "" and err == f"usage error: subdivide needs --k >= 1, got {k}\n"
 
 
 class TestCertCommand:
-    def test_quarter_on_single_edge(self, capsys, monkeypatch):
-        code, out, _ = run_cli(["cert", "--theorem", "quarter"], stdin_text="A_\n",
-                               monkeypatch=monkeypatch, capsys=capsys)
+    def test_quarter_on_single_edge(self):
+        code, out, _ = run_main(["cert", "--theorem", "quarter"], "A_\n")
         assert code == 0
         assert "theorem=quarter claimed=2 size=2 validated=false" in out
         assert "labels=Internal(0,1,1),Internal(0,1,3)" in out
 
-    def test_half_prints_both(self, capsys, monkeypatch):
-        code, out, _ = run_cli(["cert", "--theorem", "half"],
-                               stdin_text=emit_graph6(generate("path", 4)) + "\n",
-                               monkeypatch=monkeypatch, capsys=capsys)
+    def test_half_prints_both(self):
+        code, out, _ = run_main(["cert", "--theorem", "half"],
+                                emit_graph6(generate("path", 4)) + "\n")
         assert code == 0
         assert "theorem=half.internal" in out and "theorem=half.original" in out
 
-    def test_star_needs_k(self, capsys, monkeypatch):
-        code, _, err = run_cli(["cert", "--theorem", "star"],
-                               stdin_text=emit_graph6(generate("star", 4)) + "\n",
-                               monkeypatch=monkeypatch, capsys=capsys)
+    def test_star_needs_k(self):
+        code, _, err = run_main(["cert", "--theorem", "star"],
+                                emit_graph6(generate("star", 4)) + "\n")
         assert code == 64 and "--k" in err
 
-    def test_general(self, capsys, monkeypatch):
-        code, out, _ = run_cli(["cert", "--theorem", "general", "-n", "6"], stdin_text="A_\n",
-                               monkeypatch=monkeypatch, capsys=capsys)
+    def test_general(self):
+        code, out, _ = run_main(["cert", "--theorem", "general", "-n", "6"], "A_\n")
         assert code == 0 and "claimed=3 size=3 validated=true" in out
 
     @pytest.mark.parametrize("n, stdin", [("3", "A_\n"), ("0", "A_\n"), ("5", ""), ("0", ""),
                                           ("3", "not graph6 !!\n")])
-    def test_general_bad_n_is_usage_error_before_input(self, capsys, monkeypatch, n, stdin):
-        code, out, err = run_cli(["cert", "--theorem", "general", "-n", n], stdin_text=stdin,
-                                 monkeypatch=monkeypatch, capsys=capsys)
+    def test_general_bad_n_is_usage_error_before_input(self, n, stdin):
+        code, out, err = run_main(["cert", "--theorem", "general", "-n", n], stdin)
         assert code == 64 and out == "" and err == f"usage error: general needs -n >= 6, got {n}\n"
 
-    def test_general_needs_n(self, capsys, monkeypatch):
-        code, out, err = run_cli(["cert", "--theorem", "general"], stdin_text="",
-                                 monkeypatch=monkeypatch, capsys=capsys)
+    def test_general_needs_n(self):
+        code, out, err = run_main(["cert", "--theorem", "general"])
         assert code == 64 and out == "" and err == "usage error: general needs the subdivision parameter -n\n"
 
     @pytest.mark.parametrize("n", ["7", "9", "14"])
-    def test_general_uncovered_residue_is_usage_error_before_input(self, capsys, monkeypatch, n):
-        code, out, err = run_cli(["cert", "--theorem", "general", "-n", n], stdin_text="",
-                                 monkeypatch=monkeypatch, capsys=capsys)
+    def test_general_uncovered_residue_is_usage_error_before_input(self, n):
+        code, out, err = run_main(["cert", "--theorem", "general", "-n", n])
         assert code == 64 and out == ""
         assert err == f"usage error: general needs n = 7k + r with r in (-1, 1, 3, 5); n={n} is r024\n"
 
     @pytest.mark.parametrize("flags", [["--theorem", "star"], ["--theorem", "star", "--k", "4"],
                                        ["--theorem", "star", "-n", "2"]])
-    def test_star_bad_k_is_usage_error_before_input(self, capsys, monkeypatch, flags):
-        code, out, err = run_cli(["cert", *flags], stdin_text="",
-                                 monkeypatch=monkeypatch, capsys=capsys)
+    def test_star_bad_k_is_usage_error_before_input(self, flags):
+        code, out, err = run_main(["cert", *flags])
         assert code == 64 and out == "" and err == "usage error: --theorem star needs --k 2 or --k 3\n"
 
     @pytest.mark.parametrize("stdin", ["", "A_\n"])
@@ -240,15 +198,13 @@ class TestCertCommand:
         (["--theorem", "general", "-n", "5", "--k", "9"], "general needs -n >= 6, got 5"),
         (["--theorem", "general", "--k", "9"], "general needs the subdivision parameter -n"),
     ])
-    def test_unread_parameter_is_usage_error_before_input(self, capsys, monkeypatch, flags,
+    def test_unread_parameter_is_usage_error_before_input(self, flags,
                                                           message, stdin):
-        code, out, err = run_cli(["cert", *flags], stdin_text=stdin,
-                                 monkeypatch=monkeypatch, capsys=capsys)
+        code, out, err = run_main(["cert", *flags], stdin)
         assert code == 64 and out == "" and err == f"usage error: {message}\n"
 
-    def test_star_on_non_star_base(self, capsys, monkeypatch):
-        code, out, err = run_cli(["cert", "--theorem", "star", "--k", "2"], stdin_text="Ch\n",
-                                 monkeypatch=monkeypatch, capsys=capsys)
+    def test_star_on_non_star_base(self):
+        code, out, err = run_main(["cert", "--theorem", "star", "--k", "2"], "Ch\n")
         assert code == 0 and err == ""
         assert out == "theorem=star status=skipped (star certificate needs a star base)\n"
 
@@ -261,11 +217,11 @@ class TestCertCommand:
         (["--theorem", "quarter"], 143, {}),
         (["--theorem", "general", "-n", "13"], 143, {}),
     ])
-    def test_bases_a_construction_cannot_take_are_skipped(self, capsys, flags, built, skipped):
+    def test_bases_a_construction_cannot_take_are_skipped(self, flags, built, skipped):
         """One skip line per base the construction does not take; the rest
         of the corpus is still certified, in input order."""
         corpus = os.path.join(os.path.dirname(subsec.__file__), "data", "connected_upto6.g6")
-        code, out, err = run_cli(["cert", *flags, "--input", corpus], capsys=capsys)
+        code, out, err = run_main(["cert", *flags, "--input", corpus])
         assert code == 0 and err == ""
         lines = out.splitlines()
         prefix = f"theorem={flags[1]} status=skipped ("
@@ -277,50 +233,42 @@ class TestCertCommand:
 
 
 class TestVerifyCommand:
-    def test_tsv_with_violation_row(self, capsys, monkeypatch):
+    def test_tsv_with_violation_row(self):
         stdin = "A_\nBg\n"
-        code, out, _ = run_cli(["verify", "--theorem", "g14", "--corpus", "-"],
-                               stdin_text=stdin, monkeypatch=monkeypatch, capsys=capsys)
+        code, out, _ = run_main(["verify", "--theorem", "g14", "--corpus", "-"], stdin)
         assert code == 0
         lines = out.splitlines()
         assert lines[1].split("\t")[:2] == ["A_", "g14"]
         assert "violated" in lines[1]
         assert lines[-1].startswith("# summary:")
 
-    def test_fail_on_violation_exit_code(self, capsys, monkeypatch):
-        code, _, _ = run_cli(["verify", "--theorem", "g14", "--fail-on-violation"],
-                             stdin_text="A_\n", monkeypatch=monkeypatch, capsys=capsys)
+    def test_fail_on_violation_exit_code(self):
+        code, _, _ = run_main(["verify", "--theorem", "g14", "--fail-on-violation"], "A_\n")
         assert code == 2
-        code, _, _ = run_cli(["verify", "--theorem", "g13", "--fail-on-violation"],
-                             stdin_text="A_\n", monkeypatch=monkeypatch, capsys=capsys)
+        code, _, _ = run_main(["verify", "--theorem", "g13", "--fail-on-violation"], "A_\n")
         assert code == 0
 
-    def test_comma_separated_theorems(self, capsys, monkeypatch):
-        code, out, _ = run_cli(["verify", "--theorem", "g13,g14"], stdin_text="Bg\n",
-                               monkeypatch=monkeypatch, capsys=capsys)
+    def test_comma_separated_theorems(self):
+        code, out, _ = run_main(["verify", "--theorem", "g13,g14"], "Bg\n")
         assert code == 0
         assert [line.split("\t")[1] for line in out.splitlines()[1:-1]] == ["g13", "g14"]
 
-    def test_jsonl_output(self, capsys, monkeypatch):
-        code, out, _ = run_cli(["verify", "--theorem", "prop1", "--output", "jsonl"],
-                               stdin_text="Ch\n", monkeypatch=monkeypatch, capsys=capsys)
+    def test_jsonl_output(self):
+        code, out, _ = run_main(["verify", "--theorem", "prop1", "--output", "jsonl"], "Ch\n")
         rows = [json.loads(line) for line in out.splitlines()]
         assert code == 0 and rows[0]["status"] in ("holds", "tight")
 
-    def test_unknown_theorem_usage_error(self, capsys, monkeypatch):
-        code, _, err = run_cli(["verify", "--theorem", "g99"], stdin_text="A_\n",
-                               monkeypatch=monkeypatch, capsys=capsys)
+    def test_unknown_theorem_usage_error(self):
+        code, _, err = run_main(["verify", "--theorem", "g99"], "A_\n")
         assert code == 64 and "g99" in err
 
-    def test_g16_needs_n(self, capsys, monkeypatch):
-        code, _, err = run_cli(["verify", "--theorem", "g16"], stdin_text="A_\n",
-                               monkeypatch=monkeypatch, capsys=capsys)
+    def test_g16_needs_n(self):
+        code, _, err = run_main(["verify", "--theorem", "g16"], "A_\n")
         assert code == 64 and "-n" in err
 
     @pytest.mark.parametrize("theorem, n", [("r024", "8"), ("g16", "3"), ("r024", "2")])
-    def test_bad_n_on_empty_corpus_is_usage_error(self, capsys, monkeypatch, theorem, n):
-        code, out, err = run_cli(["verify", "--theorem", theorem, "-n", n], stdin_text="",
-                                 monkeypatch=monkeypatch, capsys=capsys)
+    def test_bad_n_on_empty_corpus_is_usage_error(self, theorem, n):
+        code, out, err = run_main(["verify", "--theorem", theorem, "-n", n])
         reason = ("needs n mod 7 in (0, 2, 4); n=8 is r=1" if n == "8"
                   else f"needs -n >= 6, got {n}")
         assert code == 64 and out == "" and err == f"usage error: {theorem} {reason}\n"
@@ -328,30 +276,26 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("stdin", ["", "Ch\n", "not graph6 !!\n"])
     @pytest.mark.parametrize("theorems", [["g14"], ["prop1,g12", "--theorem", "conj"],
                                           ["g13,,g15"]])
-    def test_n_read_by_no_claim_is_usage_error_before_input(self, capsys, monkeypatch,
-                                                            theorems, stdin):
-        code, out, err = run_cli(["verify", "--theorem", *theorems, "-n", "13"], stdin_text=stdin,
-                                 monkeypatch=monkeypatch, capsys=capsys)
+    def test_n_read_by_no_claim_is_usage_error_before_input(self, theorems, stdin):
+        code, out, err = run_main(["verify", "--theorem", *theorems, "-n", "13"], stdin)
         ids = ",".join(tid for arg in theorems[::2] for tid in arg.split(",") if tid)
         assert code == 64 and out == "" and err == f"usage error: --theorem {ids} takes no -n\n"
 
     @pytest.mark.parametrize("theorems", ["g14,g16", "r024,prop1"])
-    def test_n_is_valid_when_one_claim_reads_it(self, capsys, monkeypatch, theorems):
+    def test_n_is_valid_when_one_claim_reads_it(self, theorems):
         n = "13" if "g16" in theorems else "14"
-        code, out, err = run_cli(["verify", "--theorem", theorems, "-n", n, "--max-vertices", "8"],
-                                 stdin_text="A_\n", monkeypatch=monkeypatch, capsys=capsys)
+        code, out, err = run_main(["verify", "--theorem", theorems, "-n", n, "--max-vertices", "8"],
+                                  "A_\n")
         assert code == 0 and err == ""
         assert [line.split("\t")[1] for line in out.splitlines()[1:-1]] == theorems.split(",")
 
     @pytest.mark.parametrize("theorem", [",", ""])
-    def test_empty_theorem_list_is_usage_error_before_input(self, capsys, monkeypatch, theorem):
-        code, out, err = run_cli(["verify", "--theorem", theorem], stdin_text="not graph6 !!\n",
-                                 monkeypatch=monkeypatch, capsys=capsys)
+    def test_empty_theorem_list_is_usage_error_before_input(self, theorem):
+        code, out, err = run_main(["verify", "--theorem", theorem], "not graph6 !!\n")
         assert code == 64 and out == "" and err == "usage error: --theorem names no theorem id\n"
 
-    def test_unknown_theorem_checked_before_input(self, capsys, monkeypatch):
-        code, out, err = run_cli(["verify", "--theorem", "g99"], stdin_text="not graph6 !!\n",
-                                 monkeypatch=monkeypatch, capsys=capsys)
+    def test_unknown_theorem_checked_before_input(self):
+        code, out, err = run_main(["verify", "--theorem", "g99"], "not graph6 !!\n")
         assert code == 64 and out == "" and "g99" in err
 
     @pytest.mark.parametrize("output, row", [
@@ -361,29 +305,26 @@ class TestVerifyCommand:
                   '"detail": "ratio -; exact 0 <= lower 0"}'),
         ("text", "? conj: lower=0 exact=0 -> violated (ratio -; exact 0 <= lower 0)"),
     ], ids=["tsv", "jsonl", "text"])
-    def test_conj_on_empty_graph_prints_missing_ratio_as_dash(self, capsys, monkeypatch,
-                                                              output, row):
+    def test_conj_on_empty_graph_prints_missing_ratio_as_dash(self, output, row):
         # gamma_s(G^{1/2})/n_G has no value for n_G = 0; conjecture prints it as -/null too.
-        code, out, err = run_cli(["verify", "--theorem", "conj", "--output", output],
-                                 stdin_text="?\n", monkeypatch=monkeypatch, capsys=capsys)
+        code, out, err = run_main(["verify", "--theorem", "conj", "--output", output], "?\n")
         assert code == 0 and err == "" and row in out.splitlines()
 
-    def test_n_help_names_the_claims_whose_k_is_a_rule(self, capsys):
-        assert main(["verify", "--help"]) == 0
-        [line] = [line for line in capsys.readouterr().out.splitlines()
-                  if line.lstrip().startswith("-n ")]
+    def test_n_help_names_the_claims_whose_k_is_a_rule(self):
+        code, out, _ = run_main(["verify", "--help"])
+        assert code == 0
+        [line] = [line for line in out.splitlines() if line.lstrip().startswith("-n ")]
         named = line.split("--theorem", 1)[1].replace(",", " ").split()
         assert named == [claim.id for claim in CLAIMS if not isinstance(claim.k, int)]
         assert named == ["g16", "r024"]
 
 
 class TestErrorsAndExitCodes:
-    def test_usage_error_is_64(self, capsys, monkeypatch):
-        code, _, _ = run_cli(["gen", "--family", "nope", "--n", "3"], capsys=capsys)
+    def test_usage_error_is_64(self):
+        code, _, _ = run_main(["gen", "--family", "nope", "--n", "3"])
         assert code == 64
         for flags in (["--engine", "dp"], ["--naive"], ["--time-ms", "5"]):
-            code, out, err = run_cli(["gamma-s", *flags], stdin_text="A_\n",
-                                     monkeypatch=monkeypatch, capsys=capsys)
+            code, out, err = run_main(["gamma-s", *flags], "A_\n")
             assert code == 64 and out == "" and err.startswith("usage error:")
 
     @pytest.mark.parametrize("args, stdin, value", [
@@ -391,30 +332,26 @@ class TestErrorsAndExitCodes:
         (["gamma-s", "--format", "edges"], "p 5000\n", 5000),
         (["gamma"], emit_graph6(generate("path", 3000)) + "\n", 1000),
     ], ids=["gamma", "gamma-s", "gamma-path"])
-    def test_search_past_the_recursion_limit_is_exact(self, capsys, monkeypatch, args, stdin, value):
+    def test_search_past_the_recursion_limit_is_exact(self, args, stdin, value):
         # The branch search recurses once per pick, deeper here than the
         # default recursion limit of 1000 calls: 5000 picks on the edgeless
         # graph at the order cap, the deepest search a budget allows.
-        code, out, err = run_cli([*args, "--max-vertices", "5000"], stdin_text=stdin,
-                                 monkeypatch=monkeypatch, capsys=capsys)
+        code, out, err = run_main([*args, "--max-vertices", "5000"], stdin)
         assert (code, err) == (0, "") and out.startswith(f"value={value} status=exact witness=")
 
     @pytest.mark.parametrize("command", ["gamma", "gamma-s", "verify --theorem g13", "conjecture"])
-    def test_order_cap_past_the_search_depth_is_64(self, capsys, monkeypatch, command):
-        code, out, err = run_cli([*command.split(), "--max-vertices", "5001"], stdin_text="A_\n",
-                                 monkeypatch=monkeypatch, capsys=capsys)
+    def test_order_cap_past_the_search_depth_is_64(self, command):
+        code, out, err = run_main([*command.split(), "--max-vertices", "5001"], "A_\n")
         assert (code, out) == (64, "")
         assert err == "usage error: max_vertices 5001 is past the search's depth limit 5000\n"
 
-    def test_parse_error_is_65_with_line(self, capsys, monkeypatch):
-        code, _, err = run_cli(["gamma"], stdin_text="A_\nA__\n",
-                               monkeypatch=monkeypatch, capsys=capsys)
+    def test_parse_error_is_65_with_line(self):
+        code, _, err = run_main(["gamma"], "A_\nA__\n")
         assert code == 65 and "line 2" in err
 
-    def test_huge_edge_list_order_is_65_with_line(self, capsys, monkeypatch):
-        code, out, err = run_cli(["gamma-s", "--format", "edges"],
-                                 stdin_text="# comment\np 99999999999999999999\n",
-                                 monkeypatch=monkeypatch, capsys=capsys)
+    def test_huge_edge_list_order_is_65_with_line(self):
+        code, out, err = run_main(["gamma-s", "--format", "edges"],
+                                  "# comment\np 99999999999999999999\n")
         assert code == 65 and out == ""
         assert err == "parse error: line 2: vertex count 99999999999999999999 is too large to build\n"
 
@@ -425,43 +362,28 @@ class TestErrorsAndExitCodes:
         (["gen", "--family", "path", "--n", "4"], "", 64, "usage error: graph on 4 vertices"),
         (["subdivide", "--k", "3"], "A_\n", 64, "usage error: graph on 4 vertices"),
     ], ids=["graph6", "edges", "gen", "subdivide"])
-    def test_graph_past_the_size_bound_exit_code(self, capsys, monkeypatch, args, stdin, code, message):
+    def test_graph_past_the_size_bound_exit_code(self, monkeypatch, args, stdin, code, message):
         # A bound of the 4 vertex slots alone refuses any edge: input in
         # either format is a parse error on its line, a built graph a usage
         # error.
         import subsec.graphs as graphs
 
         monkeypatch.setattr(graphs, "MAX_ADJACENCY_BITS", 64 * 4)
-        code_, out, err = run_cli(args, stdin_text=stdin, monkeypatch=monkeypatch, capsys=capsys)
+        code_, out, err = run_main(args, stdin)
         assert code_ == code and out == ""
         assert err.startswith(message + " is too large to build")
 
-    def test_bad_byte_in_file_is_65_with_line(self, capsys, tmp_path):
+    def test_bad_byte_in_file_is_65_with_line(self, tmp_path):
         corpus = tmp_path / "bad.g6"
         corpus.write_bytes(b"Ch\n\xff\n")
-        code, out, err = run_cli(["verify", "--theorem", "g13", "--corpus", str(corpus)],
-                                 capsys=capsys)
+        code, out, err = run_main(["verify", "--theorem", "g13", "--corpus", str(corpus)])
         assert code == 65 and out == ""
         assert err == "parse error: line 2: byte 255 outside graph6 alphabet\n"
 
-    def test_missing_file_is_65(self, capsys, monkeypatch):
-        code, out, err = run_cli(["verify", "--theorem", "g13", "--corpus", "/no/such/file"],
-                                 capsys=capsys)
+    def test_missing_file_is_65(self):
+        code, out, err = run_main(["verify", "--theorem", "g13", "--corpus", "/no/such/file"])
         assert (code, out) == (65, "")
         assert err == "parse error: [Errno 2] No such file or directory: '/no/such/file'\n"
-
-    def test_closed_stdout_is_141_and_quiet(self):
-        # The read end is closed before the child starts, so its first write
-        # to stdout fails with EPIPE, as under `subsec enum --n 5 | head -0`.
-        read_end, write_end = os.pipe()
-        os.close(read_end)
-        try:
-            proc = subprocess.run([sys.executable, "-m", "subsec", "enum", "--n", "5"],
-                                  stdout=write_end, stderr=subprocess.PIPE, env=ENV)
-        finally:
-            os.close(write_end)
-        assert proc.returncode == 141
-        assert proc.stderr == b""
 
 
 class TestFlagParsing:
@@ -473,22 +395,20 @@ class TestFlagParsing:
         ["gen", "--family=path", "--n=4"],
         ["gen", "--n", "4", "--family=path", "--format=g6"],
     ], ids=["spaced", "equals", "mixed"])
-    def test_value_forms_are_accepted(self, capsys, args):
-        assert run_cli(args, capsys=capsys) == (0, "Ch\n", "")
+    def test_value_forms_are_accepted(self, args):
+        assert run_main(args) == (0, "Ch\n", "")
 
-    def test_short_n_takes_its_value(self, capsys, monkeypatch):
-        code, out, err = run_cli(["cert", "--theorem", "general", "-n", "6"], stdin_text="A_\n",
-                                 monkeypatch=monkeypatch, capsys=capsys)
+    def test_short_n_takes_its_value(self):
+        code, out, err = run_main(["cert", "--theorem", "general", "-n", "6"], "A_\n")
         assert code == 0 and err == "" and "claimed=3 size=3 validated=true" in out
 
-    def test_negative_value_reaches_the_command_check(self, capsys, monkeypatch):
+    def test_negative_value_reaches_the_command_check(self):
         for args in (["subdivide", "--k", "-1"], ["subdivide", "--k=-1"]):
-            code, out, err = run_cli(args, stdin_text="A_\n", monkeypatch=monkeypatch, capsys=capsys)
+            code, out, err = run_main(args, "A_\n")
             assert (code, out, err) == (64, "", "usage error: subdivide needs --k >= 1, got -1\n")
 
-    def test_repeated_theorem_accumulates(self, capsys, monkeypatch):
-        code, out, _ = run_cli(["verify", "--theorem", "g13", "--theorem", "prop1,g12"],
-                               stdin_text="Ch\n", monkeypatch=monkeypatch, capsys=capsys)
+    def test_repeated_theorem_accumulates(self):
+        code, out, _ = run_main(["verify", "--theorem", "g13", "--theorem", "prop1,g12"], "Ch\n")
         assert code == 0
         assert [line.split("\t")[1] for line in out.splitlines()[1:-1]] == ["g13", "prop1", "g12"]
 
@@ -502,8 +422,8 @@ class TestFlagParsing:
          "p 3\ne 0 2\ne 1 2\n# label 0\tOriginal(0)\n# label 1\tOriginal(1)\n"
          "# label 2\tInternal(0,1,1)\n"),
     ], ids=["gen", "larger-last", "smaller-last", "switch"])
-    def test_other_repeated_flags_keep_the_last_value(self, capsys, monkeypatch, args, stdin, out):
-        assert run_cli(args, stdin_text=stdin, monkeypatch=monkeypatch, capsys=capsys) == (0, out, "")
+    def test_other_repeated_flags_keep_the_last_value(self, args, stdin, out):
+        assert run_main(args, stdin) == (0, out, "")
 
     @pytest.mark.parametrize("args, message", [
         ([], "missing command (choose from gen, enum, subdivide, gamma, gamma-s, cert, verify, "
@@ -537,18 +457,18 @@ class TestFlagParsing:
             "float-for-int", "bad-float", "engine-choice", "format-choice", "theorem-choice",
             "subdivide-k", "verify-theorem", "gen-family", "positional", "dash-positional",
             "switch-value"])
-    def test_bad_command_line_is_64_and_names_the_flag(self, capsys, monkeypatch, args, message):
-        code, out, err = run_cli(args, stdin_text="A_\n", monkeypatch=monkeypatch, capsys=capsys)
+    def test_bad_command_line_is_64_and_names_the_flag(self, args, message):
+        code, out, err = run_main(args, "A_\n")
         assert (code, out, err) == (64, "", f"usage error: {message}\n")
 
     @pytest.mark.parametrize("command", ["gen", "enum", "subdivide", "gamma", "gamma-s", "cert",
                                          "verify", "conjecture"])
-    def test_help_lists_every_flag_of_the_table(self, capsys, command):
+    def test_help_lists_every_flag_of_the_table(self, command):
         from subsec import cli
 
         flags, _ = cli._command(command)
-        assert main([command, "--help"]) == 0
-        out = capsys.readouterr().out
+        code, out, _ = run_main([command, "--help"])
+        assert code == 0
         listed = [line.split()[0] for line in out.split("flags:\n", 1)[1].splitlines()]
         assert listed == [flag.name for flag in flags] + ["-h,"]
         assert out.startswith(f"usage: subsec {command} ")
@@ -556,12 +476,12 @@ class TestFlagParsing:
     @pytest.mark.parametrize("args", [["--help"], ["-h"], ["verify", "--help"], ["cert", "-h"],
                                       ["gamma-s", "--max-nodes", "5", "--help"]],
                              ids=["top", "top-short", "verify", "cert-short", "after-flags"])
-    def test_help_bytes_do_not_depend_on_the_terminal_width(self, capsys, args):
-        assert main(args) == 0
-        expected = capsys.readouterr().out.encode()
+    def test_help_bytes_do_not_depend_on_the_terminal_width(self, args):
+        code, out, _ = run_main(args)
+        assert code == 0
+        expected = out.encode()
         for columns in ("20", "300"):
-            proc = subprocess.run([sys.executable, "-m", "subsec", *args], capture_output=True,
-                                  env=ENV | {"COLUMNS": columns})
+            proc = python("-m", "subsec", *args, env=ENV | {"COLUMNS": columns})
             assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, b"")
 
 
@@ -574,34 +494,33 @@ class TestInputBytes:
         corpus = tmp_path / "bad.g6"
         corpus.write_bytes(data)
         env = ENV | {"PYTHONIOENCODING": "utf-8"}
-        base = [sys.executable, "-m", "subsec", "verify", "--theorem", "g13"]
-        piped = subprocess.run(base, input=data, capture_output=True, env=env)
-        named = subprocess.run([*base, "--corpus", str(corpus)], capture_output=True, env=env)
+        base = ["-m", "subsec", "verify", "--theorem", "g13"]
+        piped = python(*base, stdin=data, env=env)
+        named = python(*base, "--corpus", str(corpus), env=env)
         for proc in (piped, named):
             assert proc.returncode == 65 and proc.stdout == b""
             assert proc.stderr == b"parse error: line 2: byte 255 outside graph6 alphabet\n"
 
     @pytest.mark.parametrize("data, byte", [(b"Ch\xa0\n", 160), (b"\x85\nCh\n", 133)])
-    def test_non_ascii_space_is_a_bad_byte(self, capsys, monkeypatch, data, byte):
-        code, out, err = run_cli(["gamma"], stdin_text=data, monkeypatch=monkeypatch, capsys=capsys)
+    def test_non_ascii_space_is_a_bad_byte(self, data, byte):
+        code, out, err = run_main(["gamma"], data)
         assert code == 65 and out == ""
         assert err == f"parse error: line 1: byte {byte} outside graph6 alphabet\n"
 
-    def test_utf8_comment_in_edge_list(self, capsys, monkeypatch, tmp_path):
+    def test_utf8_comment_in_edge_list(self, tmp_path):
         # U+00C5 is C3 85, and 0x85 alone is NEL, a line break to str.splitlines
         data = b"# r\xc3\x85d\np 3\ne 0 1\ne 1 2\n"
         path = tmp_path / "p3.edges"
         path.write_bytes(data)
         args = ["gamma-s", "--format", "edges"]
-        piped = run_cli(args, stdin_text=data, monkeypatch=monkeypatch, capsys=capsys)
-        named = run_cli([*args, "--input", str(path)], capsys=capsys)
+        piped = run_main(args, data)
+        named = run_main([*args, "--input", str(path)])
         assert piped == named == (0, "value=2 status=exact witness=0,1\n", "")
 
     @pytest.mark.parametrize("args", [["gamma-s"], ["verify", "--theorem", "prop1,g12"]])
-    def test_cr_and_crlf_lines_match_lf(self, capsys, monkeypatch, args):
+    def test_cr_and_crlf_lines_match_lf(self, args):
         lf = b">>graph6<<A_\n\nCh\nBw\n"
-        outs = [run_cli(args, stdin_text=lf.replace(b"\n", end),
-                        monkeypatch=monkeypatch, capsys=capsys)
+        outs = [run_main(args, lf.replace(b"\n", end))
                 for end in (b"\n", b"\r", b"\r\n")]
         assert outs[0][0] == 0 and len(outs[0][1].splitlines()) >= 3
         assert outs[0] == outs[1] == outs[2]
@@ -613,20 +532,17 @@ class TestInputBytes:
         ("p 3\ne \u0661 0\n", "line 2: bad edge endpoints"),
         ("p -3\n", "line 1: vertex count must be nonnegative"),
     ])
-    def test_edge_list_numbers_are_ascii_decimals(self, capsys, monkeypatch, text, message):
-        code, out, err = run_cli(["gamma-s", "--format", "edges"], stdin_text=text,
-                                 monkeypatch=monkeypatch, capsys=capsys)
+    def test_edge_list_numbers_are_ascii_decimals(self, text, message):
+        code, out, err = run_main(["gamma-s", "--format", "edges"], text)
         assert code == 65 and out == "" and err.startswith(f"parse error: {message}")
 
-    def test_edge_list_without_size_line_is_65(self, capsys, monkeypatch):
-        code, out, err = run_cli(["gamma", "--format", "edges"], stdin_text="# only a comment\n",
-                                 monkeypatch=monkeypatch, capsys=capsys)
+    def test_edge_list_without_size_line_is_65(self):
+        code, out, err = run_main(["gamma", "--format", "edges"], "# only a comment\n")
         assert (code, out, err) == (65, "", "parse error: no 'p <n>' line found\n")
 
     @pytest.mark.parametrize("byte", [0x1C, 0x1D, 0x1E, 0x1F, 0x85, 0xA0])
     @pytest.mark.parametrize("line", ["size", "edge"])
-    def test_edge_list_fields_split_on_ascii_whitespace_only(self, capsys, monkeypatch, byte,
-                                                             line):
+    def test_edge_list_fields_split_on_ascii_whitespace_only(self, byte, line):
         # str.split() would read each of these bytes as a field separator
         space = chr(byte)
         if line == "size":
@@ -634,11 +550,10 @@ class TestInputBytes:
         else:
             text = f"p 3\ne 0{space}1\n"
             message = f"line 2: expected 'e <u> <v>' line, got {f'e 0{space}1'!r}"
-        code, out, err = run_cli(["gamma", "--format", "edges"], stdin_text=text.encode("latin-1"),
-                                 monkeypatch=monkeypatch, capsys=capsys)
+        code, out, err = run_main(["gamma", "--format", "edges"], text.encode("latin-1"))
         assert (code, out, err) == (65, "", f"parse error: {message}\n")
 
-    def test_edge_list_is_named_only_by_reports(self, capsys, monkeypatch):
+    def test_edge_list_is_named_only_by_reports(self, monkeypatch):
         # Every module that writes graph6 imports the writer from formats
         # when it runs, so patching formats covers them all.
         from subsec import formats
@@ -654,12 +569,10 @@ class TestInputBytes:
 
         monkeypatch.setattr(formats, "emit_graph6", refuse)
         edges = "p 4\ne 0 1\ne 1 2\ne 2 3\n"
-        code, out, _ = run_cli(["gamma", "--format", "edges"], stdin_text=edges,
-                               monkeypatch=monkeypatch, capsys=capsys)
+        code, out, _ = run_main(["gamma", "--format", "edges"], edges)
         assert code == 0 and out == "value=2 status=exact witness=0,2\n"
         monkeypatch.setattr(formats, "emit_graph6", counted)
-        code, out, _ = run_cli(["verify", "--format", "edges", "--theorem", "g12,g13,conj"],
-                               stdin_text=edges, monkeypatch=monkeypatch, capsys=capsys)
+        code, out, _ = run_main(["verify", "--format", "edges", "--theorem", "g12,g13,conj"], edges)
         assert code == 0 and len(calls) == 1
         assert [line.split("\t")[0] for line in out.splitlines()[1:-1]] == ["Ch"] * 3
 
@@ -668,9 +581,8 @@ class TestSubprocessPipeline:
     def test_huge_edgeless_order_validates_in_linear_time(self):
         # Graph validation must stay linear in the order: work quadratic in
         # n takes minutes on a million vertices.
-        proc = subprocess.run([sys.executable, "-m", "subsec", "gamma", "--format", "edges"],
-                              input="p 1000000\n", capture_output=True, text=True, env=ENV,
-                              timeout=30)
+        proc = python("-m", "subsec", "gamma", "--format", "edges", stdin="p 1000000\n",
+                      timeout=30)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "value=- status=skipped witness=- cap=vertices\n"
 
@@ -698,9 +610,7 @@ class TestSubprocessPipeline:
         def limit_memory():
             resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
-        proc = subprocess.run([sys.executable, "-m", "subsec", *args], input=stdin,
-                              capture_output=True, text=True, env=ENV, timeout=60,
-                              preexec_fn=limit_memory)
+        proc = python("-m", "subsec", *args, stdin=stdin, preexec_fn=limit_memory)
         assert proc.returncode == code and proc.stdout == ""
         assert proc.stderr.startswith(message) and "Traceback" not in proc.stderr
 
@@ -714,9 +624,8 @@ class TestSubprocessPipeline:
         def limit_memory():
             resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
 
-        proc = subprocess.run([sys.executable, "-m", "subsec", "gamma", "--format", "edges"],
-                              input="p 33000000\n", capture_output=True, text=True, env=ENV,
-                              timeout=60, preexec_fn=limit_memory)
+        proc = python("-m", "subsec", "gamma", "--format", "edges", stdin="p 33000000\n",
+                      preexec_fn=limit_memory)
         assert (proc.returncode, proc.stdout, proc.stderr) == (
             65, "", "parse error: line 1: vertex count 33000000 is too large to build\n")
 
@@ -731,8 +640,7 @@ class TestSubprocessPipeline:
         measure = ("import resource, subprocess, sys\n"
                    "code = subprocess.call(sys.argv[1:], stderr=subprocess.DEVNULL)\n"
                    "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
-        proc = subprocess.run([sys.executable, "-c", measure, sys.executable, "-m", "subsec", *args],
-                              input=stdin, capture_output=True, text=True, env=ENV, timeout=60)
+        proc = python("-c", measure, sys.executable, "-m", "subsec", *args, stdin=stdin)
         code, peak_kb = map(int, proc.stdout.split())
         assert code == 64
         assert peak_kb < 384 * 1024
@@ -745,8 +653,7 @@ class TestSubprocessPipeline:
         # K_3000 holds about 9 million mask bits and K_{1,199999} about
         # 400,000, far under the bound, though their edges' ids sum past it:
         # the bound counts mask widths.
-        proc = subprocess.run([sys.executable, "-m", "subsec", *args],
-                              capture_output=True, text=True, env=ENV, timeout=120)
+        proc = python("-m", "subsec", *args, stdin="")
         assert proc.returncode == 0 and proc.stderr == ""
         assert proc.stdout.count("\n") == lines
 
@@ -754,7 +661,8 @@ class TestSubprocessPipeline:
         cmd = (f"{sys.executable} -m subsec gen --family path --n 4 | "
                f"{sys.executable} -m subsec subdivide --k 2 | "
                f"{sys.executable} -m subsec gamma-s")
-        proc = subprocess.run(["sh", "-c", cmd], capture_output=True, text=True, env=ENV)
+        proc = subprocess.run(["sh", "-c", cmd], capture_output=True, text=True, env=ENV,
+                              timeout=60)
         assert proc.returncode == 0
         assert proc.stdout == "value=3 status=exact witness=4,5,6\n"
 
@@ -763,11 +671,8 @@ class TestSubprocessPipeline:
         stdin = "\n".join(emit_graph6(generate("path", n)) for n in sizes) + "\n"
         outs = []
         for threads in ("1", "4"):
-            proc = subprocess.run(
-                [sys.executable, "-m", "subsec", "verify", "--theorem", "g13,prop1,conj"],
-                input=stdin, capture_output=True, text=True,
-                env=ENV | {"SUBSEC_THREADS": threads},
-            )
+            proc = python("-m", "subsec", "verify", "--theorem", "g13,prop1,conj", stdin=stdin,
+                          env=ENV | {"SUBSEC_THREADS": threads})
             assert proc.returncode == 0, proc.stderr
             outs.append(proc.stdout)
         # One graded row per (graph, theorem), so two empty or two all-skipped
@@ -782,16 +687,13 @@ class TestSubprocessPipeline:
 
     def test_thread_env_that_is_no_integer_is_usage_error(self):
         corpus = "".join(line + "\n" for line in subsec.bundled_corpus_lines())
-        proc = subprocess.run([sys.executable, "-m", "subsec", "verify", "--theorem", "prop1"],
-                              input=corpus, capture_output=True, text=True,
-                              env=ENV | {"SUBSEC_THREADS": "abc"})
+        proc = python("-m", "subsec", "verify", "--theorem", "prop1", stdin=corpus,
+                      env=ENV | {"SUBSEC_THREADS": "abc"})
         assert (proc.returncode, proc.stdout, proc.stderr) == (
             64, "", "usage error: SUBSEC_THREADS='abc' is not an integer\n")
 
     def test_identical_invocations_byte_identical(self):
-        args = [sys.executable, "-m", "subsec", "conjecture"]
-        stdin = "Ch\nBw\n"
-        a = subprocess.run(args, input=stdin, capture_output=True, text=True, env=ENV)
-        b = subprocess.run(args, input=stdin, capture_output=True, text=True, env=ENV)
+        a = python("-m", "subsec", "conjecture", stdin="Ch\nBw\n")
+        b = python("-m", "subsec", "conjecture", stdin="Ch\nBw\n")
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout

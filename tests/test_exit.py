@@ -4,7 +4,6 @@ byte for byte, with the same exit status."""
 
 import ast
 import hashlib
-import io
 import os
 import re
 import subprocess
@@ -12,28 +11,10 @@ import sys
 
 import pytest
 
-from subsec import cli
-
-from conftest import ENV, SRC
+from conftest import ENV, SRC, python, run_main
 from test_enumeration import ENUM7_SHA256
 
 CORPUS = (SRC / "subsec" / "data" / "connected_upto6.g6").read_bytes()
-
-
-def in_process(argv, stdin, monkeypatch):
-    out, err = io.BytesIO(), io.BytesIO()
-    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(stdin)))
-    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(out))
-    monkeypatch.setattr(sys, "stderr", io.TextIOWrapper(err))
-    code = cli.main(argv)
-    sys.stdout.flush()
-    sys.stderr.flush()
-    return code, out.getvalue(), err.getvalue()
-
-
-def in_a_process(argv, stdin=b"", **streams):
-    return subprocess.run([sys.executable, "-m", "subsec", *argv], input=stdin, env=ENV,
-                          timeout=60, **({"stdout": subprocess.PIPE, "stderr": subprocess.PIPE} | streams))
 
 
 @pytest.mark.parametrize("argv, stdin, code", [
@@ -48,9 +29,9 @@ def in_a_process(argv, stdin=b"", **streams):
     # about 240 KB, several pipe buffers
     (["gen", "--family", "path", "--n", "20000", "--format", "edges"], b"", 0),
 ], ids=["exit-0", "violations-2", "bad-k-64", "bad-byte-65", "help", "rows-then-64", "large"])
-def test_process_prints_what_main_prints(argv, stdin, code, monkeypatch):
-    proc = in_a_process(argv, stdin)
-    assert (proc.returncode, proc.stdout, proc.stderr) == in_process(argv, stdin, monkeypatch)
+def test_process_prints_what_main_prints(argv, stdin, code):
+    proc = python("-m", "subsec", *argv, stdin=stdin)
+    assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == run_main(argv, stdin)
     assert proc.returncode == code
     assert (proc.stderr == b"") == (code in (0, 2))
 
@@ -58,11 +39,11 @@ def test_process_prints_what_main_prints(argv, stdin, code, monkeypatch):
 @pytest.mark.parametrize("into", ["pipe", "file"])
 def test_enum_output_arrives_whole(into, tmp_path):
     if into == "pipe":
-        out = in_a_process(["enum", "--n", "7"]).stdout
+        out = python("-m", "subsec", "enum", "--n", "7").stdout
     else:
         path = tmp_path / "enum7.g6"
         with open(path, "wb") as handle:
-            assert in_a_process(["enum", "--n", "7"], stdout=handle).returncode == 0
+            assert python("-m", "subsec", "enum", "--n", "7", stdout=handle).returncode == 0
         out = path.read_bytes()
     assert hashlib.sha256(out).hexdigest() == ENUM7_SHA256
 
@@ -73,14 +54,16 @@ def test_enum_output_arrives_whole(into, tmp_path):
      b"usage error: vertex count 1000000001 is too large to build\n"),
     (["--help"], b"", b""),
     (["verify", "--help"], b"", b""),
-], ids=["done", "rows-then-64", "help", "verify-help"])
+    (["enum", "--n", "5"], b"", b""),
+], ids=["done", "rows-then-64", "help", "verify-help", "enum"])
 def test_closed_stdout_at_the_last_flush_is_141(argv, stdin, err):
-    # The output fits in the stdout buffer, so the first write to the
-    # closed pipe is the flush before the exit, as under `| head -0`.
+    # The output fits in the stdout buffer (enum's 21 lines too), so the
+    # first write to the closed pipe is the flush before the exit, as under
+    # `| head -0`.
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        proc = in_a_process(argv, stdin, stdout=write_end, stderr=subprocess.PIPE)
+        proc = python("-m", "subsec", *argv, stdin=stdin, stdout=write_end)
     finally:
         os.close(write_end)
     assert proc.returncode == 141 and proc.stderr == err
@@ -160,7 +143,7 @@ def test_an_error_line_into_a_closed_stderr_keeps_the_first_failure(argv, code):
     os.close(read_end)
     try:
         with open("/dev/full", "wb") as full:
-            proc = in_a_process(argv, b"Ch\n", stdout=full, stderr=write_end)
+            proc = python("-m", "subsec", *argv, stdin=b"Ch\n", stdout=full, stderr=write_end)
     finally:
         os.close(write_end)
     assert proc.returncode == code
@@ -182,8 +165,7 @@ runpy.run_module("subsec", run_name="__main__")
     (["--help"], 0),
 ], ids=["done", "usage-error", "help"])
 def test_no_exit_tears_the_interpreter_down(argv, code):
-    proc = subprocess.run([sys.executable, "-c", TEARDOWN, *argv], input=b"Ch\n", env=ENV,
-                          capture_output=True, timeout=60)
+    proc = python("-c", TEARDOWN, *argv, stdin=b"Ch\n")
     assert proc.returncode == code
     assert not proc.stderr.endswith(b"teardown\n")
     assert proc.stdout.startswith(b"usage: subsec") == (argv == ["--help"])
@@ -206,8 +188,7 @@ def test_console_script_is_the_entry_main_module_calls():
     ["cert", "--theorem", "half"],
 ], ids=["gamma-s", "verify", "conjecture", "subdivide", "cert"])
 def test_a_closed_stdin_is_a_parse_error(argv):
-    proc = subprocess.run([sys.executable, "-m", "subsec", *argv], stdin=subprocess.DEVNULL,
-                          capture_output=True, env=ENV, timeout=60, preexec_fn=lambda: os.close(0))
+    proc = python("-m", "subsec", *argv, preexec_fn=lambda: os.close(0))
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         65, b"", b"parse error: standard input is closed\n")
 

@@ -2,7 +2,8 @@
 
 Each case runs ``cli.main`` in-process on an input under ``tests/golden`` (or
 the bundled corpus) and compares stdout with the recorded file of the same
-name. The cases cover every report format, precondition skips, vertex-cap and
+name; the run must exit 0 and print nothing to stderr, when recorded too.
+The cases cover every report format, precondition skips, vertex-cap and
 node-budget skips, violations, the g16/r024 parameter, and graph ids taken
 from input lines with a ``>>graph6<<`` header and blank lines.
 
@@ -10,15 +11,14 @@ To re-record after an intended change of the reports (only on purpose):
 ``PYTHONPATH=src python tests/test_golden.py --record``.
 """
 
-import contextlib
-import io
 import sys
 from pathlib import Path
 
 import pytest
 
 import subsec
-from subsec.cli import main
+
+from conftest import run_main
 
 GOLDEN = Path(__file__).parent / "golden"
 CORPUS6 = str(Path(subsec.__file__).parent / "data" / "connected_upto6.g6")
@@ -46,19 +46,13 @@ CASES = {
 }
 
 
-def run(args) -> bytes:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(args)
-    assert code == 0
-    return out.getvalue().encode("utf-8")
-
-
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_is_byte_identical(name):
-    assert run(CASES[name]) == (GOLDEN / name).read_bytes()
+    assert run_main(CASES[name]) == (0, (GOLDEN / name).read_bytes().decode(), "")
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
     for name, args in CASES.items():
-        (GOLDEN / name).write_bytes(run(args))
+        code, out, err = run_main(args)
+        assert (code, err) == (0, ""), (name, err)
+        (GOLDEN / name).write_bytes(out.encode())

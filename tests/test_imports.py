@@ -3,14 +3,11 @@ exports its public names lazily. Each check starts a fresh ``python -S``
 process: without ``site`` nothing is imported before the code under test,
 so every module the run loads shows in its ``-X importtime`` report."""
 
-import subprocess
-import sys
-
 import pytest
 
 import subsec
 
-from conftest import ENV
+from conftest import ENV, python
 
 # What grading, certificates, subdivision, the pool, the other commands and
 # the graph writers need, and a solve does not.
@@ -28,8 +25,7 @@ OTHER_RUNS = [("gen", "--family", "path", "--n", "3"), ("enum", "--n", "3"), ("s
 
 def imported(*args: str, stdin: str = "", env: dict[str, str] = ENV) -> set[str]:
     """The modules ``python -S -X importtime *args`` imports on ``stdin``."""
-    proc = subprocess.run([sys.executable, "-S", "-X", "importtime", *args],
-                          input=stdin, env=env, capture_output=True, text=True)
+    proc = python("-S", "-X", "importtime", *args, stdin=stdin, env=env)
     assert proc.returncode == 0, proc.stderr
     return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
             if line.startswith("import time:")}
@@ -131,7 +127,7 @@ def test_import_subsec_loads_no_submodule():
 def test_every_export_resolves_lazily():
     code = ("import subsec; values = [getattr(subsec, name) for name in subsec.__all__]; "
             "print(len(values), sorted(set(subsec.__all__) - set(dir(subsec))))")
-    proc = subprocess.run([sys.executable, "-S", "-c", code], env=ENV, capture_output=True, text=True)
+    proc = python("-S", "-c", code, stdin="")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == f"{len(subsec.__all__)} []\n"
     assert len(subsec.__all__) == len(set(subsec.__all__)) == 49

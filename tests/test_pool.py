@@ -9,7 +9,7 @@ import pytest
 
 from subsec import _pool, bounds, bundled_corpus, run_corpus
 
-from conftest import ENV
+from conftest import ENV, assert_no_child_left, python
 
 PARENT = os.getpid()
 CALLER = """
@@ -25,25 +25,6 @@ next(results)
 print("first", flush=True)
 time.sleep(60)
 """
-
-
-@pytest.fixture
-def deadline():
-    """Fail a test that has not finished within 30 s instead of letting it hang."""
-
-    def expire(signum, frame):
-        raise TimeoutError("the pool did not return within 30 s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(30)
-    yield
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, previous)
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 class _Unpicklable(Exception):
@@ -269,6 +250,6 @@ def test_cli_import_starts_no_pool_machinery():
     # A gamma-s run or an empty input never starts a pool, so it should not
     # pay for importing one.
     code = "import sys, subsec.cli; print(sorted(m for m in sys.modules if m.startswith('concurrent')))"
-    proc = subprocess.run([sys.executable, "-c", code], env=ENV, capture_output=True, text=True)
+    proc = python("-c", code, stdin="")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
