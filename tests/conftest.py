@@ -16,10 +16,14 @@ from subsec import cli, generate, is_connected, make_graph
 # The directory that holds the package under test, and the environment of a
 # test's subsec process: that directory first on PYTHONPATH, and without
 # PYTHONUNBUFFERED, so printed rows wait in the stdout buffer until a flush,
-# as they do for a user.
+# as they do for a user. Two warnings are errors in it: an EncodingWarning,
+# so a child fails on I/O that depends on the locale, and, on Python 3.12+,
+# the DeprecationWarning of a fork from a process with threads.
 SRC = Path(subsec.__file__).resolve().parents[1]
 ENV = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"} | {
-    "PYTHONPATH": os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
+    "PYTHONPATH": os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH")))),
+    "PYTHONWARNDEFAULTENCODING": "1",
+    "PYTHONWARNINGS": "error::EncodingWarning,error:This process:DeprecationWarning"}
 # The seconds a test gives a run of the CLI, in-process or as a child, so a
 # hang fails the test instead of stalling the suite.
 LIMIT = 60

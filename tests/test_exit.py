@@ -14,7 +14,8 @@ import pytest
 from conftest import ENV, SRC, python, run_main
 from test_enumeration import ENUM7_SHA256
 
-CORPUS = (SRC / "subsec" / "data" / "connected_upto6.g6").read_bytes()
+CORPUS_FILE = SRC / "subsec" / "data" / "connected_upto6.g6"
+CORPUS = CORPUS_FILE.read_bytes()
 
 
 @pytest.mark.parametrize("argv, stdin, code", [
@@ -28,10 +29,24 @@ CORPUS = (SRC / "subsec" / "data" / "connected_upto6.g6").read_bytes()
     (["subdivide", "--k", "1000000000"], b"@\n" * 1000 + b"A_\n", 64),
     # about 240 KB, several pipe buffers
     (["gen", "--family", "path", "--n", "20000", "--format", "edges"], b"", 0),
-], ids=["exit-0", "violations-2", "bad-k-64", "bad-byte-65", "help", "rows-then-64", "large"])
+    # the 143 bases go out in 16 chunks, which two workers finish out of order
+    (["verify", "--theorem", "prop1,g12,star2,conj", "--output", "text", "--corpus",
+      str(CORPUS_FILE)], b"", 0),
+    (["conjecture", "--output", "jsonl"], CORPUS, 0),
+    # a non-ASCII space (0xa0) between the fields of an edge line
+    (["gamma", "--format", "edges"], b"p 3\ne 0\xa01\n", 65),
+    # the n = 7k + r rule of g16 and general loads from subdivision
+    (["verify", "--theorem", "g16", "-n", "9"], b"", 64),
+    (["cert", "--theorem", "general", "-n", "9"], b"", 64),
+], ids=["exit-0", "violations-2", "bad-k-64", "bad-byte-65", "help", "rows-then-64", "large",
+        "verify-corpus-file", "conjecture", "bad-space-65", "g16-rule-64", "general-rule-64"])
 def test_process_prints_what_main_prints(argv, stdin, code):
-    proc = python("-m", "subsec", *argv, stdin=stdin)
-    assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == run_main(argv, stdin)
+    # A child imports each module as its command needs it, where the test
+    # process has them all; it prints the same bytes at one worker and at two.
+    printed = run_main(argv, stdin)
+    for threads in ("1", "2"):
+        proc = python("-m", "subsec", *argv, stdin=stdin, env=ENV | {"SUBSEC_THREADS": threads})
+        assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == printed
     assert proc.returncode == code
     assert (proc.stderr == b"") == (code in (0, 2))
 

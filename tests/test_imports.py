@@ -103,9 +103,12 @@ def test_commands_that_read_graphs_load_no_generators_or_certificates(args):
     assert not modules & {"subsec.corpus", "subsec.certificates"}
 
 
-@pytest.mark.parametrize("args", [("gen", "--family", "path", "--n", "3"), ("enum", "--n", "3")])
+@pytest.mark.parametrize("args", [("-m", "subsec", "gen", "--family", "path", "--n", "3"),
+                                  ("-m", "subsec", "enum", "--n", "3"),
+                                  # reads the bundled file, with no EncodingWarning
+                                  ("-c", "from subsec.corpus import bundled_corpus; bundled_corpus()")])
 def test_commands_that_make_graphs_load_the_corpus_module(args):
-    assert "subsec.corpus" in imported("-m", "subsec", *args)
+    assert "subsec.corpus" in imported(*args)
 
 
 def test_a_pooled_verify_imports_no_pool_library():

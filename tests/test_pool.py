@@ -85,6 +85,35 @@ class TestOrderedMap:
             os.close(release)
         assert_no_child_left()
 
+    def test_a_worker_that_ends_first_is_reaped_where_its_pipe_ends(self, deadline):
+        # Two one-item chunks, one per worker: item 0 waits until item 1 is
+        # taken, and item 1 waits on a gate. So the worker of item 0 exits
+        # while the caller still waits for item 1, and the caller next polls
+        # that worker's pipe at its end, before the last chunk is in.
+        taken, take = os.pipe()
+        gate, release = os.pipe()
+
+        def fn(x):
+            if x == 0:
+                os.read(taken, 1)
+            else:
+                os.write(take, b"!")
+                os.read(gate, 1)
+            return x
+
+        try:
+            results = _pool.ordered_map(fn, [0, 1], 2)
+            assert next(results) == [0]
+            # a child that has exited, seen without reaping it
+            while os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOHANG | os.WNOWAIT) is None:
+                time.sleep(0.01)
+            os.write(release, b"!")
+            assert flat(results) == [1]
+        finally:
+            for fd in (taken, take, gate, release):
+                os.close(fd)
+        assert_no_child_left()
+
     def test_an_exception_in_a_fork_reaches_the_caller(self, deadline):
         def fail(x):
             raise ValueError(f"bad item {x}")
