@@ -1,9 +1,10 @@
 """subsec: exact secure domination on k-subdivisions of graphs.
 
 Builds k-subdivisions with stable vertex ids and labels, computes
-domination and secure domination numbers exactly (pruned search
-cross-checked by a naive mode), materializes the closed-form certificate
-constructions, and grades a catalog of claimed bounds over graph corpora.
+domination and secure domination numbers exactly (a pruned branch search,
+which the tests cross-check against a naive subset scan), materializes the
+closed-form certificate constructions, and grades a catalog of claimed
+bounds over graph corpora.
 
 The public names below load their module on first use (PEP 562), so
 ``import subsec`` imports no submodule and a CLI run pays only for the

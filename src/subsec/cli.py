@@ -29,7 +29,7 @@ import sys
 from types import SimpleNamespace
 
 from .graphs import Graph, ParseError, _G6_HEADER, _Record, iter_graph6
-from .solver import ENGINES, SolverBudget, gamma_exact, gamma_s_exact
+from .solver import SolverBudget, gamma_exact, gamma_s_exact
 
 EX_USAGE = 64
 EX_DATAERR = 65
@@ -67,7 +67,6 @@ def _input_flags(name: str = "--input") -> tuple[_Flag, ...]:
 
 
 _BUDGET_FLAGS = (
-    _Flag("--engine", choices=tuple(ENGINES), default=SolverBudget.engine),
     _Flag("--max-vertices", "int", default=SolverBudget.max_vertices),
     _Flag("--max-nodes", "int", default=SolverBudget.max_nodes),
 )
@@ -181,7 +180,7 @@ def _read_graphs(path: str, fmt: str) -> list[tuple[str | None, Graph]]:
 
 
 def _budget(args) -> SolverBudget:
-    return SolverBudget(args.max_vertices, args.max_nodes, args.engine)
+    return SolverBudget(args.max_vertices, args.max_nodes)
 
 
 def _cmd_solve(args, out, secure: bool) -> int:

@@ -6,7 +6,8 @@ with ``bounds``, which names an edge-list graph by its graph6.
 
 from __future__ import annotations
 
-from .graphs import Graph, GraphError, ParseError, _ASCII_SPACE, _G6_BITS, _G6_SIZES, make_graph
+from .graphs import (MAX_ADJACENCY_BITS, Graph, GraphError, ParseError, _ASCII_SPACE, _G6_BITS,
+                     _G6_SIZES, make_graph)
 
 
 # graph6 is described above ``graphs._G6_SIZES``.
@@ -20,12 +21,29 @@ def _g6_size_groups(n: int) -> list[int]:
     raise GraphError("graph too large for graph6")
 
 
+def _g6_chars(bits: str) -> str:
+    return "".join([_G6_CHARS[bits[i:i + 6]] for i in range(0, len(bits), 6)])
+
+
 def emit_graph6(g: Graph) -> str:
-    header = "".join(chr(group + 63) for group in _g6_size_groups(g.n))
-    # Column v is v's adjacency to 0..v-1, read from the top.
-    bits = "".join(f"{mask & ~(-1 << v):0{v}b}"[::-1] for v, mask in enumerate(g.adj_masks) if v)
-    bits += "0" * (-len(bits) % 6)
-    return header + "".join([_G6_CHARS[bits[i:i + 6]] for i in range(0, len(bits), 6)])
+    """The graph6 line of ``g``. A body past MAX_ADJACENCY_BITS bits (from
+    n = 65537) is a GraphError before any of it is built."""
+    n = g.n
+    if n * (n - 1) // 2 > MAX_ADJACENCY_BITS:
+        raise GraphError(f"graph on {n} vertices is too large to write as graph6")
+    parts = ["".join(chr(group + 63) for group in _g6_size_groups(n))]
+    # Column v is v's adjacency to 0..v-1, read from the top. Once the bits
+    # read reach 6144, their whole 6-bit groups become characters, so a
+    # large body is never one bit string and a small one converts once.
+    bits = ""
+    for v in range(1, n):
+        bits += f"{g.adj_masks[v] & ~(-1 << v):0{v}b}"[::-1]
+        if len(bits) >= 6144:
+            whole = len(bits) - len(bits) % 6
+            parts.append(_g6_chars(bits[:whole]))
+            bits = bits[whole:]
+    parts.append(_g6_chars(bits + "0" * (-len(bits) % 6)))
+    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------

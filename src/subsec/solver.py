@@ -7,15 +7,15 @@ v: a neighbor of u inside D whose swap (D - v + u) still dominates.
 Both optimum solvers run one size-increasing loop that asks an engine for
 the first feasible set of each size in lexicographic subset order, so the
 first size that has one is the optimum and that set is the reported witness.
-The default engine is a branch search by ascending vertex id that cuts a
-branch only when no completion of it can qualify, so it finds the same
-lex-first witness; ``_first_pruned`` describes its cuts, one of which holds
+The engine is a branch search by ascending vertex id that cuts a branch only
+when no completion of it can qualify, so it finds the same lex-first witness
+as a scan would; ``_first_pruned`` describes its cuts, one of which holds
 only on triangle-free graphs (every k-subdivision with k >= 2). A naive
-engine that scans every subset of each size with the definitional checks is
-kept as an independent cross-check. ``SolverBudget`` picks the engine and
-caps the graph's order and the count of search nodes. Both caps are
-deterministic, and a solve past one has an explicit "skipped" status, so an
-inexact answer is never presented as exact.
+engine, ``_first_naive``, scans every subset of each size with the
+definitional checks; the tests run it through ``_exact`` as an independent
+cross-check. ``SolverBudget`` caps the graph's order and the count of search
+nodes. Both caps are deterministic, and a solve past one has an explicit
+"skipped" status, so an inexact answer is never presented as exact.
 
 The swap test inside the fast secure check is incremental: removing v from D
 can only uncover vertices that v privately dominates (coverage count exactly
@@ -41,21 +41,17 @@ _MAX_DEPTH = 5000
 
 
 class SolverBudget(_Record):
-    """How an exact solve runs: the ``engine`` ("branch", the default search,
-    or "naive", the definitional subset scan) and its caps, the graph's order
-    ``max_vertices`` and the search effort ``max_nodes``. A solve past a cap
-    gives status "skipped". The class attributes are the defaults, which
-    the CLI's flags read. ``max_vertices`` is at most 5000, a search depth
-    sized for the stack of every supported Python.
+    """The caps of an exact solve: the graph's order ``max_vertices`` and the
+    search effort ``max_nodes``. A solve past a cap gives status "skipped".
+    The class attributes are the defaults, which the CLI's flags read.
+    ``max_vertices`` is at most 5000, a search depth sized for the stack of
+    every supported Python.
     """
 
     max_vertices: int = 26
     max_nodes: int = 500_000_000
-    engine: str = "branch"
 
     def _check(self) -> None:
-        if self.engine not in ENGINES:
-            raise ValueError(f"unknown engine {self.engine!r} (choose from {', '.join(ENGINES)})")
         if self.max_vertices <= 0 or self.max_nodes <= 0:
             raise ValueError("budget caps must be positive")
         if self.max_vertices > _MAX_DEPTH:
@@ -65,8 +61,8 @@ class SolverBudget(_Record):
 class SolveResult(_Record):
     """Outcome of an exact solve: the optimum and a witness, or "skipped".
 
-    ``nodes`` counts search effort: branch nodes of the default engine, or
-    subsets of the naive one, over every size the solve walked. ``cap`` names
+    ``nodes`` counts search effort: branch nodes of the branch search, or
+    subsets of the naive scan, over every size the solve walked. ``cap`` names
     the cap that made a solve "skipped": "vertices" or "nodes". ``status``
     is "exact" or "skipped".
     """
@@ -347,16 +343,16 @@ def _first_naive(g: Graph, effort: _Effort, secure: bool):
     return first, 0
 
 
-# Each engine takes (graph, effort, secure) and gives (first, start).
-ENGINES = {"branch": _first_pruned, "naive": _first_naive}
 DEFAULT_BUDGET = SolverBudget()
 
 
-def _exact(g: Graph, budget: SolverBudget, secure: bool) -> SolveResult:
+def _exact(g: Graph, budget: SolverBudget, secure: bool, engine=_first_pruned) -> SolveResult:
+    """The optimum by ``engine``, which takes (graph, effort, secure) and
+    gives (first, start)."""
     if g.n > budget.max_vertices:
         return SolveResult(None, None, "skipped", 0, "vertices")
     effort = _Effort(budget.max_nodes)
-    first, start = ENGINES[budget.engine](g, effort, secure)
+    first, start = engine(g, effort, secure)
     # A search of n vertices may stack n + 1 calls of its own, and a check
     # and a node count below the last, on top of its caller's.
     limit = sys.getrecursionlimit()
@@ -380,5 +376,5 @@ def gamma_exact(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> SolveResult:
 
 def gamma_s_exact(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> SolveResult:
     """Minimum secure dominating set size with a lexicographically smallest
-    witness, by ``budget.engine``."""
+    witness."""
     return _exact(g, budget, secure=True)

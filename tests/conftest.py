@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import subsec
 from subsec import cli, generate, is_connected, make_graph
+from subsec.solver import DEFAULT_BUDGET, _exact, _first_naive
 
 # The directory that holds the package under test, and the environment of a
 # test's subsec process: that directory first on PYTHONPATH, and without
@@ -97,6 +98,13 @@ def python(*args, stdin=b"", **kwargs):
     defaults = {"env": ENV, "stdout": subprocess.PIPE, "stderr": subprocess.PIPE,
                 "text": isinstance(stdin, str), "timeout": LIMIT}
     return subprocess.run([sys.executable, *args], input=stdin, **(defaults | kwargs))
+
+
+def naive_exact(g, secure=True):
+    """gamma_s (or gamma, unless ``secure``) of ``g`` by the naive scan: the
+    definitional check on every subset of each size in lexicographic order,
+    the reference the tests check the branch search against."""
+    return _exact(g, DEFAULT_BUDGET, secure, _first_naive)
 
 
 def path(n):

@@ -9,7 +9,6 @@ import time
 from fractions import Fraction
 
 from subsec import (
-    SolverBudget,
     cert_fifth,
     cert_general,
     cert_quarter,
@@ -28,7 +27,7 @@ from subsec import (
     subdivide,
 )
 from brute_force import brute_gamma_s, neighbor_sets
-from conftest import assert_no_child_left, cycle, path, star, wheel_rim6
+from conftest import assert_no_child_left, cycle, naive_exact, path, star, wheel_rim6
 
 
 def report(criterion, ok, detail):
@@ -41,7 +40,7 @@ def test_criterion_1_path_formula():
     for n in range(1, 19):
         expected = path_secure_formula(n)
         pruned = gamma_s_exact(path(n))
-        naive = gamma_s_exact(path(n), SolverBudget(engine="naive"))
+        naive = naive_exact(path(n))
         assert pruned.status == naive.status == "exact"
         assert pruned.value == naive.value == expected, n
         assert pruned.witness == naive.witness, n
@@ -113,14 +112,15 @@ def test_criterion_5_discrepancy_surfacing():
     five_path = subdivide(path(2), 4).derived
     oracle_value, _ = brute_gamma_s(five_path.n, neighbor_sets(five_path))
     assert oracle_value == 3
-    check = check_theorem(path(2), "g14", budget=SolverBudget(engine="naive"))
-    ok = (check.exact == oracle_value == 3
+    check = check_theorem(path(2), "g14")
+    naive = naive_exact(five_path)
+    ok = (check.exact == naive.value == oracle_value == 3
           and check.equality == 2
           and check.status == "violated"
           and check.exact != check.equality)
     elapsed = time.monotonic() - start
     report("criterion 5 (single-edge 4-subdivision discrepancy)", ok,
-           f"naive exact={check.exact} vs claim {check.equality} -> {check.status}, "
+           f"exact={check.exact} (naive {naive.value}) vs claim {check.equality} -> {check.status}, "
            f"{elapsed:.1f}s")
 
 

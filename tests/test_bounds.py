@@ -16,6 +16,7 @@ from subsec import (
     render_checks,
     render_conjecture,
     run_corpus,
+    subdivide,
     summarize,
 )
 from subsec import bounds
@@ -29,7 +30,8 @@ from subsec.bounds import (
     stream_checks,
     stream_conjecture,
 )
-from conftest import assert_no_child_left, complete, cycle, path, run_main, star, wheel_rim6
+from conftest import (assert_no_child_left, complete, cycle, naive_exact, path, run_main, star,
+                      wheel_rim6)
 
 
 def assert_invariants(check):
@@ -71,9 +73,9 @@ class TestCheckTheorem:
         assert check.status == "tight" and "lower" in check.detail
 
     def test_g14_single_edge_violated(self):
-        check = check_theorem(path(2), "g14", budget=SolverBudget(engine="naive"))
+        check = check_theorem(path(2), "g14")
         assert check.equality == 2
-        assert check.exact == 3
+        assert check.exact == 3 == naive_exact(subdivide(path(2), 4).derived).value
         assert check.status == "violated"
         assert_invariants(check)
 
@@ -224,13 +226,13 @@ class TestRunCorpus:
         assert g12.status == conj.status == "skipped"
         assert g12.detail == conj.detail == "budget: exhausted after 21 nodes"
 
-    def test_engine_crosses_the_pool(self, deadline):
-        # C5^{1/2} = C10 takes 72 branch nodes and 387 naive ones.
-        for engine, detail in (("naive", "budget: exhausted after 301 nodes"), ("branch", "ratio 1")):
-            budget = SolverBudget(max_nodes=300, engine=engine)
-            c5, p3 = run_corpus([cycle(5), path(3)], ["conj"], budget=budget, workers=2)
-            assert c5.detail == detail
-            assert p3.exact == 3
+    def test_budget_crosses_the_pool(self, deadline):
+        # C5^{1/2} = C10 takes 72 branch nodes, so a 50-node cap binds there
+        # and not on P3^{1/2} = P5.
+        budget = SolverBudget(max_nodes=50)
+        c5, p3 = run_corpus([cycle(5), path(3)], ["conj"], budget=budget, workers=2)
+        assert c5.detail == "budget: exhausted after 51 nodes"
+        assert p3.exact == 3
         assert_no_child_left()
 
     def test_certificate_consistency(self):

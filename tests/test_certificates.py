@@ -3,7 +3,6 @@ import pytest
 from subsec import (
     CONSTRUCTIONS,
     CertificateError,
-    SolverBudget,
     bundled_corpus_lines,
     cert_fifth,
     cert_general,
@@ -19,7 +18,7 @@ from subsec import (
 )
 from subsec.subdivision import seventh
 from brute_force import brute_is_secure, neighbor_sets
-from conftest import cycle, path, star
+from conftest import cycle, naive_exact, path, star
 
 
 def oracle_validates(sm, cert):
@@ -116,7 +115,7 @@ class TestQuarter:
         assert cert.claimed_size == 2
         assert not cert.validated
         assert not oracle_validates(sm, cert)
-        assert gamma_s_exact(sm.derived, SolverBudget(engine="naive")).value == 3
+        assert naive_exact(sm.derived).value == 3
 
 
 class TestFifth:

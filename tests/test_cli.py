@@ -81,20 +81,9 @@ class TestSolveCommands:
                                 "p 5\ne 0 1\ne 1 2\ne 2 3\ne 3 4\n")
         assert code == 0 and out.startswith("value=3 ")
 
-    def test_naive_matches_default(self):
-        stdin = "\n".join(emit_graph6(g) for g in
-                          [generate("path", 6), generate("cycle", 5), generate("star", 4)]) + "\n"
-        _, fast, _ = run_main(["gamma-s"], stdin)
-        _, slow, _ = run_main(["gamma-s", "--engine", "naive"], stdin)
-        assert fast == slow
-
-
-class TestEngineFlag:
-    # C5^{1/2} = C10 takes 72 branch nodes and 387 naive ones, so a 300-node
-    # cap shows which engine each solving command ran.
-    @pytest.mark.parametrize("engine", ["naive", "branch"])
-    def test_engine_reaches_the_solver(self, engine):
-        flags = ["--engine", engine, "--max-nodes", "300"]
+    def test_node_cap_reaches_every_solving_command(self):
+        # C5^{1/2} = C10 takes 72 branch nodes, so a 50-node cap binds.
+        flags = ["--max-nodes", "50"]
         half = emit_graph6(subdivide(parse_graph6("Dhc"), 2).derived) + "\n"
         _, solved, _ = run_main(["gamma-s", *flags], half)
         _, verified, _ = run_main(["verify", "--theorem", "conj", "--output", "jsonl", *flags],
@@ -102,14 +91,9 @@ class TestEngineFlag:
         _, scanned, _ = run_main(["conjecture", "--output", "jsonl", *flags], "Dhc\n")
         check = json.loads(verified.splitlines()[0])
         row = json.loads(scanned.splitlines()[0])
-        if engine == "naive":
-            assert solved == "value=- status=skipped witness=- cap=nodes\n"
-            assert (check["exact"], check["detail"]) == (None, "budget: exhausted after 301 nodes")
-            assert (row["gamma_s_half"], row["status"]) == (None, "skipped")
-        else:
-            assert solved == "value=5 status=exact witness=0,1,2,3,4\n"
-            assert (check["exact"], check["status"]) == (5, "holds")
-            assert (row["gamma_s_half"], row["status"]) == (5, "ok")
+        assert solved == "value=- status=skipped witness=- cap=nodes\n"
+        assert (check["exact"], check["detail"]) == (None, "budget: exhausted after 51 nodes")
+        assert (row["gamma_s_half"], row["status"]) == (None, "skipped")
 
 
 class TestSubdivideCommand:
@@ -326,7 +310,7 @@ class TestErrorsAndExitCodes:
     def test_usage_error_is_64(self):
         code, _, _ = run_main(["gen", "--family", "nope", "--n", "3"])
         assert code == 64
-        for flags in (["--engine", "dp"], ["--naive"], ["--time-ms", "5"]):
+        for flags in (["--naive"], ["--time-ms", "5"]):
             code, out, err = run_main(["gamma-s", *flags], "A_\n")
             assert code == 64 and out == "" and err.startswith("usage error:")
 
@@ -445,7 +429,10 @@ class TestFlagParsing:
         (["gamma", "--max-vertices=2.5"], "--max-vertices needs an integer, got '2.5'"),
         (["gen", "--family", "random", "--n", "5", "--p", "half", "--seed", "1"],
          "--p needs a number, got 'half'"),
-        (["gamma", "--engine", "dp"], "unknown --engine 'dp' (choose from branch, naive)"),
+        (["gamma", "--engine", "naive"], "gamma has no flag --engine"),
+        (["gamma-s", "--engine", "naive"], "gamma-s has no flag --engine"),
+        (["verify", "--theorem", "conj", "--engine", "naive"], "verify has no flag --engine"),
+        (["conjecture", "--engine", "naive"], "conjecture has no flag --engine"),
         (["gamma", "--format", "graph6"], "unknown --format 'graph6' (choose from g6, edges)"),
         (["cert", "--theorem", "g13"],
          "unknown --theorem 'g13' (choose from half, star, third, quarter, fifth, general)"),
@@ -457,7 +444,8 @@ class TestFlagParsing:
         (["subdivide", "--k", "2", "--labels=yes"], "--labels takes no value"),
     ], ids=["no-command", "unknown-command", "flag-as-command", "unknown-flag", "abbreviation",
             "attached-short", "short-with-equals", "missing-value", "flag-as-value", "bad-int",
-            "float-for-int", "bad-float", "engine-choice", "format-choice", "theorem-choice",
+            "float-for-int", "bad-float", "engine-gamma", "engine-gamma-s", "engine-verify",
+            "engine-conjecture", "format-choice", "theorem-choice",
             "subdivide-k", "verify-theorem", "gen-family", "positional", "dash-positional",
             "switch-value"])
     def test_bad_command_line_is_64_and_names_the_flag(self, args, message):
@@ -582,6 +570,19 @@ class TestInputBytes:
         assert [line.split("\t")[0] for line in out.splitlines()[1:-1]] == ["Ch"] * 3
 
 
+def peak_rss(args, stdin=""):
+    """The exit code and peak RSS in KiB of ``python *args``, its output
+    dropped. A small parent process runs it and reads its peak RSS, so no
+    other child of the test run is counted."""
+    measure = ("import resource, subprocess, sys\n"
+               "code = subprocess.call(sys.argv[1:], stdout=subprocess.DEVNULL,\n"
+               "                       stderr=subprocess.DEVNULL)\n"
+               "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
+    proc = python("-c", measure, sys.executable, *args, stdin=stdin)
+    code, peak_kb = map(int, proc.stdout.split())
+    return code, peak_kb
+
+
 class TestSubprocessPipeline:
     def test_huge_edgeless_order_validates_in_linear_time(self):
         # Graph validation must stay linear in the order: work quadratic in
@@ -606,7 +607,13 @@ class TestSubprocessPipeline:
         (["gamma", "--format", "edges"],
          "p 200000\n" + "".join(f"e {v} {v + 1}\n" for v in range(199999)), 65,
          "parse error: line 1: graph on 200000 vertices is too large to build"),
-    ], ids=["subdivide", "gen", "subdivide-order", "gen-order", "cert", "edges"])
+        # built, but a graph6 body past the bound is refused before it is written
+        (["gen", "--family", "star", "--n", "200000"], "", 64,
+         "usage error: graph on 200000 vertices is too large to write as graph6"),
+        (["verify", "--theorem", "g13", "--format", "edges"], "p 70000\n", 64,
+         "usage error: graph on 70000 vertices is too large to write as graph6"),
+    ], ids=["subdivide", "gen", "subdivide-order", "gen-order", "cert", "edges", "gen-graph6",
+            "verify-graph6-name"])
     def test_huge_graph_is_refused_before_it_is_built(self, args, stdin, code, message):
         # Under a 2 GiB address-space limit a missing guard ends in a
         # MemoryError traceback within seconds instead of filling the host.
@@ -640,15 +647,17 @@ class TestSubprocessPipeline:
     ], ids=["subdivide", "gen"])
     def test_refused_graph_peak_rss_is_bounded(self, args, stdin):
         # A path's masks fill the whole bound (2^31 bits, 256 MiB) before the
-        # count passes it. A small parent process runs the command and reads
-        # its peak RSS, so no other child of the test run is counted.
-        measure = ("import resource, subprocess, sys\n"
-                   "code = subprocess.call(sys.argv[1:], stderr=subprocess.DEVNULL)\n"
-                   "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
-        proc = python("-c", measure, sys.executable, "-m", "subsec", *args, stdin=stdin)
-        code, peak_kb = map(int, proc.stdout.split())
-        assert code == 64
-        assert peak_kb < 384 * 1024
+        # count passes it.
+        code, peak_kb = peak_rss(["-m", "subsec", *args], stdin)
+        assert code == 64 and peak_kb < 384 * 1024
+
+    def test_graph6_text_peak_rss_is_bounded(self):
+        # P_12000's graph6 body is 72 million bits: held as one '0'/'1'
+        # string before it became text, it took a peak RSS of 205 MB; turned
+        # into text as its columns are read, 49 MB.
+        args = ["-m", "subsec", "gen", "--family", "path", "--n", "12000"]
+        code, peak_kb = peak_rss(args)
+        assert code == 0 and peak_kb < 128 * 1024
 
     @pytest.mark.parametrize("args, lines", [
         (["gen", "--family", "complete", "--n", "3000"], 1),

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subsec import GraphError, VertexSet, generate, is_connected, is_star, make_graph, max_degree
+from subsec.graphs import _iter_bits
 from conftest import complete, cycle, graphs, path, star, wheel_rim6
 
 
@@ -175,3 +176,18 @@ class TestVertexSet:
         # ascending whatever the order ids were given in
         s = VertexSet.of(40, [37, 0, 12, 5, 12])
         assert s.sorted() == tuple(s) == (0, 5, 12, 37) and len(s) == 4
+
+
+class TestIterBits:
+    # A mask wider than one 64-bit word is walked a word at a time.
+    @pytest.mark.parametrize("bits", [
+        (), (0, 2, 63), (64,), (0, 63, 64, 127, 200000), tuple(range(60, 200)),
+    ], ids=["empty", "one-word", "second-word", "wide-sparse", "dense-across-words"])
+    def test_set_bits_ascend(self, bits):
+        assert tuple(_iter_bits(sum(1 << b for b in bits))) == bits
+
+    @given(st.integers(0, (1 << 300) - 1), st.integers(0, 500))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_a_test_of_every_bit(self, mask, shift):
+        mask <<= shift
+        assert list(_iter_bits(mask)) == [b for b in range(mask.bit_length()) if mask >> b & 1]

@@ -21,8 +21,7 @@ ROW = ConjectureRow("Bw", 3, 2, Fraction(2, 3), "counterexample")
 RECORDS = [
     (Graph, {"n": 3, "adj_masks": (2, 5, 2)}, {"n": 3, "adj_masks": (0, 4, 2)}),
     (VertexSet, {"universe": 4, "mask": 0b1010}, {"universe": 5, "mask": 0b1010}),
-    (SolverBudget, {"max_vertices": 10, "max_nodes": 1000, "engine": "naive"},
-     {"max_vertices": 10, "max_nodes": 1000, "engine": "branch"}),
+    (SolverBudget, {"max_vertices": 10, "max_nodes": 1000}, {"max_vertices": 10, "max_nodes": 2000}),
     (SolveResult, {"value": 1, "witness": VertexSet(3, 0b10), "status": "exact",
                    "nodes": 7, "cap": None},
      {"value": None, "witness": None, "status": "skipped", "nodes": 7, "cap": "nodes"}),
@@ -142,16 +141,15 @@ def test_positional_keyword_and_default_construction():
     assert Graph(2, (2, 1)) == Graph(n=2, adj_masks=(2, 1))
     assert VertexSet(3, 0b1) == VertexSet(universe=3, mask=0b1)
     assert SolverBudget.max_vertices == 26 and SolverBudget.max_nodes == 500_000_000
-    assert SolverBudget.engine == "branch"
     default = SolverBudget()
-    assert (default.max_vertices, default.max_nodes, default.engine) == (26, 500_000_000, "branch")
-    assert default == SolverBudget(26, 500_000_000, "branch") == SolverBudget(
-        engine="branch", max_nodes=500_000_000, max_vertices=26)
-    assert SolverBudget(5).max_vertices == 5 and SolverBudget(5).engine == "branch"
+    assert (default.max_vertices, default.max_nodes) == (26, 500_000_000)
+    assert default == SolverBudget(26, 500_000_000) == SolverBudget(
+        max_nodes=500_000_000, max_vertices=26)
+    assert SolverBudget(5).max_vertices == 5 and SolverBudget(5).max_nodes == 500_000_000
     assert SolveResult(1, None, "exact", 0).cap is None
     assert SolveResult(None, None, "skipped", 3, "nodes") == SolveResult(
         value=None, witness=None, status="skipped", nodes=3, cap="nodes")
-    assert repr(SolverBudget()) == "SolverBudget(max_vertices=26, max_nodes=500000000, engine='branch')"
+    assert repr(SolverBudget()) == "SolverBudget(max_vertices=26, max_nodes=500000000)"
     assert repr(Graph(2, (2, 1))) == "Graph(n=2, adj_masks=(2, 1))"
 
 
@@ -163,7 +161,8 @@ def test_the_constructor_is_the_inverse_of_values(cls, fields, _):
 
 
 @pytest.mark.parametrize("build, error, message", [
-    (lambda: SolverBudget(engine="dp"), ValueError, "unknown engine 'dp' (choose from branch, naive)"),
+    (lambda: SolverBudget(engine="naive"), TypeError,
+     "SolverBudget() got an unexpected keyword argument 'engine'"),
     (lambda: SolverBudget(max_nodes=0), ValueError, "budget caps must be positive"),
     (lambda: SolverBudget(max_vertices=-1), ValueError, "budget caps must be positive"),
     (lambda: SolverBudget(max_vertices=5001), ValueError,

@@ -27,9 +27,7 @@ from brute_force import (
     brute_is_secure,
     neighbor_sets,
 )
-from conftest import bipartite_graphs, complete, cycle, graphs, path, star, wheel_rim6
-
-NAIVE = SolverBudget(engine="naive")
+from conftest import bipartite_graphs, complete, cycle, graphs, naive_exact, path, star, wheel_rim6
 
 
 def vs(n, members):
@@ -175,7 +173,7 @@ class TestGammaSecureExact:
             new_id = {old: new for new, old in enumerate(order)}
             g = make_graph(g.n, [(new_id[u], new_id[v]) for u, v in g.edges()])
         pruned = gamma_s_exact(g)
-        naive = gamma_s_exact(g, NAIVE)
+        naive = naive_exact(g)
         assert pruned.value == naive.value
         assert pruned.witness == naive.witness
 
@@ -190,13 +188,13 @@ class TestGammaSecureExact:
                 derived = subdivide(g, k).derived
                 if derived.n > 14:
                     continue
-                a, b = gamma_s_exact(derived), gamma_s_exact(derived, NAIVE)
+                a, b = gamma_s_exact(derived), naive_exact(derived)
                 assert (a.value, a.witness) == (b.value, b.witness)
                 solved += 1
         assert solved == 12 + 108
 
     def test_witness_secure_on_bundled_subdivisions(self):
-        # The branch engine's final gate checks only the vertices its early
+        # The branch search's final gate checks only the vertices its early
         # cut has not settled; every witness must still pass the
         # definitional check. G^{1/k} is triangle-free for k >= 2, so no
         # member may have two private outside neighbors (the lemma behind
@@ -232,7 +230,7 @@ class TestGammaSecureExact:
         # secure although 2 has two private outside neighbors, 3 and 4; with
         # the deficit cut wrongly on, the search skips it and returns {0, 3}.
         g = make_graph(5, [(0, 1), (0, 2), (2, 3), (2, 4), (3, 4)])
-        res, naive = gamma_s_exact(g), gamma_s_exact(g, NAIVE)
+        res, naive = gamma_s_exact(g), naive_exact(g)
         assert (res.value, res.witness.sorted(), res.nodes) == (2, (0, 2), 3)
         assert (naive.value, naive.witness) == (res.value, res.witness)
 
@@ -240,9 +238,9 @@ class TestGammaSecureExact:
         from subsec import bundled_corpus
 
         for g in bundled_corpus():
-            a, b = gamma_s_exact(g), gamma_s_exact(g, NAIVE)
+            a, b = gamma_s_exact(g), naive_exact(g)
             assert a.value == b.value and a.witness == b.witness
-            c, d = gamma_exact(g), gamma_exact(g, NAIVE)
+            c, d = gamma_exact(g), naive_exact(g, secure=False)
             assert c.value == d.value and c.witness == d.witness
 
     def test_ordering_gamma_le_gamma_s(self):
@@ -284,9 +282,6 @@ class TestBudgets:
     def test_caps_must_be_positive(self):
         with pytest.raises(ValueError):
             SolverBudget(max_nodes=0)
-        # the engine is checked with the caps
-        with pytest.raises(ValueError, match="unknown engine 'dp'"):
-            SolverBudget(engine="dp")
 
     def test_search_deeper_than_the_recursion_limit(self):
         # The search recurses once per pick: 1500 picks on an edgeless
@@ -320,8 +315,8 @@ class TestBudgets:
         assert a == b
 
     def test_node_counts_pinned(self):
-        # The default engine walks each size once, from ceil(n/(Delta+1)) up;
-        # the naive engine scans every subset of each size from 0.
+        # The branch search walks each size once, from ceil(n/(Delta+1)) up;
+        # the naive scan walks every subset of each size from 0.
         # These are triangle-free, so the secure-deficit cut is on.
         assert gamma_s_exact(path(26)).nodes == 1_202
         assert gamma_s_exact(cycle(26)).nodes == 1_942
@@ -333,7 +328,7 @@ class TestBudgets:
         assert gamma_s_exact(subdivide(wheel_rim6(), 2).derived).nodes == 116
         # The wheel itself has triangles: the deficit cut stays off.
         assert gamma_s_exact(wheel_rim6()).nodes == 15
-        assert gamma_s_exact(path(10), NAIVE).nodes == 428
+        assert naive_exact(path(10)).nodes == 428
 
     def test_gamma_node_counts_pinned(self):
         # gamma's branch search starts at ceil(n/(Delta+1)), as gamma_s's does.
