@@ -579,8 +579,7 @@ def peak_rss(args, stdin=""):
                "                       stderr=subprocess.DEVNULL)\n"
                "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
     proc = python("-c", measure, sys.executable, *args, stdin=stdin)
-    code, peak_kb = map(int, proc.stdout.split())
-    return code, peak_kb
+    return tuple(map(int, proc.stdout.split()))
 
 
 class TestSubprocessPipeline:
@@ -652,9 +651,9 @@ class TestSubprocessPipeline:
         assert code == 64 and peak_kb < 384 * 1024
 
     def test_graph6_text_peak_rss_is_bounded(self):
-        # P_12000's graph6 body is 72 million bits: held as one '0'/'1'
-        # string before it became text, it took a peak RSS of 205 MB; turned
-        # into text as its columns are read, 49 MB.
+        # P_12000's graph6 body is 72 million bits. Held as one '0'/'1'
+        # string it peaks at 205 MB RSS; turned into text as its columns are
+        # read, at 49 MB.
         args = ["-m", "subsec", "gen", "--family", "path", "--n", "12000"]
         code, peak_kb = peak_rss(args)
         assert code == 0 and peak_kb < 128 * 1024
