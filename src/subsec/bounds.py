@@ -27,7 +27,7 @@ from functools import cached_property, lru_cache
 import json
 
 from . import _pool
-from .graphs import Graph, _Record, is_star, max_degree
+from .graphs import Graph, GraphError, ParseError, _Record, is_star, max_degree
 from .solver import DEFAULT_BUDGET, SolverBudget, gamma_exact, gamma_s_exact, path_secure_formula
 from .subdivision import seventh, subdivide
 
@@ -219,10 +219,16 @@ def check_theorem(
 
 
 def _normalize(entries):
+    """(graph_id, graph) pairs; a graph without an id is named by its graph6.
+    A graph too large to write as graph6 is a ParseError: such a graph came
+    from an edge list, and the input, not the command line, must change."""
     pairs = [(None, e) if isinstance(e, Graph) else e for e in entries]
     if any(gid is None for gid, _ in pairs):  # a graph6 corpus names its own graphs
         from .formats import emit_graph6
-    return [(emit_graph6(g) if gid is None else gid, g) for gid, g in pairs]
+    try:
+        return [(emit_graph6(g) if gid is None else gid, g) for gid, g in pairs]
+    except GraphError as exc:
+        raise ParseError(str(exc)) from None
 
 
 def _graded(task, record, entries, workers):

@@ -187,28 +187,21 @@ _WORD = (1 << 64) - 1
 
 
 def _iter_bits(mask: int) -> Iterator[int]:
-    """The set bits of ``mask``, ascending. Each step of the last loop
-    rebuilds the whole int, so a mask wider than one 64-bit word is walked a
-    word at a time: each word that holds a set bit is cut off its low end and
-    walked as a small int, and the mask's width is paid once per such word,
-    not once per bit."""
-    if mask >> 64:
-        base = 0
-        while mask:
-            skip = ((mask & -mask).bit_length() - 1) & ~63  # the empty words below
-            word = mask >> skip & _WORD
-            mask >>= skip + 64
-            base += skip
-            while word:
-                low = word & -word
-                yield base + low.bit_length() - 1
-                word ^= low
-            base += 64
-        return
+    """The set bits of ``mask``, ascending, walked one 64-bit word at a time:
+    each word that holds a set bit is cut off the low end and walked as a
+    small int, so a wide mask's width is paid once per such word, not once
+    per bit."""
+    base = 0
     while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+        skip = ((mask & -mask).bit_length() - 1) & ~63  # the empty words below
+        word = mask >> skip & _WORD
+        mask >>= skip + 64
+        base += skip
+        while word:
+            low = word & -word
+            yield base + low.bit_length() - 1
+            word ^= low
+        base += 64
 
 
 # The most adjacency bits make_graph builds (256 MiB), so a huge order or

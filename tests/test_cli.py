@@ -609,10 +609,13 @@ class TestSubprocessPipeline:
         # built, but a graph6 body past the bound is refused before it is written
         (["gen", "--family", "star", "--n", "200000"], "", 64,
          "usage error: graph on 200000 vertices is too large to write as graph6"),
-        (["verify", "--theorem", "g13", "--format", "edges"], "p 70000\n", 64,
-         "usage error: graph on 70000 vertices is too large to write as graph6"),
+        # an edge-list graph too large to be named by its graph6 is bad input
+        (["verify", "--theorem", "g13", "--format", "edges"], "p 70000\n", 65,
+         "parse error: graph on 70000 vertices is too large to write as graph6"),
+        (["conjecture", "--format", "edges"], "p 70000\n", 65,
+         "parse error: graph on 70000 vertices is too large to write as graph6"),
     ], ids=["subdivide", "gen", "subdivide-order", "gen-order", "cert", "edges", "gen-graph6",
-            "verify-graph6-name"])
+            "verify-graph6-name", "conjecture-graph6-name"])
     def test_huge_graph_is_refused_before_it_is_built(self, args, stdin, code, message):
         # Under a 2 GiB address-space limit a missing guard ends in a
         # MemoryError traceback within seconds instead of filling the host.

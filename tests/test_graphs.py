@@ -179,7 +179,8 @@ class TestVertexSet:
 
 
 class TestIterBits:
-    # A mask wider than one 64-bit word is walked a word at a time.
+    # Masks are walked a 64-bit word at a time: bits on both sides of word
+    # boundaries, and empty words skipped.
     @pytest.mark.parametrize("bits", [
         (), (0, 2, 63), (64,), (0, 63, 64, 127, 200000), tuple(range(60, 200)),
     ], ids=["empty", "one-word", "second-word", "wide-sparse", "dense-across-words"])
