@@ -10,12 +10,10 @@ first size that has one is the optimum and that set is the reported witness.
 The engine is a branch search by ascending vertex id that cuts a branch only
 when no completion of it can qualify, so it finds the same lex-first witness
 as a scan would; ``_first_pruned`` describes its cuts, one of which holds
-only on triangle-free graphs (every k-subdivision with k >= 2). A naive
-engine, ``_first_naive``, scans every subset of each size with the
-definitional checks; the tests run it through ``_exact`` as an independent
-cross-check. ``SolverBudget`` caps the graph's order and the count of search
-nodes. Both caps are deterministic, and a solve past one has an explicit
-"skipped" status, so an inexact answer is never presented as exact.
+only on triangle-free graphs (every k-subdivision with k >= 2).
+``SolverBudget`` caps the graph's order and the count of search nodes. Both
+caps are deterministic, and a solve past one has an explicit "skipped"
+status, so an inexact answer is never presented as exact.
 
 The swap test inside the fast secure check is incremental: removing v from D
 can only uncover vertices that v privately dominates (coverage count exactly
@@ -26,7 +24,6 @@ coverage from scratch and is what the tests cross-validate against.
 
 from __future__ import annotations
 
-from itertools import combinations
 import sys
 
 from .graphs import Graph, GraphError, VertexSet, _Record, _iter_bits
@@ -61,10 +58,9 @@ class SolverBudget(_Record):
 class SolveResult(_Record):
     """Outcome of an exact solve: the optimum and a witness, or "skipped".
 
-    ``nodes`` counts search effort: branch nodes of the branch search, or
-    subsets of the naive scan, over every size the solve walked. ``cap`` names
-    the cap that made a solve "skipped": "vertices" or "nodes". ``status``
-    is "exact" or "skipped".
+    ``nodes`` counts search effort: branch nodes of the branch search over
+    every size the solve walked. ``cap`` names the cap that made a solve
+    "skipped": "vertices" or "nodes". ``status`` is "exact" or "skipped".
     """
 
     value: int | None
@@ -100,8 +96,8 @@ def _check_universe(g: Graph, d: VertexSet):
 
 # The per-set tests _coverage, _ones_mask and _all_defended walk their masks
 # inline, not through _iter_bits: _all_defended runs inside every branch of
-# the search, _coverage on every subset the naive engine scans, and
-# _ones_mask on every set that is_secure_dominating checks.
+# the search, _coverage in every definitional swap check, and _ones_mask on
+# every set that is_secure_dominating checks.
 
 
 def _coverage(g: Graph, dmask: int) -> int:
@@ -326,33 +322,15 @@ def _first_pruned(g: Graph, effort: _Effort, secure: bool):
     return first, -(-n // reach[0]) if n else 0
 
 
-def _first_naive(g: Graph, effort: _Effort, secure: bool):
-    """The naive engine, as ``(first, start)``: ``first(size)`` scans the
-    subsets of exactly ``size`` vertices in lexicographic order and gives
-    the first that passes the definitional (secure) domination check, as a
-    bitmask, or None. ``start`` is 0."""
-
-    def first(size: int) -> int | None:
-        for combo in combinations(range(g.n), size):
-            effort.spend()
-            d = VertexSet.of(g.n, combo)
-            if (is_secure_dominating(g, d, full_recompute=True) if secure else is_dominating(g, d)):
-                return d.mask
-        return None
-
-    return first, 0
-
-
 DEFAULT_BUDGET = SolverBudget()
 
 
-def _exact(g: Graph, budget: SolverBudget, secure: bool, engine=_first_pruned) -> SolveResult:
-    """The optimum by ``engine``, which takes (graph, effort, secure) and
-    gives (first, start)."""
+def _exact(g: Graph, budget: SolverBudget, secure: bool) -> SolveResult:
+    """The optimum by the branch search, within ``budget``."""
     if g.n > budget.max_vertices:
         return SolveResult(None, None, "skipped", 0, "vertices")
     effort = _Effort(budget.max_nodes)
-    first, start = engine(g, effort, secure)
+    first, start = _first_pruned(g, effort, secure)
     # A search of n vertices may stack n + 1 calls of its own, and a check
     # and a node count below the last, on top of its caller's.
     limit = sys.getrecursionlimit()

@@ -34,19 +34,17 @@ def brute_is_secure(n, adj, members):
     return all(brute_defenders(n, adj, members, u) for u in range(n) if u not in members)
 
 
-def brute_gamma(n, adj):
+def brute_first(n, adj, secure=True):
+    """The lexicographically first minimum secure dominating set (dominating
+    set, unless ``secure``), found by testing every subset of each size in
+    lexicographic order, as (size, members, subsets tried)."""
+    check = brute_is_secure if secure else brute_is_dominating
+    tried = 0
     for size in range(n + 1):
         for combo in combinations(range(n), size):
-            if brute_is_dominating(n, adj, set(combo)):
-                return size, set(combo)
-    raise AssertionError("unreachable")
-
-
-def brute_gamma_s(n, adj):
-    for size in range(n + 1):
-        for combo in combinations(range(n), size):
-            if brute_is_secure(n, adj, set(combo)):
-                return size, set(combo)
+            tried += 1
+            if check(n, adj, set(combo)):
+                return size, set(combo), tried
     raise AssertionError("unreachable")
 
 

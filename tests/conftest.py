@@ -11,8 +11,8 @@ import pytest
 from hypothesis import strategies as st
 
 import subsec
-from subsec import cli, generate, is_connected, make_graph
-from subsec.solver import DEFAULT_BUDGET, _exact, _first_naive
+from subsec import SolveResult, VertexSet, cli, generate, is_connected, make_graph
+from brute_force import brute_first, neighbor_sets
 
 # The directory that holds the package under test, and the environment of a
 # test's subsec process: that directory first on PYTHONPATH, and without
@@ -101,10 +101,12 @@ def python(*args, stdin=b"", **kwargs):
 
 
 def naive_exact(g, secure=True):
-    """gamma_s (or gamma, unless ``secure``) of ``g`` by the naive scan: the
-    definitional check on every subset of each size in lexicographic order,
-    the reference the tests check the branch search against."""
-    return _exact(g, DEFAULT_BUDGET, secure, _first_naive)
+    """gamma_s (or gamma, unless ``secure``) of ``g`` by ``brute_first``'s
+    scan of every subset of each size in lexicographic order, as a
+    SolveResult whose ``nodes`` is the count of subsets tried: the reference
+    the tests check the branch search against."""
+    size, members, tried = brute_first(g.n, neighbor_sets(g), secure)
+    return SolveResult(size, VertexSet.of(g.n, members), "exact", tried)
 
 
 def path(n):

@@ -17,8 +17,6 @@ from subsec import (
     check_theorem,
     conjecture_scan,
     emit_graph6,
-    enumerate_connected,
-    gamma_exact,
     gamma_s_exact,
     generate,
     parse_graph6,
@@ -26,7 +24,7 @@ from subsec import (
     run_corpus,
     subdivide,
 )
-from brute_force import brute_gamma_s, neighbor_sets
+from brute_force import brute_first, neighbor_sets
 from conftest import assert_no_child_left, cycle, naive_exact, path, star, wheel_rim6
 
 
@@ -45,7 +43,7 @@ def test_criterion_1_path_formula():
         assert pruned.value == naive.value == expected, n
         assert pruned.witness == naive.witness, n
     elapsed = time.monotonic() - start
-    report("criterion 1 (path formula, n=1..18, both modes)", elapsed < 60,
+    report("criterion 1 (path formula, n=1..18, branch search and exhaustive scan)", elapsed < 60,
            f"all equal ceil(3n/7), {elapsed:.1f}s")
 
 
@@ -110,17 +108,16 @@ def test_criterion_5_discrepancy_surfacing():
     start = time.monotonic()
     # independent oracle: gamma_s of the subdivided single edge (the 5-path)
     five_path = subdivide(path(2), 4).derived
-    oracle_value, _ = brute_gamma_s(five_path.n, neighbor_sets(five_path))
+    oracle_value, _, _ = brute_first(five_path.n, neighbor_sets(five_path))
     assert oracle_value == 3
     check = check_theorem(path(2), "g14")
-    naive = naive_exact(five_path)
-    ok = (check.exact == naive.value == oracle_value == 3
+    ok = (check.exact == oracle_value == 3
           and check.equality == 2
           and check.status == "violated"
           and check.exact != check.equality)
     elapsed = time.monotonic() - start
     report("criterion 5 (single-edge 4-subdivision discrepancy)", ok,
-           f"exact={check.exact} (naive {naive.value}) vs claim {check.equality} -> {check.status}, "
+           f"exact={check.exact} (oracle {oracle_value}) vs claim {check.equality} -> {check.status}, "
            f"{elapsed:.1f}s")
 
 
@@ -148,7 +145,7 @@ def test_criterion_7_conjecture_scan(small_connected_corpus, deadline):
     # independent confirmation of the minimum-ratio witness
     lowest = parse_graph6(scan.witnesses[0])
     derived = subdivide(lowest, 2).derived
-    oracle_value, _ = brute_gamma_s(derived.n, neighbor_sets(derived))
+    oracle_value, _, _ = brute_first(derived.n, neighbor_sets(derived))
     assert Fraction(oracle_value, lowest.n) == scan.min_ratio == Fraction(3, 4)
     # the strict 4/5 bound genuinely fails inside this corpus; the scan
     # must say so rather than hide it

@@ -3,6 +3,10 @@ exports its public names lazily. Each check starts a fresh ``python -S``
 process: without ``site`` nothing is imported before the code under test,
 so every module the run loads shows in its ``-X importtime`` report."""
 
+import ast
+import sys
+from pathlib import Path
+
 import pytest
 
 import subsec
@@ -146,3 +150,12 @@ def test_unknown_names_raise_attribute_error():
     from subsec import _pool, bounds, cli
 
     assert bounds.__name__ == "subsec.bounds" and cli.main and _pool.ordered_map
+
+
+def test_the_brute_force_oracle_imports_only_the_standard_library():
+    # The exhaustive scan the branch search is checked against stays
+    # independent of it: it may share no code with subsec.
+    tree = ast.parse(Path(__file__).with_name("brute_force.py").read_text(encoding="utf-8"))
+    names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+    names += ["." * node.level + (node.module or "") for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert names and {name.partition(".")[0] for name in names} <= sys.stdlib_module_names

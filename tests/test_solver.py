@@ -12,7 +12,6 @@ from subsec import (
     defenders,
     gamma_exact,
     gamma_s_exact,
-    generate,
     is_dominating,
     is_secure_dominating,
     make_graph,
@@ -21,8 +20,7 @@ from subsec import (
 )
 from brute_force import (
     brute_defenders,
-    brute_gamma,
-    brute_gamma_s,
+    brute_first,
     brute_is_dominating,
     brute_is_secure,
     neighbor_sets,
@@ -114,7 +112,7 @@ class TestGammaExact:
     @settings(max_examples=60, deadline=None)
     def test_against_oracle(self, g):
         res = gamma_exact(g)
-        size, first = brute_gamma(g.n, neighbor_sets(g))
+        size, first, _ = brute_first(g.n, neighbor_sets(g), secure=False)
         assert res.status == "exact" and res.value == size
         # lexicographically smallest optimum matches the oracle's scan order
         assert set(res.witness) == first
@@ -145,15 +143,6 @@ class TestGammaSecureExact:
         with pytest.raises(ValueError):
             path_secure_formula(0)
 
-    @given(graphs(max_n=7))
-    @settings(max_examples=50, deadline=None)
-    def test_against_oracle(self, g):
-        res = gamma_s_exact(g)
-        size, first = brute_gamma_s(g.n, neighbor_sets(g))
-        assert res.status == "exact" and res.value == size
-        assert set(res.witness) == first
-        assert is_secure_dominating(g, res.witness)
-
     @given(
         st.one_of(
             graphs(max_n=9),
@@ -174,8 +163,10 @@ class TestGammaSecureExact:
             g = make_graph(g.n, [(new_id[u], new_id[v]) for u, v in g.edges()])
         pruned = gamma_s_exact(g)
         naive = naive_exact(g)
+        assert pruned.status == "exact"
         assert pruned.value == naive.value
         assert pruned.witness == naive.witness
+        assert is_secure_dominating(g, pruned.witness)
 
     def test_naive_and_pruned_agree_on_subdivisions(self):
         # Small bases in their own labelings, then every bundled G^{1/k},

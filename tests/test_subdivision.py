@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subsec import GraphError, bundled_corpus, generate, make_graph, subdivide
+from subsec import GraphError, bundled_corpus, make_graph, subdivide
 from conftest import complete, graphs, path, star, wheel_rim6
 
 BASES = bundled_corpus()
