@@ -143,6 +143,15 @@ class TestGammaSecureExact:
         with pytest.raises(ValueError):
             path_secure_formula(0)
 
+    @given(graphs(max_n=7))
+    @settings(max_examples=50, deadline=None)
+    def test_against_oracle(self, g):
+        res = gamma_s_exact(g)
+        size, first, _ = brute_first(g.n, neighbor_sets(g), secure=True)
+        assert res.status == "exact" and res.value == size
+        assert set(res.witness) == first
+        assert is_secure_dominating(g, res.witness)
+
     @given(
         st.one_of(
             graphs(max_n=9),
