@@ -6,12 +6,15 @@ with ``bounds``, which names an edge-list graph by its graph6.
 
 from __future__ import annotations
 
-from .graphs import (MAX_ADJACENCY_BITS, Graph, GraphError, ParseError, _ASCII_SPACE, _G6_BITS,
-                     _G6_SIZES, make_graph)
+import binascii
+
+from .graphs import MAX_ADJACENCY_BITS, Graph, GraphError, ParseError, _ASCII_SPACE, _G6_SIZES, make_graph
 
 
-# graph6 is described above ``graphs._G6_SIZES``.
-_G6_CHARS = {bits: ch for ch, bits in _G6_BITS.items()}
+# graph6 is described above ``graphs._G6_SIZES``. Base64 also writes 6 bits
+# a character, big-endian, so its text maps onto graph6's chr(63..126).
+_BASE64_TO_G6 = bytes.maketrans(
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/", bytes(range(63, 127)))
 
 
 def _g6_size_groups(n: int) -> list[int]:
@@ -22,7 +25,12 @@ def _g6_size_groups(n: int) -> list[int]:
 
 
 def _g6_chars(bits: str) -> str:
-    return "".join([_G6_CHARS[bits[i:i + 6]] for i in range(0, len(bits), 6)])
+    """The graph6 text of a bit string whose length is a multiple of 6. It is
+    padded to whole 3-byte groups, which base64 writes without '=', and the
+    characters of the padding are cut off."""
+    padded = bits + "0" * (-len(bits) % 24)
+    data = int(padded or "0", 2).to_bytes(len(padded) // 8, "big")
+    return binascii.b2a_base64(data, newline=False).translate(_BASE64_TO_G6)[:len(bits) // 6].decode("ascii")
 
 
 def emit_graph6(g: Graph) -> str:

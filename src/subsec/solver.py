@@ -4,13 +4,16 @@ A set D dominates when every vertex outside it has a neighbor inside. D is
 secure dominating when, additionally, every outside vertex u has a "defender"
 v: a neighbor of u inside D whose swap (D - v + u) still dominates.
 
-Both optimum solvers run one size-increasing loop that asks an engine for
-the first feasible set of each size in lexicographic subset order, so the
-first size that has one is the optimum and that set is the reported witness.
-The engine is a branch search by ascending vertex id that cuts a branch only
-when no completion of it can qualify, so it finds the same lex-first witness
-as a scan would; ``_first_pruned`` describes its cuts, one of which holds
-only on triangle-free graphs (every k-subdivision with k >= 2).
+Both optimum solvers make one engine call, ``(g, max_nodes, secure) ->
+(size, mask, nodes)``, which raises ``_BudgetExceeded(nodes)`` once its
+search passes ``max_nodes`` nodes. The engine, ``_first_pruned``, walks the
+sizes upward and looks for the first feasible set of each size in
+lexicographic subset order, so the first size that has one is the optimum
+and that set is the reported witness. It is a branch search by ascending
+vertex id that cuts a branch only when no completion of it can qualify, so
+it finds the same lex-first witness as a scan would; its docstring
+describes the cuts, one of which holds only on triangle-free graphs (every
+k-subdivision with k >= 2).
 ``SolverBudget`` caps the graph's order and the count of search nodes. Both
 caps are deterministic, and a solve past one has an explicit "skipped"
 status, so an inexact answer is never presented as exact.
@@ -30,8 +33,8 @@ from .graphs import Graph, GraphError, VertexSet, _Record, _iter_bits
 
 
 # The branch search recurses once per pick, so a solve can go as many calls
-# deep as its graph has vertices; ``_exact`` lifts the recursion limit to
-# match. Python 3.10 also spends C stack on each Python call: at a few
+# deep as its graph has vertices; ``_first_pruned`` lifts the recursion
+# limit to match. Python 3.10 also uses C stack on each Python call: at a few
 # hundred bytes a call, this many stay well inside the usual 8 MB stack,
 # and a CLI test searches this deep.
 _MAX_DEPTH = 5000
@@ -71,22 +74,12 @@ class SolveResult(_Record):
 
 
 class _BudgetExceeded(Exception):
-    """Raised when a search spends more nodes than its cap."""
+    """Raised when a search visits more nodes than its cap; ``nodes`` is the
+    count it reached."""
 
-
-class _Effort:
-    """Search node counter with the node cap."""
-
-    __slots__ = ("nodes", "max_nodes")
-
-    def __init__(self, max_nodes: int):
-        self.nodes = 0
-        self.max_nodes = max_nodes
-
-    def spend(self):
-        self.nodes += 1
-        if self.nodes > self.max_nodes:
-            raise _BudgetExceeded
+    def __init__(self, nodes: int):
+        super().__init__(nodes)
+        self.nodes = nodes
 
 
 def _check_universe(g: Graph, d: VertexSet):
@@ -197,14 +190,16 @@ def path_secure_formula(n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _first_pruned(g: Graph, effort: _Effort, secure: bool):
-    """The branch search, as ``(first, start)``: ``first(size)`` gives the
-    lexicographically first dominating set of exactly ``size`` vertices,
-    secure dominating if ``secure``, as a bitmask, or None. Its tables are
-    built in one pass per solve, and the start size, the count cut and the
-    deficit bound all read reach[v] = max |N[w]| over w >= v: ``start`` is
-    ceil(n / reach[0]), or 0 when n = 0, as no pick covers more than
-    reach[0] = Delta + 1 vertices.
+def _first_pruned(g: Graph, max_nodes: int, secure: bool) -> tuple[int, int, int]:
+    """The branch search, as ``(size, mask, nodes)``: the least ``size``
+    that has a dominating set of exactly that many vertices, secure
+    dominating if ``secure``, the lexicographically first such set as a
+    bitmask, and the branch nodes spent over every size walked. Once that
+    count passes ``max_nodes`` it raises ``_BudgetExceeded(nodes)``. Its
+    tables are built in one pass per solve, and the start size, the count
+    cut and the deficit bound all read reach[v] = max |N[w]| over w >= v:
+    the sizes are walked from ceil(n / reach[0]), or 0 when n = 0, as no
+    pick covers more than reach[0] = Delta + 1 vertices.
 
     Branches extend by ascending vertex id, and a branch is cut only when no
     completion of it can qualify, so the sets that survive are visited in the
@@ -221,7 +216,8 @@ def _first_pruned(g: Graph, effort: _Effort, secure: bool):
       dead. In G^{1/k} only the original vertices, which hold the lowest
       ids, can cover more than 3, so this is much tighter than a global
       Delta+1. It passes a last pick only if nothing is left uncovered, and
-      start >= 1 unless n = 0, so every completed set dominates.
+      every size walked is >= 1 unless n = 0, so every completed set
+      dominates.
     - Early secure cut (``secure`` only): whether u has a defender depends
       only on D inside N^3[u] (the defender's private vertices and their
       closed neighborhoods). Once every id up to r3[u], the largest id in
@@ -248,7 +244,6 @@ def _first_pruned(g: Graph, effort: _Effort, secure: bool):
     adj = g.adj_masks
     closed = g.closed_masks
     full = g.full_mask
-    spend = effort.spend
     # below[v]: vertices with max N[u] < v, which no pick >= v can cover.
     below = [0] * (n + 1)
     # reach[v]: the most vertices one pick w >= v can cover.
@@ -272,10 +267,13 @@ def _first_pruned(g: Graph, effort: _Effort, secure: bool):
     for v in reversed(range(n)):
         reach[v] = max(reach[v + 1], closed[v].bit_count())
         after[v] = after[v + 1] | settled[v]
-    target = 0  # the size first() is searching
+    nodes = 0
 
     def extend(chosen: int, covered: int, ones: int, next_min: int, remaining: int) -> int | None:
-        spend()
+        nonlocal nodes
+        nodes += 1
+        if nodes > max_nodes:
+            raise _BudgetExceeded(nodes)
         if remaining == 0:
             # Only vertices settled at next_min or later are still unchecked.
             if secure and not _all_defended(g, after[next_min] & ~chosen, chosen, ones):
@@ -298,9 +296,9 @@ def _first_pruned(g: Graph, effort: _Effort, secure: bool):
             pick = chosen | 1 << v
             picked_ones = (ones & ~nv) | (nv & uncovered)
             # Secure-deficit cut: 2 per uncovered vertex, 1 per outside
-            # vertex dominated once, and at most ``target`` when complete.
+            # vertex dominated once, and at most ``size`` when complete.
             if deficit_cut and (
-                2 * left.bit_count() + (picked_ones & ~pick).bit_count() - target
+                2 * left.bit_count() + (picked_ones & ~pick).bit_count() - size
                 > (remaining - 1) * (reach[v + 1] + 1)
             ):
                 continue
@@ -314,12 +312,19 @@ def _first_pruned(g: Graph, effort: _Effort, secure: bool):
                 return found
         return None
 
-    def first(size: int) -> int | None:
-        nonlocal target
-        target = size
-        return extend(0, 0, 0, 0, size)
-
-    return first, -(-n // reach[0]) if n else 0
+    # A search of n vertices may stack n + 1 calls of its own on top of its
+    # caller's. The last may call a check, and the check a C method; each
+    # counts toward the limit.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + n + 3)
+    try:
+        for size in range(-(-n // reach[0]) if n else 0, n + 1):
+            mask = extend(0, 0, 0, 0, size)
+            if mask is not None:
+                return size, mask, nodes
+    finally:
+        sys.setrecursionlimit(limit)
+    raise AssertionError("the full vertex set always qualifies")
 
 
 DEFAULT_BUDGET = SolverBudget()
@@ -329,22 +334,11 @@ def _exact(g: Graph, budget: SolverBudget, secure: bool) -> SolveResult:
     """The optimum by the branch search, within ``budget``."""
     if g.n > budget.max_vertices:
         return SolveResult(None, None, "skipped", 0, "vertices")
-    effort = _Effort(budget.max_nodes)
-    first, start = _first_pruned(g, effort, secure)
-    # A search of n vertices may stack n + 1 calls of its own, and a check
-    # and a node count below the last, on top of its caller's.
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(limit + g.n + 3)
     try:
-        for size in range(start, g.n + 1):
-            mask = first(size)
-            if mask is not None:
-                return SolveResult(size, VertexSet(g.n, mask), "exact", effort.nodes)
-    except _BudgetExceeded:
-        return SolveResult(None, None, "skipped", effort.nodes, "nodes")
-    finally:
-        sys.setrecursionlimit(limit)
-    raise AssertionError("the full vertex set always qualifies")
+        size, mask, nodes = _first_pruned(g, budget.max_nodes, secure)
+    except _BudgetExceeded as exc:
+        return SolveResult(None, None, "skipped", exc.nodes, "nodes")
+    return SolveResult(size, VertexSet(g.n, mask), "exact", nodes)
 
 
 def gamma_exact(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> SolveResult:

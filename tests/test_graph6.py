@@ -99,6 +99,17 @@ class TestGraph6Emit:
         line = emit_graph6(g)
         assert line.startswith("~") and parse_graph6(line) == g
 
+    @pytest.mark.parametrize("n", [63, 112, 120, 200])
+    def test_emit_matches_a_per_character_reference(self, n):
+        # A 4-byte header, and bodies of 1953 to 19900 bits that cross the
+        # 6144-bit batch and whose lengths are not all multiples of 24.
+        g = generate("random", n, p=0.3, seed=n)
+        header = "~" + "".join(chr((n >> shift & 63) + 63) for shift in (12, 6, 0))
+        bits = [g.adj_masks[v] >> u & 1 for v in range(1, n) for u in range(v)]
+        bits += [0] * (-len(bits) % 6)
+        body = "".join(chr(63 + int("".join(map(str, bits[i:i + 6])), 2)) for i in range(0, len(bits), 6))
+        assert emit_graph6(g) == header + body
+
     def test_emit_is_parse_inverse_on_lines(self):
         lines = [emit_graph6(generate("cycle", n)) for n in range(3, 9)]
         assert [emit_graph6(g) for g in iter_graph6(lines)] == lines

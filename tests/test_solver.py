@@ -279,6 +279,14 @@ class TestBudgets:
         assert res.nodes > 50
         assert res.cap == "nodes"
 
+    def test_node_cap_boundary(self):
+        # P26's solve walks 1,202 nodes: a cap of exactly that many lets it
+        # finish, and one fewer stops it at the node that passes the cap.
+        res = gamma_s_exact(path(26), SolverBudget(max_nodes=1_202))
+        assert (res.status, res.value, res.nodes) == ("exact", path_secure_formula(26), 1_202)
+        res = gamma_s_exact(path(26), SolverBudget(max_nodes=1_201))
+        assert res == res.__class__(None, None, "skipped", 1_202, "nodes")
+
     def test_caps_must_be_positive(self):
         with pytest.raises(ValueError):
             SolverBudget(max_nodes=0)
@@ -293,6 +301,17 @@ class TestBudgets:
         assert (edgeless.value, edgeless.witness.sorted()) == (1500, tuple(range(1500)))
         dominated = gamma_exact(path(3000), budget)
         assert (dominated.value, dominated.witness.sorted()) == (1000, tuple(range(1, 3000, 3)))
+        assert sys.getrecursionlimit() == limit
+
+    def test_recursion_limit_survives_a_skip(self):
+        # The same two searches, capped one node short: each passes the cap
+        # on its one dive, 1501 and 1001 calls deep, past the default limit
+        # of 1000 calls, which holds again after the skip.
+        limit = sys.getrecursionlimit()
+        edgeless = gamma_s_exact(make_graph(1500, []), SolverBudget(max_vertices=3000, max_nodes=1500))
+        assert edgeless == edgeless.__class__(None, None, "skipped", 1501, "nodes")
+        dominated = gamma_exact(path(3000), SolverBudget(max_vertices=3000, max_nodes=1000))
+        assert dominated == dominated.__class__(None, None, "skipped", 1001, "nodes")
         assert sys.getrecursionlimit() == limit
 
     def test_default_solve_never_reads_the_clock(self, monkeypatch):
