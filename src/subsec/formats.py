@@ -1,22 +1,20 @@
-"""Graph writers and the edge-list codec. The graph6 reader is in ``graphs``,
-which every command loads; this module loads only for the commands that
-print graphs (``gen``, ``enum``, ``subdivide``), for ``--format edges``, and
-with ``bounds``, which names an edge-list graph by its graph6.
+"""Graph writers and the edge-list codec. The graph6 reader, and the map
+from base64's digits to graph6's alphabet that the writer turns its text
+with, are in ``graphs``, which every command loads. This module loads only
+for the commands that print graphs (``gen``, ``enum``, ``subdivide``), for
+``--format edges``, and with ``bounds``, which names an edge-list graph by
+its graph6.
 """
 
 from __future__ import annotations
 
 import binascii
 
-from .graphs import MAX_ADJACENCY_BITS, Graph, GraphError, ParseError, _ASCII_SPACE, _G6_SIZES, make_graph
+from .graphs import (MAX_ADJACENCY_BITS, Graph, GraphError, ParseError, _ASCII_SPACE, _BASE64_TO_G6,
+                     _G6_SIZES, make_graph)
 
 
-# graph6 is described above ``graphs._G6_SIZES``. Base64 also writes 6 bits
-# a character, big-endian, so its text maps onto graph6's chr(63..126).
-_BASE64_TO_G6 = bytes.maketrans(
-    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/", bytes(range(63, 127)))
-
-
+# graph6 and its alphabet maps are described above ``graphs._G6_SIZES``.
 def _g6_size_groups(n: int) -> list[int]:
     for limit, lead, groups in _G6_SIZES:
         if n <= limit:

@@ -1,8 +1,9 @@
-"""Immutable simple graphs: construction, invariants, the graph6 format and
-its reader. The graph6 writer, which writes from that description, and the
-edge-list codec are in ``formats``, and the named generators, canonical
-forms, enumeration and the bundled corpus in ``corpus``: a CLI run imports
-each only when its command or format needs it.
+"""Immutable simple graphs: construction, invariants, the graph6 format (its
+size headers and the alphabet map that both directions use) and its reader.
+The graph6 writer, which writes from that description, and the edge-list
+codec are in ``formats``, and the named generators, canonical forms,
+enumeration and the bundled corpus in ``corpus``: a CLI run imports each
+only when its command or format needs it.
 
 Vertices are the integers ``0..n-1``. Adjacency is stored as one bitmask per
 vertex, which keeps set operations (coverage, neighborhood unions) cheap for
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from functools import cached_property
+from itertools import accumulate
 
 
 class GraphError(ValueError):
@@ -282,8 +284,13 @@ def is_connected(g: Graph) -> bool:
 _G6_HEADER = ">>graph6<<"
 # (largest n, leading 63 groups, 6-bit groups of n) per size-header form.
 _G6_SIZES = ((62, 0, 1), (258047, 1, 3), (68719476735, 2, 6))
-# Each graph6 character and the 6 bits of its group.
-_G6_BITS = {chr(code + 63): f"{code:06b}" for code in range(64)}
+# graph6's alphabet, chr(63..126), and the maps between it and base64's 64
+# digits. Base64 also writes 6 bits a character, big-endian, so a graph6 body
+# is base64 text in other characters, and binascii reads and writes it.
+_G6_ALPHABET = bytes(range(63, 127))
+_BASE64_ALPHABET = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_G6_TO_BASE64 = bytes.maketrans(_G6_ALPHABET, _BASE64_ALPHABET)
+_BASE64_TO_G6 = bytes.maketrans(_BASE64_ALPHABET, _G6_ALPHABET)
 # The text formats strip and split on ASCII whitespace only, as the CLI does;
 # str.strip() and str.split() would also take 0x1c-0x1f, 0x85 and 0xa0.
 _ASCII_SPACE = " \t\n\r\v\f"
@@ -297,7 +304,8 @@ def _column_edges(columns: Iterable[int]) -> list[tuple[int, int]]:
 
 def parse_graph6(line: str) -> Graph:
     """Decode one graph6 line; tolerates and strips the optional
-    '>>graph6<<' header."""
+    '>>graph6<<' header. The line's length is checked against its size
+    header before its body is decoded."""
     text = line.rstrip("\n")
     if text.startswith(">>"):
         if not text.startswith(_G6_HEADER):
@@ -306,25 +314,38 @@ def parse_graph6(line: str) -> Graph:
     if not text:
         raise ParseError("empty graph6 line")
     try:
-        bits = "".join([_G6_BITS[ch] for ch in text])
-    except KeyError as exc:
-        raise ParseError(f"byte {ord(exc.args[0])} outside graph6 alphabet") from None
+        data = text.encode("latin-1")
+    except UnicodeEncodeError as exc:  # the bytes before a character past 255 come first
+        bad = text[:exc.start].encode("latin-1").translate(None, _G6_ALPHABET) or text[exc.start]
+    else:
+        bad = data.translate(None, _G6_ALPHABET)
+    if bad:
+        raise ParseError(f"byte {ord(bad[:1])} outside graph6 alphabet")
     # The row is picked by its count of leading 63 groups ('~').
-    _, lead, groups = _G6_SIZES[min(len(text) - len(text.lstrip("~")), 2)]
+    _, lead, groups = _G6_SIZES[(data[:1] == b"~") + (data[:2] == b"~~")]
     pos = lead + groups
-    if len(text) < pos:
+    if len(data) < pos:
         raise ParseError("truncated graph6 size header")
-    n = int(bits[6 * lead:6 * pos], 2)
+    n = 0
+    for group in data[lead:pos]:
+        n = n << 6 | group - 63
     nbits = n * (n - 1) // 2
-    need, got = (nbits + 5) // 6, len(text) - pos
+    need, got = (nbits + 5) // 6, len(data) - pos
     if got < need:
         raise ParseError(f"truncated graph6 body: need {need} bytes, got {got}")
     if got > need:
         raise ParseError(f"graph6 body longer than n={n} allows")
-    body = bits[6 * pos:]
-    if "1" in body[nbits:]:
+    import binascii  # here, so a run that reads no graph6 line loads nothing more
+
+    # Zero digits fill the last 4-character group, which base64 reads whole.
+    body = binascii.a2b_base64(data[pos:].translate(_G6_TO_BASE64) + b"A" * (-need % 4))
+    tail = body[nbits >> 3:]  # the padding bits follow bit nbits
+    if int.from_bytes(tail, "big") & ((1 << 8 * len(tail) - (nbits & 7)) - 1):
         raise ParseError("nonzero padding in graph6 body")
-    columns = [int(body[j * (j - 1) // 2:j * (j + 1) // 2], 2) for j in range(1, n)]
+    # Column j is the j bits of the body that end at bit j(j+1)/2, read from
+    # the bytes that hold them.
+    columns = (int.from_bytes(body[end - j >> 3:end + 7 >> 3], "big") >> (-end & 7) & ~(-1 << j)
+               for j, end in zip(range(1, n), accumulate(range(1, n))))
     try:
         return make_graph(n, _column_edges(columns))
     except GraphError as exc:  # the size guard: each edge is in range
